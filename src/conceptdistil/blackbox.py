@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,19 +81,12 @@ def _fit_mlp(
     optimizer: OptimizerConfig | None = None,
 ) -> tuple[MLPParams, list[tuple[float, float]]]:
     """Minibatch BCE fit with early stopping on the validation loss."""
-    opt_cfg = optimizer or OptimizerConfig()
-    opt_cfg = nn.OptimizerConfig(
-        algorithm=opt_cfg.algorithm,
-        lr=learning_rate,
-        l2_penalty=opt_cfg.l2_penalty,
-        adam_beta1=opt_cfg.adam_beta1,
-        adam_beta2=opt_cfg.adam_beta2,
-        adam_eps=opt_cfg.adam_eps,
-    )
+    opt_cfg = replace(optimizer or OptimizerConfig(), lr=learning_rate)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     tv = np.asarray(targets_valid, dtype=np.float64).reshape(-1, 1)
     work = params.copy()
-    state = None
+    state = nn.OptimizerState()
+    draws = nn.draws_masks(work.specs, TRAIN)
     best = work.copy()
     best_loss = math.inf
     bad = 0
@@ -103,10 +97,11 @@ def _fit_mlp(
         running = 0.0
         for b, lo in enumerate(range(0, n, batch_size)):
             idx = order[lo : lo + batch_size]
-            out, trace = nn.forward(work, x[idx], TRAIN, derive_seed(seed, _BATCH, e, b))
+            seed_b = derive_seed(seed, _BATCH, e, b) if draws else 0  # read only by dropout
+            out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
             loss, grad = nn.bce_loss(out, t[idx])
             grads, _ = nn.backward(work, trace, grad)
-            state = nn.optimizer_step(work, grads, opt_cfg, state)
+            nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
             nn.update_running_stats(work, trace)
             running += loss * len(idx)
         v_out, _ = nn.forward(work, x_valid, EVAL)

@@ -63,6 +63,9 @@ class Dataset:
             expected = (n,) if name in ("y", "bb_scores") else (n, width)
             if block.shape != expected:
                 raise DataError(f"{name} shape {block.shape} does not match {expected}")
+        for name, block in (("soft", self.soft), ("bb_scores", self.bb_scores), ("teacher_x", self.teacher_x)):
+            if block is not None and not np.isfinite(block).all():  # NaN slips through range checks
+                raise DataError(f"{name} must be finite")
         if (self.golden is not None or self.soft is not None) and k == 0:
             raise DataError("concept labels present but concept_names is empty")
         if self.y is not None and not np.isin(self.y, (0, 1)).all():

@@ -12,7 +12,7 @@ contributions, which is what the explanation output exposes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,35 +106,48 @@ def build_architecture(
 
 @dataclass
 class ConceptDistilParams:
-    """All learnable state: trunk, K concept heads, attention stack."""
+    """All learnable state: trunk, K concept heads, attention stack.
+
+    The heads are one stacked MLP with per-head views in ``theta_m``. All
+    arrays are views of one ``buffer`` (see :func:`nn.pack`); ``flat`` is
+    its learnable prefix: trunk, heads, attention.
+    """
 
     config: ArchitectureConfig
     theta_c: MLPParams
-    theta_m: list[MLPParams]
+    heads: MLPParams
     theta_a: MLPParams
     concept_names: tuple[str, ...]
+    buffer: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.config.k_concepts
-        if len(self.theta_m) != k:
-            raise DataError(f"expected {k} heads, got {len(self.theta_m)}")
+        if self.heads.layers[0].weights.shape[:-2] != (k,):
+            raise DataError(f"expected {k} stacked heads, got shape {self.heads.layers[0].weights.shape}")
         if len(self.concept_names) != k or len(set(self.concept_names)) != k:
             raise DataError("concept_names must be unique and match k_concepts")
         if tuple(self.theta_c.specs) != self.config.trunk:
             raise DataError("trunk params do not match architecture")
-        for i, head in enumerate(self.theta_m):
-            if tuple(head.specs) != self.config.head_template:
-                raise DataError(f"head {i} params do not match architecture")
+        if tuple(self.heads.specs) != self.config.head_template:
+            raise DataError("head params do not match architecture")
         if tuple(self.theta_a.specs) != self.config.attention:
             raise DataError("attention params do not match architecture")
+        parts = [self.theta_c, self.heads, self.theta_a]
+        self.buffer = nn.pack(parts, self.buffer)
+        self.flat = self.buffer[: sum(p.flat.size for p in parts)]
+
+    @property
+    def theta_m(self) -> list[MLPParams]:
+        """Per-head views of the stacked heads."""
+        return nn.unstack(self.heads)
 
     def copy(self) -> "ConceptDistilParams":
+        """Deep copy: one copy of the buffer, viewed through the same layout."""
+        shallow = lambda m: replace(m, layers=[replace(l) for l in m.layers])
         return ConceptDistilParams(
-            self.config,
-            self.theta_c.copy(),
-            [h.copy() for h in self.theta_m],
-            self.theta_a.copy(),
-            tuple(self.concept_names),
+            self.config, shallow(self.theta_c), shallow(self.heads), shallow(self.theta_a),
+            tuple(self.concept_names), self.buffer.copy(),
         )
 
     def digest(self, include_running_stats: bool = True) -> str:
@@ -157,31 +170,40 @@ def init_model(config: ArchitectureConfig, concept_names, seed: int = 0) -> Conc
         for i in range(config.k_concepts)
     ]
     theta_a = nn.init_mlp(config.attention, derive_seed(seed, _SEED_ATTENTION))
-    return ConceptDistilParams(config, theta_c, theta_m, theta_a, names)
+    return ConceptDistilParams(config, theta_c, nn.stack(theta_m), theta_a, names)
 
 
 @dataclass
 class ConceptTraces:
     trunk: nn.ForwardTrace
-    heads: list[nn.ForwardTrace]
+    stack: nn.ForwardTrace  # all heads, leading K axis
+
+    @property
+    def heads(self) -> list[nn.ForwardTrace]:
+        """Per-head views of the stacked trace."""
+        return nn.unstack(self.stack)
 
 
 def concept_forward(params: ConceptDistilParams, x, mode: str = EVAL, rng_seed: int = 0):
-    """Concept probabilities, column i from head i on the shared trunk."""
-    trunk_out, trace_c = nn.forward(params.theta_c, x, mode, derive_seed(rng_seed, _SEED_TRUNK))
-    cols = []
-    traces = []
-    for i, head in enumerate(params.theta_m):
-        out, tr = nn.forward(head, trunk_out, mode, derive_seed(rng_seed, _SEED_HEAD, i))
-        cols.append(out[:, 0])
-        traces.append(tr)
-    y_e = np.column_stack(cols)
-    return y_e, ConceptTraces(trace_c, traces)
+    """Concept probabilities, column i from head i on the shared trunk.
+
+    Head i draws its dropout masks from ``derive_seed(rng_seed, _SEED_HEAD, i)``;
+    seeds are derived only for a sub-network that draws masks.
+    """
+    cfg = params.config
+    seed_c = derive_seed(rng_seed, _SEED_TRUNK) if nn.draws_masks(cfg.trunk, mode) else 0
+    trunk_out, trace_c = nn.forward(params.theta_c, x, mode, seed_c)
+    seeds = None
+    if nn.draws_masks(cfg.head_template, mode):
+        seeds = [derive_seed(rng_seed, _SEED_HEAD, i) for i in range(cfg.k_concepts)]
+    out, trace_m = nn.forward(params.heads, trunk_out, mode, seeds)
+    return np.ascontiguousarray(out[:, :, 0].T), ConceptTraces(trace_c, trace_m)
 
 
 def attention_forward(params: ConceptDistilParams, x, mode: str = EVAL, rng_seed: int = 0):
     """Attention weights: row-wise softmax over the attention stack's logits."""
-    e, trace = nn.forward(params.theta_a, x, mode, derive_seed(rng_seed, _SEED_ATTENTION))
+    seed = derive_seed(rng_seed, _SEED_ATTENTION) if nn.draws_masks(params.config.attention, mode) else 0
+    e, trace = nn.forward(params.theta_a, x, mode, seed)
     return nn.softmax_rowwise(e), trace
 
 
@@ -204,9 +226,17 @@ def forward_full(params: ConceptDistilParams, x, mode: str = EVAL, rng_seed: int
 
 @dataclass
 class ModelGrads:
+    """Gradients packed like ``ConceptDistilParams.flat``."""
+
     theta_c: nn.GradientSet
-    theta_m: list[nn.GradientSet]
+    heads: nn.GradientSet  # stacked, leading K axis
     theta_a: nn.GradientSet
+    flat: np.ndarray
+
+    @property
+    def theta_m(self) -> list[nn.GradientSet]:
+        """Per-head views of the stacked head gradients."""
+        return nn.unstack(self.heads)
 
 
 def backward_full(
@@ -224,24 +254,23 @@ def backward_full(
     its gradient still reaches the attention stack but contributes
     nothing to trunk or heads.
     """
+    flat, (grads_c, grads_m, grads_a) = nn.new_grads([params.theta_c, params.heads, params.theta_a])
     y_e, alpha = outputs.y_e, outputs.alpha
     dk = np.asarray(d_y_kd, dtype=np.float64).reshape(-1, 1)
     d_alpha = dk * y_e
     d_e = nn.softmax_backward(alpha, d_alpha)
-    grads_a, _ = nn.backward(params.theta_a, outputs.attention_trace, d_e)
+    nn.backward(params.theta_a, outputs.attention_trace, d_e, grads_a)
 
     d_ye_total = np.asarray(d_y_e, dtype=np.float64)
     if not stop_concept_grad:
         d_ye_total = d_ye_total + dk * alpha
 
-    grads_m = []
-    d_trunk_out = None
-    for i, head in enumerate(params.theta_m):
-        g, d_in = nn.backward(head, outputs.concept_traces.heads[i], d_ye_total[:, i : i + 1])
-        grads_m.append(g)
-        d_trunk_out = d_in if d_trunk_out is None else d_trunk_out + d_in
-    grads_c, _ = nn.backward(params.theta_c, outputs.concept_traces.trunk, d_trunk_out)
-    return ModelGrads(grads_c, grads_m, grads_a)
+    _, d_in = nn.backward(params.heads, outputs.concept_traces.stack, d_ye_total.T[:, :, None], grads_m)
+    d_trunk_out = d_in[0]
+    for part in d_in[1:]:  # summed head by head, in order
+        d_trunk_out = d_trunk_out + part
+    nn.backward(params.theta_c, outputs.concept_traces.trunk, d_trunk_out, grads_c)
+    return ModelGrads(grads_c, grads_m, grads_a, flat)
 
 
 @dataclass(frozen=True)
@@ -327,15 +356,15 @@ def model_from_doc(doc: dict) -> ConceptDistilParams:
     if doc.get("kind") != "concept_distil":
         raise DataError(f"not a surrogate model file (kind={doc.get('kind')!r})")
     theta_c = nn.mlp_from_doc(doc["trunk"])
-    theta_m = [nn.mlp_from_doc(h) for h in doc["heads"]]
+    heads = nn.stack([nn.mlp_from_doc(h) for h in doc["heads"]])
     theta_a = nn.mlp_from_doc(doc["attention"])
     config = ArchitectureConfig(
-        k_concepts=len(theta_m),
+        k_concepts=len(doc["heads"]),
         trunk=tuple(theta_c.specs),
-        head_template=tuple(theta_m[0].specs),
+        head_template=tuple(heads.specs),
         attention=tuple(theta_a.specs),
     )
-    return ConceptDistilParams(config, theta_c, theta_m, theta_a, tuple(doc["concept_names"]))
+    return ConceptDistilParams(config, theta_c, heads, theta_a, tuple(doc["concept_names"]))
 
 
 def save_model(params: ConceptDistilParams, path) -> None:

@@ -4,6 +4,10 @@ All tensors are dense row-major 2-D numpy arrays (rows are instances).
 A layer applies a linear map, optional batch normalization, an elementwise
 activation (relu / sigmoid / identity) and optional inverted dropout.
 
+A stacked MLP (:func:`stack`) runs K same-shaped networks in one call,
+slice by slice with the arithmetic of K separate calls. :func:`pack`
+lays MLPs end to end in one buffer for a single flat optimizer update.
+
 Forward passes are pure functions: train-mode randomness is fully
 determined by the ``rng_seed`` argument, and batchnorm running statistics
 are folded in explicitly via :func:`update_running_stats`, never as a
@@ -14,7 +18,7 @@ side effect of :func:`forward`. This keeps (params, input, mode, seed)
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +31,9 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 BCE_EPS = 1e-7  # prediction clamp keeping the loss finite at saturation
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+LEARNABLE = ("weights", "bias", "gamma", "beta")
+RUNNING = ("running_mean", "running_var")
 
 
 def derive_seed(*parts: int) -> int:
@@ -73,29 +80,20 @@ class LayerSpec:
 
 @dataclass
 class LayerParams:
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
+    weights: np.ndarray  # (out_dim, in_dim); (K, out_dim, in_dim) when stacked
+    bias: np.ndarray  # (out_dim,); every other array gains the same leading K axis
     gamma: np.ndarray | None = None
     beta: np.ndarray | None = None
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
-
-    def copy(self) -> "LayerParams":
-        c = lambda a: None if a is None else a.copy()
-        return LayerParams(
-            self.weights.copy(),
-            self.bias.copy(),
-            c(self.gamma),
-            c(self.beta),
-            c(self.running_mean),
-            c(self.running_var),
-        )
 
 
 @dataclass
 class MLPParams:
     layers: list[LayerParams]
     specs: list[LayerSpec]
+    # learnable blocks as one vector, set by pack(); None for unpacked params
+    flat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.validate()
@@ -103,10 +101,11 @@ class MLPParams:
     def validate(self) -> None:
         if len(self.layers) != len(self.specs) or not self.specs:
             raise DataError("params and specs must pair one layer each, at least one layer")
+        lead = self.layers[0].weights.shape[:-2]
         for i, (layer, spec) in enumerate(zip(self.layers, self.specs)):
-            if layer.weights.shape != (spec.out_dim, spec.in_dim):
+            if layer.weights.shape != (*lead, spec.out_dim, spec.in_dim):
                 raise DataError(f"layer {i}: weights {layer.weights.shape} do not match spec")
-            if layer.bias.shape != (spec.out_dim,):
+            if layer.bias.shape != (*lead, spec.out_dim):
                 raise DataError(f"layer {i}: bias shape {layer.bias.shape} does not match spec")
             if i + 1 < len(self.specs) and spec.out_dim != self.specs[i + 1].in_dim:
                 raise DataError(f"layer {i}->{i + 1}: dims do not chain")
@@ -125,7 +124,56 @@ class MLPParams:
         return self.specs[-1].out_dim
 
     def copy(self) -> "MLPParams":
-        return MLPParams([l.copy() for l in self.layers], list(self.specs))
+        """Deep, packed copy."""
+        out = MLPParams([replace(l) for l in self.layers], list(self.specs))
+        pack([out])
+        return out
+
+
+def pack(parts, buffer: np.ndarray | None = None) -> np.ndarray:
+    """Rebind every array of ``parts`` (MLPParams or GradientSets) to a view of one buffer.
+
+    Learnable blocks come first, part by part and layer by layer (weights,
+    bias, gamma, beta), then all running statistics; each part's ``flat``
+    is its learnable slice. Without ``buffer`` the current values are
+    copied into a new one; a given ``buffer`` has this layout and is kept.
+    """
+    slots = [(l, name) for names in (LEARNABLE, RUNNING) for p in parts for l in p.layers
+             for name in names if getattr(l, name, None) is not None]
+    arrays = [getattr(l, name) for l, name in slots]
+    if buffer is None:
+        buffer = np.concatenate([a.ravel() for a in arrays])
+    at = 0
+    for (layer, name), a in zip(slots, arrays):
+        setattr(layer, name, buffer[at : at + a.size].reshape(a.shape))
+        at += a.size
+    at = 0
+    for p in parts:
+        size = sum(getattr(l, name).size for l in p.layers for name in LEARNABLE if getattr(l, name) is not None)
+        p.flat = buffer[at : at + size]
+        at += size
+    return buffer
+
+
+def stack(mlps) -> MLPParams:
+    """One stacked MLP from MLPs of equal specs: each array gains a leading axis."""
+    if any(list(m.specs) != list(mlps[0].specs) for m in mlps):
+        raise DataError("stacked networks must share their layer specs")
+    layers = [
+        LayerParams(**{name: np.stack([getattr(l, name) for l in group])
+                       for name, a in vars(group[0]).items() if a is not None})
+        for group in zip(*(m.layers for m in mlps))
+    ]
+    return MLPParams(layers, list(mlps[0].specs))
+
+
+def unstack(obj) -> list:
+    """Member views of a stacked MLPParams, GradientSet or ForwardTrace; writes go through."""
+    def member(layer, i):
+        return replace(layer, **{name: a[i] for name, a in vars(layer).items() if a is not None})
+
+    k = len(next(iter(vars(obj.layers[0]).values())))
+    return [replace(obj, layers=[member(l, i) for l in obj.layers]) for i in range(k)]
 
 
 def init_mlp(specs, seed: int = 0) -> MLPParams:
@@ -149,7 +197,9 @@ def init_mlp(specs, seed: int = 0) -> MLPParams:
             )
         else:
             layers.append(LayerParams(w, b))
-    return MLPParams(layers, list(specs))
+    params = MLPParams(layers, list(specs))
+    pack([params])
+    return params
 
 
 @dataclass
@@ -177,24 +227,33 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(params: MLPParams, x, mode: str = EVAL, rng_seed: int = 0):
+def draws_masks(specs, mode: str) -> bool:
+    """Whether a forward pass over ``specs`` draws dropout masks, i.e. reads its seed."""
+    return mode == TRAIN and any(s.dropout_p > 0.0 for s in specs)
+
+
+def forward(params: MLPParams, x, mode: str = EVAL, rng_seed=0):
     """Run the network, returning ``(output, trace)``.
 
     Train-mode dropout masks are drawn from ``rng_seed`` alone, so
     identical arguments give bit-identical outputs. In eval mode dropout
-    is a no-op and batchnorm uses the running statistics.
+    is a no-op and batchnorm uses the running statistics. A stacked
+    network feeds the same ``x`` to all K members, takes one seed per
+    member in ``rng_seed`` and returns a (K, n, out) output.
     """
     if mode not in (TRAIN, EVAL):
         raise DataError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
     x = as_matrix(x)
     if x.shape[1] != params.in_dim:
         raise DataError(f"input has {x.shape[1]} columns, network expects {params.in_dim}")
-    rng = np.random.default_rng(rng_seed)
+    lead = params.layers[0].weights.shape[:-2]
+    rngs = None
     traces = []
-    h = x
+    h = np.broadcast_to(x, (*lead, *x.shape)) if lead else x
     for i, (spec, layer) in enumerate(zip(params.specs, params.layers)):
         x_in = h
-        z = h @ layer.weights.T + layer.bias
+        z = h @ layer.weights.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]  # in place, like the relu below: z is a fresh array
         # checked per layer: relu and sigmoid would silently absorb an
         # overflowed infinity before it could reach the output check
         if not np.isfinite(z).all():
@@ -202,22 +261,24 @@ def forward(params: MLPParams, x, mode: str = EVAL, rng_seed: int = 0):
         z_hat = bn_mean = bn_var = None
         if spec.use_batchnorm:
             if mode == TRAIN:
-                bn_mean = z.mean(axis=0)
-                bn_var = z.var(axis=0)
+                bn_mean = z.mean(axis=-2)
+                bn_var = z.var(axis=-2)
             else:
                 bn_mean = layer.running_mean
                 bn_var = layer.running_var
-            z_hat = (z - bn_mean) / np.sqrt(bn_var + BN_EPS)
-            z = layer.gamma * z_hat + layer.beta
+            z_hat = (z - bn_mean[..., None, :]) / np.sqrt(bn_var + BN_EPS)[..., None, :]
+            z = layer.gamma[..., None, :] * z_hat + layer.beta[..., None, :]
         if spec.activation == "relu":
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
         elif spec.activation == "sigmoid":
             a = _sigmoid(z)
         else:
             a = z
         mask = None
         if mode == TRAIN and spec.dropout_p > 0.0:
-            keep = rng.random(a.shape) >= spec.dropout_p
+            if rngs is None:  # made only when a mask is drawn
+                rngs = [np.random.default_rng(s) for s in (rng_seed if lead else [rng_seed])]
+            keep = np.stack([r.random(a.shape[-2:]) for r in rngs]).reshape(a.shape) >= spec.dropout_p
             mask = keep / (1.0 - spec.dropout_p)
             h = a * mask
         else:
@@ -238,23 +299,34 @@ class LayerGrads:
 @dataclass
 class GradientSet:
     layers: list[LayerGrads]
+    flat: np.ndarray | None = field(default=None, init=False, repr=False)  # set by pack()
 
 
-def backward(params: MLPParams, trace: ForwardTrace, upstream_grad) -> tuple[GradientSet, np.ndarray]:
+def new_grads(mlps) -> tuple[np.ndarray, list[GradientSet]]:
+    """Zeroed gradient sets for ``mlps`` packed like their learnable blocks: ``(flat, sets)``."""
+    sets = [GradientSet([LayerGrads(l.weights, l.bias, l.gamma, l.beta) for l in m.layers]) for m in mlps]
+    flat = pack(sets)
+    flat[:] = 0.0  # the parameter values only lent their shapes
+    return flat, sets
+
+
+def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: GradientSet | None = None):
     """Exact reverse-mode gradients of the traced computation.
 
     Differentiates through the dropout masks and, in train mode, through
-    the batch statistics. Returns ``(grads, gradient w.r.t. the input)``.
+    the batch statistics. Writes into ``grads`` (new when omitted) and
+    returns ``(grads, gradient w.r.t. the input)``.
     """
     if len(trace.layers) != len(params.specs):
         raise DataError("trace does not match params (layer counts differ)")
-    d = as_matrix(upstream_grad, "upstream_grad")
+    d = np.ascontiguousarray(upstream_grad, dtype=np.float64)
     last = trace.layers[-1].act_out
     if d.shape != last.shape:
         raise DataError(f"upstream_grad shape {d.shape} does not match output {last.shape}")
-    grads: list[LayerGrads] = []
-    for spec, layer, lt in zip(reversed(params.specs), reversed(params.layers), reversed(trace.layers)):
-        if lt.x_in.shape[1] != spec.in_dim:
+    if grads is None:
+        grads = new_grads([params])[1][0]
+    for spec, layer, lt, g in reversed(list(zip(params.specs, params.layers, trace.layers, grads.layers))):
+        if lt.x_in.shape[-1] != spec.in_dim:
             raise DataError("trace does not match params (layer input width differs)")
         if lt.mask is not None:
             d = d * lt.mask
@@ -262,37 +334,21 @@ def backward(params: MLPParams, trace: ForwardTrace, upstream_grad) -> tuple[Gra
             d = d * (lt.act_out > 0.0)
         elif spec.activation == "sigmoid":
             d = d * (lt.act_out * (1.0 - lt.act_out))
-        dgamma = dbeta = None
         if spec.use_batchnorm:
-            dgamma = (d * lt.z_hat).sum(axis=0)
-            dbeta = d.sum(axis=0)
+            np.sum(d * lt.z_hat, axis=-2, out=g.gamma)
+            np.sum(d, axis=-2, out=g.beta)
             if trace.mode == TRAIN:
-                n = d.shape[0]
-                dzh = d * layer.gamma
-                inv = 1.0 / np.sqrt(lt.bn_var + BN_EPS)
-                d = (inv / n) * (n * dzh - dzh.sum(axis=0) - lt.z_hat * (dzh * lt.z_hat).sum(axis=0))
+                n = d.shape[-2]
+                dzh = d * layer.gamma[..., None, :]
+                inv = (1.0 / np.sqrt(lt.bn_var + BN_EPS))[..., None, :]
+                d = (inv / n) * (n * dzh - dzh.sum(axis=-2, keepdims=True)
+                                 - lt.z_hat * (dzh * lt.z_hat).sum(axis=-2, keepdims=True))
             else:
-                d = d * (layer.gamma / np.sqrt(lt.bn_var + BN_EPS))
-        dw = d.T @ lt.x_in
-        db = d.sum(axis=0)
+                d = d * (layer.gamma / np.sqrt(lt.bn_var + BN_EPS))[..., None, :]
+        np.matmul(d.swapaxes(-1, -2), lt.x_in, out=g.weights)
+        np.sum(d, axis=-2, out=g.bias)
         d = d @ layer.weights
-        grads.append(LayerGrads(dw, db, dgamma, dbeta))
-    grads.reverse()
-    return GradientSet(grads), d
-
-
-def zero_grads(params: MLPParams) -> GradientSet:
-    out = []
-    for layer in params.layers:
-        out.append(
-            LayerGrads(
-                np.zeros_like(layer.weights),
-                np.zeros_like(layer.bias),
-                None if layer.gamma is None else np.zeros_like(layer.gamma),
-                None if layer.beta is None else np.zeros_like(layer.beta),
-            )
-        )
-    return GradientSet(out)
+    return grads, d
 
 
 def bce_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -348,53 +404,48 @@ class OptimizerConfig:
 @dataclass
 class OptimizerState:
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None  # Adam moments, shaped like the flat parameters
+    v: np.ndarray | None = None
 
 
 def optimizer_step(
-    params: MLPParams,
-    grads: GradientSet,
+    theta: np.ndarray,
+    grad: np.ndarray,
     config: OptimizerConfig,
     state: OptimizerState | None = None,
 ) -> OptimizerState:
-    """One SGD or Adam update, applied in place. Returns the optimizer state.
+    """One SGD or Adam update of the flat parameters ``theta``, in place.
 
-    The l2 penalty enters through the gradient, theta <- theta - lr * (g +
-    l2 * theta), for every learnable block (weights, bias, batchnorm
-    gamma/beta). Running statistics are never touched here.
+    ``theta`` and ``grad`` are packed learnable vectors (``.flat``), so
+    every block (weights, bias, batchnorm gamma/beta) moves in one
+    elementwise update, bit-identical to updating block by block; running
+    statistics lie outside them. The l2 penalty enters through the
+    gradient, theta <- theta - lr * (g + l2 * theta). Returns the state.
     """
     if state is None:
         state = OptimizerState()
     state.step += 1
     t = state.step
+    gg = grad + config.l2_penalty * theta if config.l2_penalty else grad
+    if config.algorithm == "sgd":
+        theta -= config.lr * gg
+        return state
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    for i, (layer, g) in enumerate(zip(params.layers, grads.layers)):
-        blocks = (
-            ("weights", layer.weights, g.weights),
-            ("bias", layer.bias, g.bias),
-            ("gamma", layer.gamma, g.gamma),
-            ("beta", layer.beta, g.beta),
-        )
-        for name, theta, grad in blocks:
-            if theta is None:
-                continue
-            gg = grad + config.l2_penalty * theta if config.l2_penalty else grad
-            if config.algorithm == "sgd":
-                theta -= config.lr * gg
-            else:
-                key = (i, name)
-                m = state.m.get(key)
-                if m is None:
-                    m = np.zeros_like(theta)
-                    state.v[key] = np.zeros_like(theta)
-                v = state.v[key]
-                m = b1 * m + (1.0 - b1) * gg
-                v = b2 * v + (1.0 - b2) * (gg * gg)
-                state.m[key], state.v[key] = m, v
-                m_hat = m / (1.0 - b1**t)
-                v_hat = v / (1.0 - b2**t)
-                theta -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+    # in place, each operation rounding as in the textbook expression
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * gg
+    v *= b2
+    v += (1.0 - b2) * (gg * gg)
+    den = v / (1.0 - b2**t)
+    np.sqrt(den, out=den)
+    den += eps
+    step = m / (1.0 - b1**t)
+    step *= config.lr
+    step /= den
+    theta -= step
     return state
 
 
@@ -403,9 +454,9 @@ def update_running_stats(params: MLPParams, trace: ForwardTrace, momentum: float
     if trace.mode != TRAIN:
         return
     for spec, layer, lt in zip(params.specs, params.layers, trace.layers):
-        if spec.use_batchnorm:
-            layer.running_mean = (1.0 - momentum) * layer.running_mean + momentum * lt.bn_mean
-            layer.running_var = (1.0 - momentum) * layer.running_var + momentum * lt.bn_var
+        if spec.use_batchnorm:  # in place: the statistics live in the packed buffer
+            layer.running_mean[...] = (1.0 - momentum) * layer.running_mean + momentum * lt.bn_mean
+            layer.running_var[...] = (1.0 - momentum) * layer.running_var + momentum * lt.bn_var
 
 
 # -- serialization ----------------------------------------------------------
@@ -467,7 +518,9 @@ def mlp_from_doc(doc: dict) -> MLPParams:
                     running_var=np.asarray(bn["running_var"], dtype=np.float64),
                 )
             )
-    return MLPParams(layers, specs)
+    params = MLPParams(layers, specs)
+    pack([params])
+    return params
 
 
 def params_digest(*mlps: MLPParams, include_running_stats: bool = True) -> str:

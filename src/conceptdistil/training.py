@@ -85,16 +85,6 @@ class LossBreakdown:
     per_concept_bce: np.ndarray
 
 
-def concept_loss(y_e_pred, y_e_target) -> tuple[float, np.ndarray]:
-    """Mean over concepts of the per-concept batch BCE (soft targets allowed).
-
-    Averaging each concept column over the batch and then averaging the K
-    column means equals the plain mean over all entries, which is what
-    this returns along with its gradient.
-    """
-    return nn.bce_loss(y_e_pred, y_e_target)
-
-
 def per_concept_bce(y_e_pred, y_e_target) -> np.ndarray:
     p = np.clip(np.asarray(y_e_pred, dtype=np.float64), nn.BCE_EPS, 1.0 - nn.BCE_EPS)
     t = np.asarray(y_e_target, dtype=np.float64)
@@ -133,7 +123,8 @@ def total_loss(
         concept_component, d_y_e = 0.0, np.zeros_like(y_e)
         per_concept = np.zeros(k)
     else:
-        concept_component, g = concept_loss(y_e, y_e_target)
+        # the mean of the K per-concept batch means is the plain mean over all entries
+        concept_component, g = nn.bce_loss(y_e, y_e_target)
         d_y_e = (1.0 - lam) * g
         per_concept = per_concept_bce(y_e, y_e_target)
     total = lam * kd_component + (1.0 - lam) * concept_component
@@ -183,38 +174,18 @@ def _concept_targets(dataset) -> np.ndarray | None:
     return None
 
 
-def evaluate_loss(params, dataset, lam: float) -> LossBreakdown:
-    """Eval-mode loss breakdown over a whole dataset (dropout off)."""
-    out = model.forward_full(params, dataset.x, EVAL)
-    breakdown, _, _ = total_loss(out.y_e, out.y_kd, _concept_targets(dataset), dataset.bb_scores, lam)
-    return breakdown
-
-
-@dataclass
-class _OptStates:
-    c: nn.OptimizerState | None = None
-    m: list = field(default_factory=list)
-    a: nn.OptimizerState | None = None
-
-
-def _joint_step(params, xb, ye_t, kd_t, lam, stop_concept_grad, opt_cfg, states, rng_seed):
+def _joint_step(params, xb, ye_t, kd_t, lam, stop_concept_grad, opt_cfg, state, rng_seed):
     out = model.forward_full(params, xb, TRAIN, rng_seed)
     breakdown, d_kd, d_ye = total_loss(out.y_e, out.y_kd, ye_t, kd_t, lam)
     grads = model.backward_full(params, out, d_kd, d_ye, stop_concept_grad=stop_concept_grad)
-    states.c = nn.optimizer_step(params.theta_c, grads.theta_c, opt_cfg, states.c)
-    if not states.m:
-        states.m = [None] * len(params.theta_m)
-    for i, head in enumerate(params.theta_m):
-        states.m[i] = nn.optimizer_step(head, grads.theta_m[i], opt_cfg, states.m[i])
-    states.a = nn.optimizer_step(params.theta_a, grads.theta_a, opt_cfg, states.a)
+    nn.optimizer_step(params.flat, grads.flat, opt_cfg, state)
     nn.update_running_stats(params.theta_c, out.concept_traces.trunk)
-    for head, tr in zip(params.theta_m, out.concept_traces.heads):
-        nn.update_running_stats(head, tr)
+    nn.update_running_stats(params.heads, out.concept_traces.stack)
     nn.update_running_stats(params.theta_a, out.attention_trace)
     return breakdown
 
 
-def _attention_step(params, xb, kd_t, opt_cfg, states, rng_seed):
+def _attention_step(params, xb, kd_t, opt_cfg, state, rng_seed):
     # stage 2: concept predictions frozen at their deployment-time values
     y_e, _ = model.concept_forward(params, xb, EVAL)
     alpha, trace_a = model.attention_forward(params, xb, TRAIN, rng_seed)
@@ -224,7 +195,7 @@ def _attention_step(params, xb, kd_t, opt_cfg, states, rng_seed):
     d_alpha = d_kd * y_e
     d_e = nn.softmax_backward(alpha, d_alpha)
     grads_a, _ = nn.backward(params.theta_a, trace_a, d_e)
-    states.a = nn.optimizer_step(params.theta_a, grads_a, opt_cfg, states.a)
+    nn.optimizer_step(params.theta_a.flat, grads_a.flat, opt_cfg, state)
     nn.update_running_stats(params.theta_a, trace_a)
     return LossBreakdown(kd_component, kd_component, 0.0, np.zeros(params.config.k_concepts))
 
@@ -251,7 +222,9 @@ def _metric_value(metric, breakdown, fid):
 def _run_stage(params, train_set, valid_set, config, *, stage, lam, step_fn, start_epoch):
     n = train_set.n
     opt_cfg = config.effective_optimizer()
-    states = _OptStates()
+    state = nn.OptimizerState()
+    arch = params.config
+    draws = nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN)
     history = []
     best_value = math.inf
     best_snapshot = params.copy()
@@ -264,8 +237,8 @@ def _run_stage(params, train_set, valid_set, config, *, stage, lam, step_fn, sta
         sums = np.zeros(3)
         for b, lo in enumerate(range(0, n, config.batch_size)):
             idx = order[lo : lo + config.batch_size]
-            seed_b = derive_seed(config.seed, _BATCH, stage, e, b)
-            breakdown = step_fn(idx, opt_cfg, states, seed_b)
+            seed_b = derive_seed(config.seed, _BATCH, stage, e, b) if draws else 0  # read only by dropout
+            breakdown = step_fn(idx, opt_cfg, state, seed_b)
             if not math.isfinite(breakdown.total):
                 raise NumericError(f"non-finite training loss at epoch {epoch}, batch {b}")
             sums += len(idx) * np.array([breakdown.total, breakdown.kd_component, breakdown.concept_component])
@@ -323,8 +296,8 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
         frozen = work.concept_digest()
         kd_t = train_set.bb_scores
 
-        def stage2_step(idx, opt_cfg, states, seed_b):
-            return _attention_step(work, train_set.x[idx], kd_t[idx], opt_cfg, states, seed_b)
+        def stage2_step(idx, opt_cfg, state, seed_b):
+            return _attention_step(work, train_set.x[idx], kd_t[idx], opt_cfg, state, seed_b)
 
         stage2_cfg = replace(config, validation_metric=METRIC_COMBINED)
         best, hist2, best_epoch, stopped = _run_stage(
@@ -345,10 +318,10 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     kd_t = train_set.bb_scores
     x_train = train_set.x
 
-    def joint(idx, opt_cfg, states, seed_b):
+    def joint(idx, opt_cfg, state, seed_b):
         ye_b = None if ye_train is None else ye_train[idx]
         kd_b = None if kd_t is None else kd_t[idx]
-        return _joint_step(work, x_train[idx], ye_b, kd_b, lam, stop, opt_cfg, states, seed_b)
+        return _joint_step(work, x_train[idx], ye_b, kd_b, lam, stop, opt_cfg, state, seed_b)
 
     best, history, best_epoch, stopped = _run_stage(
         work, train_set, valid_set, config, stage=1, lam=lam, step_fn=joint, start_epoch=0

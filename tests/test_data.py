@@ -168,6 +168,16 @@ class TestDatasetInvariants:
                 bb_scores=np.array([1.2]),
             )
 
+    @pytest.mark.parametrize("field", ["soft", "bb_scores", "teacher_x"])
+    def test_non_finite_values_rejected_by_name(self, field):
+        blocks = {
+            "soft": dict(soft=np.array([[0.5], [np.nan]]), concept_names=("c",)),
+            "bb_scores": dict(bb_scores=np.array([0.5, np.nan])),
+            "teacher_x": dict(teacher_x=np.array([[1.0], [np.inf]]), teacher_feature_names=("t_0",)),
+        }
+        with pytest.raises(DataError, match=field):
+            data.Dataset(ids=np.array(["a", "b"]), feature_names=("f_0",), x=np.zeros((2, 1)), **blocks[field])
+
     def test_take_and_exclude(self, small_dataset):
         subset = small_dataset.take([0, 3, 5])
         assert subset.n == 3

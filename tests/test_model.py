@@ -35,7 +35,7 @@ class TestConceptForward:
         config = tiny_arch(4, 1)
         params = model.init_model(config, ("only",), seed=3)
         stacked = nn.MLPParams(
-            [l.copy() for l in params.theta_c.layers] + [l.copy() for l in params.theta_m[0].layers],
+            params.theta_c.layers + params.theta_m[0].layers,
             list(config.trunk) + list(config.head_template),
         )
         x = np.random.default_rng(4).normal(size=(7, 4))
@@ -198,6 +198,53 @@ class TestSerialization:
         path.write_text(json.dumps({"format_version": 1, "kind": "other"}))
         with pytest.raises(DataError):
             model.load_model(path)
+
+
+class TestStackedHeads:
+    @staticmethod
+    def per_head_reference(params, x, mode, rng_seed, d_ye):
+        """Concept forward and backward with one nn.forward/nn.backward per head view."""
+        trunk_out, trace_c = nn.forward(params.theta_c, x, mode, nn.derive_seed(rng_seed, model._SEED_TRUNK))
+        cols, head_grads, d_trunk = [], [], 0.0
+        for i, head in enumerate(params.theta_m):
+            out, trace = nn.forward(head, trunk_out, mode, nn.derive_seed(rng_seed, model._SEED_HEAD, i))
+            grads, d_in = nn.backward(head, trace, d_ye[:, i : i + 1])
+            cols.append(out[:, 0])
+            head_grads.append(grads)
+            d_trunk = d_trunk + d_in
+        trunk_grads, _ = nn.backward(params.theta_c, trace_c, d_trunk)
+        return np.column_stack(cols), head_grads, trunk_grads
+
+    @pytest.mark.parametrize("mode", [nn.TRAIN, nn.EVAL])
+    @pytest.mark.parametrize("regularised", [False, True], ids=["default", "dropout-batchnorm"])
+    def test_stacked_pass_equals_per_head_loop_bitwise(self, mode, regularised):
+        arch = model.build_architecture(5, 4, **(dict(dropout_p=0.1, use_batchnorm=True) if regularised else {}))
+        params = model.init_model(arch, tuple("abcd"), seed=1)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(40, 5))
+        if regularised:  # move the running statistics off their init values
+            out = model.forward_full(params, x, nn.TRAIN, rng_seed=3)
+            nn.update_running_stats(params.heads, out.concept_traces.stack)
+        d_ye = rng.normal(size=(40, 4))
+        y_e, head_grads, trunk_grads = self.per_head_reference(params, x, mode, 5, d_ye)
+        out = model.forward_full(params, x, mode, rng_seed=5)
+        grads = model.backward_full(params, out, np.zeros(40), d_ye, stop_concept_grad=True)
+        assert np.array_equal(out.y_e, y_e)
+        pairs = list(zip(grads.theta_m, head_grads)) + [(grads.theta_c, trunk_grads)]
+        for got, want in pairs:
+            for g, w in zip(got.layers, want.layers):
+                for name in ("weights", "bias", "gamma", "beta"):
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert (a is None and b is None) or np.array_equal(a, b), name
+
+    def test_head_views_write_through_and_copy_is_deep(self):
+        params = model.init_model(tiny_arch(), ("a", "b", "c"), seed=3)
+        clone = params.copy()
+        params.theta_m[2].layers[0].bias += 1.0
+        assert params.heads.layers[0].bias[2].tolist() == [1.0] * 4
+        assert np.shares_memory(params.heads.layers[0].bias, params.flat)
+        assert clone.digest() != params.digest()
+        assert not np.shares_memory(clone.buffer, params.buffer)
 
 
 class TestBackwardFull:

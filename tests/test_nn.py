@@ -266,21 +266,23 @@ class TestSoftmax:
 class TestOptimizer:
     def scalar_params(self, value):
         spec = nn.LayerSpec(1, 1, "identity")
-        return nn.MLPParams([nn.LayerParams(np.array([[value]]), np.zeros(1))], [spec])
+        params = nn.MLPParams([nn.LayerParams(np.array([[value]]), np.zeros(1))], [spec])
+        nn.pack([params])
+        return params
 
     def scalar_grads(self, value):
-        return nn.GradientSet([nn.LayerGrads(np.array([[value]]), np.zeros(1))])
+        return np.array([value, 0.0])  # packed layout: the weight, then the bias
 
     def test_sgd_single_step(self):
         params = self.scalar_params(1.0)
         cfg = nn.OptimizerConfig(algorithm="sgd", lr=0.1)
-        nn.optimizer_step(params, self.scalar_grads(0.5), cfg)
+        nn.optimizer_step(params.flat, self.scalar_grads(0.5), cfg)
         assert params.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_sgd_pure_decay(self):
         params = self.scalar_params(1.0)
         cfg = nn.OptimizerConfig(algorithm="sgd", lr=0.1, l2_penalty=0.1)
-        nn.optimizer_step(params, self.scalar_grads(0.0), cfg)
+        nn.optimizer_step(params.flat, self.scalar_grads(0.0), cfg)
         assert params.layers[0].weights[0, 0] == pytest.approx(0.99, abs=1e-15)
 
     def test_adam_first_step_matches_scalar_recursion(self):
@@ -292,7 +294,7 @@ class TestOptimizer:
         expected = 1.0 - lr * m_hat / (math.sqrt(v_hat) + eps)
         params = self.scalar_params(1.0)
         cfg = nn.OptimizerConfig(algorithm="adam", lr=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps)
-        nn.optimizer_step(params, self.scalar_grads(g), cfg)
+        nn.optimizer_step(params.flat, self.scalar_grads(g), cfg)
         assert params.layers[0].weights[0, 0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(1.0 - 0.001, abs=1e-5)
 
@@ -308,7 +310,7 @@ class TestOptimizer:
         cfg = nn.OptimizerConfig(algorithm="adam", lr=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps)
         state = None
         for g in gs:
-            state = nn.optimizer_step(params, self.scalar_grads(g), cfg, state)
+            state = nn.optimizer_step(params.flat, self.scalar_grads(g), cfg, state)
         assert params.layers[0].weights[0, 0] == pytest.approx(theta, abs=1e-14)
 
     def test_negative_lr_rejected(self):
@@ -323,8 +325,43 @@ class TestOptimizer:
             cfg = nn.OptimizerConfig(algorithm=algorithm, lr=0.01)
             state = None
             for _ in range(3):
-                state = nn.optimizer_step(params, nn.zero_grads(params), cfg, state)
+                state = nn.optimizer_step(params.flat, np.zeros_like(params.flat), cfg, state)
             assert nn.params_digest(params) == before
+
+    @staticmethod
+    def block_by_block_step(params, grads, cfg, state):
+        """Reference update: each block on its own, Adam moments keyed by (layer, block)."""
+        state["t"] = t = state.get("t", 0) + 1
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        for i, (layer, g) in enumerate(zip(params.layers, grads.layers)):
+            for name in ("weights", "bias", "gamma", "beta"):
+                theta, grad = getattr(layer, name), getattr(g, name)
+                if theta is None:
+                    continue
+                gg = grad + cfg.l2_penalty * theta
+                if cfg.algorithm == "sgd":
+                    theta -= cfg.lr * gg
+                    continue
+                m = b1 * state.get(("m", i, name), 0.0) + (1.0 - b1) * gg
+                v = b2 * state.get(("v", i, name), 0.0) + (1.0 - b2) * (gg * gg)
+                state["m", i, name], state["v", i, name] = m, v
+                theta -= cfg.lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    def test_flat_update_equals_block_by_block_reference(self, algorithm):
+        specs = [nn.LayerSpec(3, 5, "relu", use_batchnorm=True), nn.LayerSpec(5, 1, "sigmoid")]
+        params = nn.init_mlp(specs, seed=2)
+        reference = params.copy()
+        cfg = nn.OptimizerConfig(algorithm=algorithm, lr=0.05, l2_penalty=0.1)
+        rng = np.random.default_rng(3)
+        state, ref_state = None, {}
+        for _ in range(4):
+            out, trace = nn.forward(params, rng.normal(size=(8, 3)), nn.TRAIN)
+            grads, _ = nn.backward(params, trace, rng.normal(size=out.shape))
+            assert grads.layers[0].gamma.any() and grads.layers[0].beta.any()
+            state = nn.optimizer_step(params.flat, grads.flat, cfg, state)
+            self.block_by_block_step(reference, grads, cfg, ref_state)
+            assert nn.params_digest(params) == nn.params_digest(reference)
 
 
 class TestBatchnormRunningStats:

@@ -42,26 +42,26 @@ class TestConceptLoss:
     def test_half_predicted_second_concept(self):
         pred = np.array([[1.0 - 1e-7, 0.5]])
         target = np.array([[1.0, 1.0]])
-        loss, _ = training.concept_loss(pred, target)
+        loss, _ = nn.bce_loss(pred, target)
         assert loss == pytest.approx(math.log(2) / 2, abs=1e-7)
 
     def test_soft_self_entropy(self):
         pred = np.full((5, 3), 0.5)
-        loss, _ = training.concept_loss(pred, pred)
+        loss, _ = nn.bce_loss(pred, pred)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(0)
         pred, target = rng.random((10, 4)), rng.random((10, 4))
-        base, _ = training.concept_loss(pred, target)
+        base, _ = nn.bce_loss(pred, target)
         perm = [2, 0, 3, 1]
-        permuted, _ = training.concept_loss(pred[:, perm], target[:, perm])
+        permuted, _ = nn.bce_loss(pred[:, perm], target[:, perm])
         assert permuted == pytest.approx(base, abs=1e-15)
 
     def test_equals_mean_of_per_concept_means(self):
         rng = np.random.default_rng(1)
         pred, target = rng.random((8, 3)), rng.random((8, 3))
-        loss, _ = training.concept_loss(pred, target)
+        loss, _ = nn.bce_loss(pred, target)
         per = training.per_concept_bce(pred, target)
         assert loss == pytest.approx(float(per.mean()), abs=1e-15)
 
@@ -207,15 +207,35 @@ class TestTrainingLoop:
             lam=0.5, learning_rate=1e-4, epochs=12, batch_size=8,
             early_stop_patience=12, seed=1, optimizer=opt,
         )
+        def evaluate_loss(p):
+            out = model.forward_full(p, train_set.x, nn.EVAL)
+            return training.total_loss(out.y_e, out.y_kd, train_set.soft, train_set.bb_scores, 0.5)[0].total
+
         work = params.copy()
-        losses = [training.evaluate_loss(work, train_set, 0.5).total]
+        losses = [evaluate_loss(work)]
         for epoch in range(cfg.epochs):
             single = replace(cfg, epochs=1, seed=cfg.seed)
             result = training.train(work, train_set, train_set, single)
             work = result.params
-            losses.append(training.evaluate_loss(work, train_set, 0.5).total)
+            losses.append(evaluate_loss(work))
         for before, after in zip(losses, losses[1:]):
             assert after <= before * 1.01
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_seeds_are_derived_only_for_dropout(self, monkeypatch, dropout):
+        train_set, valid_set = make_sets(n=48, seed=15)
+        params = model.init_model(tiny_arch(dropout=dropout), ("c0", "c1", "c2"), seed=8)
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return nn.derive_seed(*parts)
+
+        monkeypatch.setattr(model, "derive_seed", counting)
+        monkeypatch.setattr(training, "derive_seed", counting)
+        training.train(params, train_set, valid_set, quick_config(epochs=2))
+        per_step = 1 + 1 + 3 + 1  # batch, trunk, three heads, attention
+        assert len(calls) == 2 + (2 * 3 * per_step if dropout else 0)  # one shuffle per epoch
 
     def test_seed_determinism(self):
         train_set, valid_set = make_sets(n=48, seed=15)
