@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, schema
 from .data import Dataset
 from .errors import DataError
 from .nn import EVAL, TRAIN, LayerSpec, MLPParams, OptimizerConfig, derive_seed
@@ -163,10 +163,8 @@ def save_blackbox(adapter: FFNNBlackBox, path) -> None:
 
 
 def load_blackbox(path) -> FFNNBlackBox:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "ffnn_blackbox":
-        raise DataError(f"not a black-box model file (kind={doc.get('kind')!r})")
-    return FFNNBlackBox(nn.mlp_from_doc(doc["network"]), descriptor=str(doc.get("descriptor", "ffnn")))
+    return schema.load_file(path, "ffnn_blackbox", lambda doc: FFNNBlackBox(
+        nn.mlp_from_doc(doc["network"]), descriptor=str(doc.get("descriptor", "ffnn"))))
 
 
 # -- score files ---------------------------------------------------------------

@@ -14,16 +14,27 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, blackbox, data, hpo, metrics, model, teachers, training
+from . import __version__, blackbox, data, hpo, metrics, model, schema, teachers, training
 from .errors import ConceptDistilError, DataError, UsageError
-from .nn import OptimizerConfig
 
 SEED_ENV_VAR = "CONCEPTDISTIL_SEED"
+
+
+@dataclass(frozen=True)
+class TrainingFile(training.TrainConfig):
+    """A ``distill``/``sweep`` config file: TrainConfig plus the build_architecture options."""
+
+    architecture: model.ArchitectureOptions = field(default_factory=model.ArchitectureOptions)
+
+
+# training-file keys that differ from the field names, and keys a training file may not set
+TRAIN_NAMES = {"lam": "lambda", "early_stop_patience": "patience", "dropout_p": "dropout", "use_batchnorm": "batchnorm"}
+TRAIN_REJECT = {"optimizer.lr": "is not read: 'learning_rate' sets the rate"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default: int = 0) -> int:
+    """--seed, then $CONCEPTDISTIL_SEED, then ``default`` (a config file's seed)."""
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
@@ -41,28 +53,32 @@ def _resolve_seed(args) -> int:
             except ValueError:
                 raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     if seed is None:
-        return 0
+        seed = default
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
     return seed
 
 
-def _load_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+def _read_config(cls, args, defaults=None, names=None, reject=None):
+    """``--config`` laid over ``defaults`` (file keys) and read as ``cls``, then the seed resolved."""
+    doc = {**(defaults or {}), **(schema.load_json(args.config) if args.config else {})}
+    cfg = schema.read(cls, doc, args.config or "defaults", names, reject)
+    return replace(cfg, seed=_resolve_seed(args, cfg.seed))
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: dict, seed: int, started: float):
+def _overlay(cfg, **flags):
+    """``cfg`` with every field whose flag was given replaced by the flag's value."""
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: dict, seed: int, started: float,
+                    result: dict | None = None):
     manifest = {
         "command": command,
         "tool_version": __version__,
         "seed": seed,
         "config": config,
+        **({"result": result} if result else {}),
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "wall_clock_s": round(time.time() - started, 3),
@@ -96,15 +112,7 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 def cmd_gen_data(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
-    if args.config:
-        cfg = data.GeneratorConfig.from_json_dict(_load_json(args.config))
-    else:
-        cfg = data.GeneratorConfig()
-    if args.n is not None:
-        cfg = replace(cfg, n_instances=args.n)
-    if args.seed is not None or SEED_ENV_VAR in os.environ:
-        cfg = replace(cfg, seed=seed)
+    cfg = _overlay(_read_config(data.GeneratorConfig, args), n_instances=args.n)
     out = _out_dir(args.out)
     full = data.generate_synthetic(cfg)
     outputs = {"full": out / "full.csv"}
@@ -130,7 +138,7 @@ def cmd_gen_data(args) -> int:
         outputs[name] = out / f"{name}.csv"
         data.save_csv(ds, outputs[name])
 
-    _write_manifest(out, "gen-data", cfg.to_json_dict(),
+    _write_manifest(out, "gen-data", schema.write(cfg),
                     {"config": args.config or "<builtin>"}, outputs, cfg.seed, started)
     return 0
 
@@ -158,19 +166,11 @@ def cmd_train_blackbox(args) -> int:
 
 def cmd_teach(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
+    if args.tune > 0 and args.config:
+        raise UsageError("--tune draws the forest params; it cannot be combined with --config")
+    params = _read_config(teachers.ForestParams, args)
+    seed = params.seed  # tuning replaces params, seed included
     golden_train = data.load_csv(args.golden_train)
-    params = teachers.ForestParams(seed=seed)
-    if args.config:
-        doc = _load_json(args.config)
-        params = teachers.ForestParams(
-            n_trees=int(doc.get("n_trees", params.n_trees)),
-            max_depth=int(doc.get("max_depth", params.max_depth)),
-            min_leaf=int(doc.get("min_leaf", params.min_leaf)),
-            feature_subsample=doc.get("feature_subsample", params.feature_subsample),
-            bootstrap=bool(doc.get("bootstrap", params.bootstrap)),
-            seed=seed,
-        )
     out = _out_dir(args.out)
     report: dict = {}
     if args.tune > 0:
@@ -191,9 +191,8 @@ def cmd_teach(args) -> int:
     if report:
         outputs["report"] = out / "teach_report.json"
         Path(outputs["report"]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    cfg = {"n_trees": params.n_trees, "max_depth": params.max_depth, "min_leaf": params.min_leaf,
-           "feature_subsample": params.feature_subsample, "bootstrap": params.bootstrap, "tune": args.tune}
-    _write_manifest(out, "teach", cfg, {"golden_train": args.golden_train}, outputs, seed, started)
+    _write_manifest(out, "teach", schema.write(params), {"golden_train": args.golden_train}, outputs,
+                    seed, started, result={"tune": args.tune})
     return 0
 
 
@@ -237,74 +236,23 @@ def _attached_scores_adapter(dataset):
     return blackbox.ScoreFileBlackBox(dataset.bb_scores, dataset.n, "attached scores")
 
 
-def _train_config_from(args, doc: dict, seed: int) -> training.TrainConfig:
-    opt_doc = doc.get("optimizer", {})
-    optimizer = OptimizerConfig(
-        algorithm=str(opt_doc.get("algorithm", "adam")),
-        l2_penalty=float(opt_doc.get("l2_penalty", 0.0)),
-        adam_beta1=float(opt_doc.get("adam_beta1", 0.9)),
-        adam_beta2=float(opt_doc.get("adam_beta2", 0.999)),
-        adam_eps=float(opt_doc.get("adam_eps", 1e-8)),
-    )
-    cfg = training.TrainConfig(
-        lam=float(doc.get("lambda", 0.5)),
-        learning_rate=float(doc.get("learning_rate", 1e-3)),
-        epochs=int(doc.get("epochs", 100)),
-        batch_size=int(doc.get("batch_size", 256)),
-        early_stop_patience=int(doc.get("patience", 10)),
-        seed=seed,
-        variant=str(doc.get("variant", training.DEFAULT)),
-        optimizer=optimizer,
-        validation_metric=str(doc.get("validation_metric", training.METRIC_COMBINED)),
-    )
-    overrides = {}
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        overrides["learning_rate"] = args.learning_rate
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.variant is not None:
-        overrides["variant"] = args.variant
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def _architecture_from(doc: dict, n_features: int, k: int) -> model.ArchitectureConfig:
-    arch_doc = doc.get("architecture", {})
-    return model.build_architecture(
-        n_features,
-        k,
-        trunk_widths=tuple(arch_doc.get("trunk_widths", (64, 48, 32))),
-        head_widths=tuple(arch_doc.get("head_widths", (16, 8))),
-        attention_widths=tuple(arch_doc.get("attention_widths", (16,))),
-        dropout_p=float(arch_doc.get("dropout", 0.0)),
-        use_batchnorm=bool(arch_doc.get("batchnorm", False)),
-    )
-
-
 def cmd_distill(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
-    doc = _load_json(args.config) if args.config else {}
+    cfg = _read_config(TrainingFile, args, names=TRAIN_NAMES, reject=TRAIN_REJECT)
+    cfg = _overlay(cfg, lam=args.lam, epochs=args.epochs, learning_rate=args.learning_rate,
+                   batch_size=args.batch_size, variant=args.variant)
     train_set = data.load_csv(args.train)
     valid_set = data.load_csv(args.valid)
-    cfg = _train_config_from(args, doc, seed)
-    arch = _architecture_from(doc, train_set.d, train_set.k)
-    params = model.init_model(arch, train_set.concept_names, seed)
+    arch = model.build_architecture(train_set.d, train_set.k, **asdict(cfg.architecture))
+    params = model.init_model(arch, train_set.concept_names, cfg.seed)
     result = training.train(params, train_set, valid_set, cfg)
     out = _out_dir(args.out)
     outputs = {"model": out / "model.json", "history": out / "history.csv"}
     model.save_model(result.params, outputs["model"])
     training.history_to_csv(result.history, outputs["history"])
-    resolved = {
-        "variant": cfg.variant, "lambda": cfg.lam, "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "patience": cfg.early_stop_patience,
-        "validation_metric": cfg.validation_metric, "best_epoch": result.best_epoch,
-        "stopped_early": result.stopped_early,
-    }
-    _write_manifest(out, "distill", resolved, {"train": args.train, "valid": args.valid}, outputs, seed, started)
+    _write_manifest(out, "distill", schema.write(cfg, TRAIN_NAMES, omit=TRAIN_REJECT),
+                    {"train": args.train, "valid": args.valid}, outputs, cfg.seed, started,
+                    result={"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
     return 0
 
 
@@ -344,6 +292,7 @@ def cmd_evaluate(args) -> int:
         golden_set = data.load_csv(args.golden)
         if golden_set.golden is None:
             raise DataError("--golden file must carry hard concept labels")
+        model.check_concepts(params, golden_set, "--golden")
         per, mean_auc = metrics.mean_concept_auc(
             model.predict_concepts(params, golden_set.x), golden_set.golden, golden_set.concept_names
         )
@@ -376,36 +325,39 @@ def cmd_explain(args) -> int:
     return 0
 
 
+SWEEP_DEFAULTS = {"epochs": 40, "patience": 6}  # sweep's own, under the config file
+SWEEP_SETS = {  # training-file keys each mode draws or sets itself
+    "search": {k: "is drawn by sweep --mode search" for k in ("lambda", "learning_rate", "optimizer.l2_penalty", "architecture")},
+    "lambda": {"lambda": "is set by sweep --lambda-grid"},
+}
+
+
 def cmd_sweep(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
+    reject = {**TRAIN_REJECT, **SWEEP_SETS[args.mode]}
+    base = _overlay(_read_config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject), epochs=args.epochs)
     bundle = hpo.SweepData(
         train=data.load_csv(args.train),
         valid=data.load_csv(args.valid),
         test=data.load_csv(args.test),
         golden_test=data.load_csv(args.golden_test),
     )
-    doc = _load_json(args.config) if args.config else {}
-    base = training.TrainConfig(
-        epochs=args.epochs, batch_size=int(doc.get("batch_size", 256)),
-        early_stop_patience=int(doc.get("patience", 6)),
-    )
     if args.mode == "search":
-        report = hpo.run_search(hpo.SearchSpace(), args.trials, bundle, base=base, master_seed=seed, jobs=args.jobs)
-        cfg = {"mode": "search", "trials": args.trials, "epochs": args.epochs, "jobs": args.jobs}
+        report = hpo.run_search(hpo.SearchSpace(), args.trials, bundle, base=base, master_seed=base.seed, jobs=args.jobs)
+        cfg = {"mode": "search", "trials": args.trials}
     else:
         lambdas = _parse_float_list(args.lambda_grid, "--lambda-grid")
-        arch = _architecture_from(doc, bundle.train.d, bundle.train.k)
+        arch = model.build_architecture(bundle.train.d, bundle.train.k, **asdict(base.architecture))
         report = hpo.lambda_sweep(lambdas, args.repeats, bundle, arch=arch, base=base,
-                                  master_seed=seed, jobs=args.jobs)
-        cfg = {"mode": "lambda", "lambda_grid": lambdas, "repeats": args.repeats,
-               "epochs": args.epochs, "jobs": args.jobs}
+                                  master_seed=base.seed, jobs=args.jobs)
+        cfg = {"mode": "lambda", "lambda_grid": lambdas, "repeats": args.repeats}
     out = _out_dir(args.out)
     outputs = {"csv": out / "sweep.csv", "summary": out / "sweep_summary.json"}
     report.to_csv(outputs["csv"])
     report.save_summary(outputs["summary"])
     inputs = {"train": args.train, "valid": args.valid, "test": args.test, "golden_test": args.golden_test}
-    _write_manifest(out, "sweep", cfg, inputs, outputs, seed, started)
+    cfg.update(jobs=args.jobs, **schema.write(base, TRAIN_NAMES, omit=reject))
+    _write_manifest(out, "sweep", cfg, inputs, outputs, base.seed, started)
     return 0
 
 
@@ -420,7 +372,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=None,
-                       help=f"run seed (falls back to ${SEED_ENV_VAR}, then 0)")
+                       help=f"run seed (falls back to ${SEED_ENV_VAR}, then the config file's seed, then 0)")
         return p
 
     p = add("gen-data", cmd_gen_data, "generate a synthetic dataset with latent concepts")
@@ -492,9 +444,9 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--lambda-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--epochs", type=int, default=None, help="default: the config's epochs, else 40")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help="training config JSON; keys the mode draws are rejected")
 
     return parser
 
@@ -507,7 +459,7 @@ def main(argv=None) -> int:
     except ConceptDistilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

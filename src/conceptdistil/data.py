@@ -12,7 +12,6 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -194,53 +193,6 @@ class GeneratorConfig:
             raise DataError("teacher_flip_p must be in [0, 0.5)")
         if self.teacher_feature_count < 0:
             raise DataError("teacher_feature_count must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "d_features": self.d_features,
-            "concepts": [
-                {
-                    "name": r.name,
-                    "feature_indices": list(r.feature_indices),
-                    "weights": list(r.weights),
-                    "prevalence": r.prevalence,
-                }
-                for r in self.concepts
-            ],
-            "fraud_weights": list(self.fraud_weights),
-            "fraud_intercept": self.fraud_intercept,
-            "noise_level": self.noise_level,
-            "teacher_feature_count": self.teacher_feature_count,
-            "teacher_flip_p": self.teacher_flip_p,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "GeneratorConfig":
-        base = GeneratorConfig()
-        concepts = base.concepts
-        if "concepts" in doc:
-            concepts = tuple(
-                ConceptRule(
-                    name=str(r["name"]),
-                    feature_indices=tuple(int(i) for i in r["feature_indices"]),
-                    weights=tuple(float(w) for w in r["weights"]),
-                    prevalence=float(r["prevalence"]),
-                )
-                for r in doc["concepts"]
-            )
-        return GeneratorConfig(
-            n_instances=int(doc.get("n_instances", base.n_instances)),
-            d_features=int(doc.get("d_features", base.d_features)),
-            concepts=concepts,
-            fraud_weights=tuple(float(w) for w in doc.get("fraud_weights", base.fraud_weights)),
-            fraud_intercept=float(doc.get("fraud_intercept", base.fraud_intercept)),
-            noise_level=float(doc.get("noise_level", base.noise_level)),
-            teacher_feature_count=int(doc.get("teacher_feature_count", base.teacher_feature_count)),
-            teacher_flip_p=float(doc.get("teacher_flip_p", base.teacher_flip_p)),
-            seed=int(doc.get("seed", base.seed)),
-        )
 
 
 def generate_synthetic(config: GeneratorConfig) -> Dataset:

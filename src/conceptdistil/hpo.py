@@ -187,6 +187,7 @@ def evaluate_params(params: model.ConceptDistilParams, test: Dataset, golden_tes
         raise DataError("fidelity evaluation requires black-box scores on the test set")
     if golden_test.golden is None:
         raise DataError("explainability evaluation requires hard concept labels")
+    model.check_concepts(params, golden_test, "golden test set")
     fid = metrics.fidelity(model.predict_scores(params, test.x), test.bb_scores)
     _, mean_auc = metrics.mean_concept_auc(
         model.predict_concepts(params, golden_test.x), golden_test.golden, golden_test.concept_names

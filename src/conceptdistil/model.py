@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, schema
 from .errors import DataError
 from .nn import EVAL, LayerSpec, MLPParams, derive_seed
 
@@ -69,38 +69,35 @@ class ArchitectureConfig:
         return self.trunk[0].in_dim
 
 
-def build_architecture(
-    n_features: int,
-    k_concepts: int,
-    trunk_widths=(64, 48, 32),
-    head_widths=(16, 8),
-    attention_widths=(16,),
-    dropout_p: float = 0.0,
-    use_batchnorm: bool = False,
-) -> ArchitectureConfig:
-    """Assemble a standard relu architecture from width lists.
+@dataclass(frozen=True)
+class ArchitectureOptions:
+    """The keyword options of :func:`build_architecture` and their defaults."""
+
+    trunk_widths: tuple[int, ...] = (64, 48, 32)
+    head_widths: tuple[int, ...] = (16, 8)
+    attention_widths: tuple[int, ...] = (16,)
+    dropout_p: float = 0.0
+    use_batchnorm: bool = False
+
+
+def build_architecture(n_features: int, k_concepts: int, **options) -> ArchitectureConfig:
+    """Assemble a standard relu architecture from :class:`ArchitectureOptions` ``options``.
 
     Dropout and batchnorm apply to hidden layers only; head and attention
     output layers stay plain.
     """
-    def chain(in_dim, widths, last_dim, last_act):
-        dims = [in_dim, *widths]
-        layers = [
-            LayerSpec(dims[i], dims[i + 1], "relu", dropout_p, use_batchnorm)
-            for i in range(len(dims) - 1)
-        ]
-        layers.append(LayerSpec(dims[-1], last_dim, last_act))
-        return tuple(layers)
-
-    if not trunk_widths:
+    o = ArchitectureOptions(**options)
+    if not o.trunk_widths:
         raise DataError("trunk needs at least one width")
-    trunk_dims = [n_features, *trunk_widths]
-    trunk = tuple(
-        LayerSpec(trunk_dims[i], trunk_dims[i + 1], "relu", dropout_p, use_batchnorm)
-        for i in range(len(trunk_dims) - 1)
-    )
-    heads = chain(trunk_widths[-1], head_widths, 1, "sigmoid")
-    attention = chain(n_features, attention_widths, k_concepts, "identity")
+
+    def chain(in_dim, widths, last=()):  # relu hidden layers, then the plain output layer ``last``
+        dims = [in_dim, *widths]
+        hidden = [LayerSpec(a, b, "relu", o.dropout_p, o.use_batchnorm) for a, b in zip(dims, dims[1:])]
+        return tuple(hidden + [LayerSpec(dims[-1], *last)] if last else hidden)
+
+    trunk = chain(n_features, o.trunk_widths)
+    heads = chain(o.trunk_widths[-1], o.head_widths, (1, "sigmoid"))
+    attention = chain(n_features, o.attention_widths, (k_concepts, "identity"))
     return ArchitectureConfig(k_concepts, trunk, heads, attention)
 
 
@@ -329,6 +326,12 @@ def explanations_to_jsonl(explanations, path) -> None:
             fh.write(json.dumps(ex.to_json_dict(), allow_nan=False) + "\n")
 
 
+def check_concepts(params: ConceptDistilParams, dataset, what: str) -> None:
+    """A dataset with concept columns must name the model's concepts in the model's order."""
+    if dataset.k and dataset.concept_names != params.concept_names:
+        raise DataError(f"{what} concepts {dataset.concept_names} do not match the model's {params.concept_names}")
+
+
 def predict_concepts(params: ConceptDistilParams, x) -> np.ndarray:
     return concept_forward(params, x, EVAL)[0]
 
@@ -353,8 +356,6 @@ def model_to_doc(params: ConceptDistilParams) -> dict:
 def model_from_doc(doc: dict) -> ConceptDistilParams:
     if doc.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported model format_version {doc.get('format_version')!r}")
-    if doc.get("kind") != "concept_distil":
-        raise DataError(f"not a surrogate model file (kind={doc.get('kind')!r})")
     theta_c = nn.mlp_from_doc(doc["trunk"])
     heads = nn.stack([nn.mlp_from_doc(h) for h in doc["heads"]])
     theta_a = nn.mlp_from_doc(doc["attention"])
@@ -372,4 +373,4 @@ def save_model(params: ConceptDistilParams, path) -> None:
 
 
 def load_model(path) -> ConceptDistilParams:
-    return model_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    return schema.load_file(path, "concept_distil", model_from_doc)

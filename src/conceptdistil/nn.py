@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import schema
 from .errors import DataError, NumericError
 
 TRAIN = "train"
@@ -461,26 +462,6 @@ def update_running_stats(params: MLPParams, trace: ForwardTrace, momentum: float
 
 # -- serialization ----------------------------------------------------------
 
-def spec_to_doc(spec: LayerSpec) -> dict:
-    return {
-        "in_dim": spec.in_dim,
-        "out_dim": spec.out_dim,
-        "activation": spec.activation,
-        "dropout_p": spec.dropout_p,
-        "use_batchnorm": spec.use_batchnorm,
-    }
-
-
-def spec_from_doc(doc: dict) -> LayerSpec:
-    return LayerSpec(
-        in_dim=int(doc["in_dim"]),
-        out_dim=int(doc["out_dim"]),
-        activation=str(doc["activation"]),
-        dropout_p=float(doc["dropout_p"]),
-        use_batchnorm=bool(doc["use_batchnorm"]),
-    )
-
-
 def mlp_to_doc(params: MLPParams) -> dict:
     layers = []
     for layer in params.layers:
@@ -495,11 +476,11 @@ def mlp_to_doc(params: MLPParams) -> dict:
         else:
             doc["batchnorm"] = None
         layers.append(doc)
-    return {"specs": [spec_to_doc(s) for s in params.specs], "layers": layers}
+    return {"specs": [schema.write(s) for s in params.specs], "layers": layers}
 
 
 def mlp_from_doc(doc: dict) -> MLPParams:
-    specs = [spec_from_doc(s) for s in doc["specs"]]
+    specs = [schema.read(LayerSpec, s, f"specs[{i}]") for i, s in enumerate(doc["specs"])]
     layers = []
     for spec, blob in zip(specs, doc["layers"]):
         w = np.asarray(blob["weights"], dtype=np.float64).reshape(spec.out_dim, spec.in_dim)

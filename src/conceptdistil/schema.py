@@ -1,0 +1,93 @@
+"""JSON objects <-> config dataclasses, driven by the dataclass fields.
+
+Keys are the field names, or the file names given in ``names``. Every
+error is a :class:`DataError` naming the document and the key path.
+"""
+
+from __future__ import annotations
+
+import json
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
+
+from .errors import DataError
+
+
+def read(cls, doc, where: str, names: dict | None = None, reject: dict | None = None, prefix: str = ""):
+    """Dataclass ``cls`` from the JSON object ``doc``, each value cast by its field's type. A missing
+    key keeps the default; an unknown key, a key path in ``reject`` (to the reason) or a bad value fails."""
+    names, reject = names or {}, reject or {}
+    if not isinstance(doc, dict):
+        raise DataError(f"{where}: {prefix.rstrip('.') or 'document'} must be a JSON object, got {doc!r}")
+    by_key = {names.get(f.name, f.name): f for f in fields(cls)}
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        path = prefix + key
+        if path in reject or key not in by_key:
+            raise DataError(f"{where}: key {path!r} {reject.get(path, 'is unknown')}")
+        name = by_key[key].name
+        kwargs[name] = _cast(hints[name], value, where, names, reject, path)
+    for key, f in by_key.items():
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise DataError(f"{where}: key {prefix + key!r} is missing")
+    try:
+        return cls(**kwargs)
+    except DataError as exc:  # the dataclass's own range checks
+        raise DataError(f"{where}: {exc}") from None
+
+
+def _cast(tp, value, where, names, reject, path):
+    if is_dataclass(tp):
+        return read(tp, value, where, names, reject, path + ".")
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # T | None
+        return None if value is None else _cast(args[0], value, where, names, reject, path)
+    if typing.get_origin(tp) is tuple:  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise DataError(f"{where}: {path!r} expects a list, got {value!r}")
+        return tuple(_cast(args[0], v, where, names, reject, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
+        raise DataError(f"{where}: {path!r} expects {tp.__name__}, got {value!r}")
+    return value
+
+
+def write(obj, names: dict | None = None, omit=(), prefix: str = ""):
+    """The JSON value :func:`read` turns back into ``obj``, less the key paths in ``omit``."""
+    if isinstance(obj, tuple):
+        return [write(v, names, omit, prefix) for v in obj]
+    if not is_dataclass(obj):
+        return obj
+    keys = {f.name: (names or {}).get(f.name, f.name) for f in fields(obj)}
+    return {k: write(getattr(obj, n), names, omit, f"{prefix}{k}.") for n, k in keys.items() if prefix + k not in omit}
+
+
+def load_json(path) -> dict:
+    """The JSON object stored at ``path``."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_file(path, kind: str, from_doc):
+    """``from_doc`` of the ``kind`` document at ``path``; its errors name the file, a KeyError the key."""
+    doc = load_json(path)
+    if doc.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
+    try:
+        return from_doc(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

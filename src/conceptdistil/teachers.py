@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import metrics, schema
 from .data import Dataset
 from .errors import DataError
 from .nn import derive_seed
@@ -302,14 +302,7 @@ def teachers_to_doc(teachers: TeacherSet) -> dict:
         "feature_names": list(teachers.feature_names),
         "forests": [
             {
-                "params": {
-                    "n_trees": f.params.n_trees,
-                    "max_depth": f.params.max_depth,
-                    "min_leaf": f.params.min_leaf,
-                    "feature_subsample": f.params.feature_subsample,
-                    "bootstrap": f.params.bootstrap,
-                    "seed": f.params.seed,
-                },
+                "params": schema.write(f.params),
                 "n_features": f.n_features,
                 "trees": [_node_to_doc(t) for t in f.trees],
             }
@@ -319,19 +312,9 @@ def teachers_to_doc(teachers: TeacherSet) -> dict:
 
 
 def teachers_from_doc(doc: dict) -> TeacherSet:
-    if doc.get("kind") != "concept_teachers":
-        raise DataError(f"not a teacher file (kind={doc.get('kind')!r})")
     forests = []
-    for blob in doc["forests"]:
-        p = blob["params"]
-        params = ForestParams(
-            n_trees=int(p["n_trees"]),
-            max_depth=int(p["max_depth"]),
-            min_leaf=int(p["min_leaf"]),
-            feature_subsample=None if p["feature_subsample"] is None else int(p["feature_subsample"]),
-            bootstrap=bool(p["bootstrap"]),
-            seed=int(p["seed"]),
-        )
+    for i, blob in enumerate(doc["forests"]):
+        params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
         forests.append(Forest([_node_from_doc(t) for t in blob["trees"]], params, int(blob["n_features"])))
     return TeacherSet(forests, tuple(doc["concept_names"]), tuple(doc["feature_names"]))
 
@@ -341,4 +324,4 @@ def save_teachers(teachers: TeacherSet, path) -> None:
 
 
 def load_teachers(path) -> TeacherSet:
-    return teachers_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    return schema.load_file(path, "concept_teachers", teachers_from_doc)

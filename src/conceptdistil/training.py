@@ -82,14 +82,6 @@ class LossBreakdown:
     total: float
     kd_component: float
     concept_component: float
-    per_concept_bce: np.ndarray
-
-
-def per_concept_bce(y_e_pred, y_e_target) -> np.ndarray:
-    p = np.clip(np.asarray(y_e_pred, dtype=np.float64), nn.BCE_EPS, 1.0 - nn.BCE_EPS)
-    t = np.asarray(y_e_target, dtype=np.float64)
-    entries = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
-    return entries.mean(axis=0)
 
 
 def total_loss(
@@ -105,7 +97,6 @@ def total_loss(
     carry the lam / (1 - lam) weights. Missing targets are only allowed
     when their weight is zero.
     """
-    k = y_e.shape[1]
     n = y_e.shape[0]
     if kd_target is None:
         if lam > 0.0:
@@ -121,14 +112,12 @@ def total_loss(
         if lam < 1.0:
             raise DataError("concept targets required when lam < 1")
         concept_component, d_y_e = 0.0, np.zeros_like(y_e)
-        per_concept = np.zeros(k)
     else:
         # the mean of the K per-concept batch means is the plain mean over all entries
         concept_component, g = nn.bce_loss(y_e, y_e_target)
         d_y_e = (1.0 - lam) * g
-        per_concept = per_concept_bce(y_e, y_e_target)
     total = lam * kd_component + (1.0 - lam) * concept_component
-    return LossBreakdown(total, kd_component, concept_component, per_concept), d_y_kd, d_y_e
+    return LossBreakdown(total, kd_component, concept_component), d_y_kd, d_y_e
 
 
 @dataclass
@@ -197,7 +186,7 @@ def _attention_step(params, xb, kd_t, opt_cfg, state, rng_seed):
     grads_a, _ = nn.backward(params.theta_a, trace_a, d_e)
     nn.optimizer_step(params.theta_a.flat, grads_a.flat, opt_cfg, state)
     nn.update_running_stats(params.theta_a, trace_a)
-    return LossBreakdown(kd_component, kd_component, 0.0, np.zeros(params.config.k_concepts))
+    return LossBreakdown(kd_component, kd_component, 0.0)
 
 
 def _validation_record(params, valid_set, lam):
@@ -274,9 +263,8 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     returned. Identical (params, data, config) reproduce the history and
     the final parameters bit for bit.
     """
-    for ds in (train_set, valid_set):
-        if ds.k and ds.k != params.config.k_concepts:
-            raise DataError("dataset concept count does not match the model")
+    model.check_concepts(params, train_set, "training set")
+    model.check_concepts(params, valid_set, "validation set")
     work = params.copy()
     variant = config.variant
     ye_train = _concept_targets(train_set)

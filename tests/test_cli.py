@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,8 @@ class TestOptionalFlags:
         assert code == 0
         report = json.loads((out / "teach_report.json").read_text())
         assert 0.0 <= report["tuned_valid_mean_auc"] <= 1.0
+        manifest = json.loads((out / "manifest_teach.json").read_text())
+        assert manifest["seed"] == 3 and manifest["result"] == {"tune": 2}
 
     def test_label_with_score_file(self, pipeline, tmp_path):
         from conceptdistil import blackbox
@@ -251,3 +254,161 @@ class TestOptionalFlags:
         assert run("label", "--input", str(d / "test.csv"), "--out", str(out),
                    "--score-file", str(score_path)) == 0
         np.testing.assert_array_equal(data.load_csv(out).bb_scores, scores)
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _feed_back(manifest_path, command, out, *argv):
+    """Rerun ``command`` with the first run's manifest config as --config; both resolve alike."""
+    first = json.loads(manifest_path.read_text())
+    cfg = _write_json(out.parent / f"{out.name}_config.json", first["config"])
+    assert run(command, "--config", str(cfg), "--out", str(out), *argv) == 0
+    second = json.loads((out / f"manifest_{command}.json").read_text())
+    assert (second["config"], second["seed"]) == (first["config"], first["seed"])
+    return first
+
+
+TINY_ARCH = {"trunk_widths": [8], "head_widths": [4], "attention_widths": [4]}
+
+
+class TestConfigFiles:
+    @pytest.fixture(autouse=True)
+    def no_env_seed(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+    def test_gen_data_manifest_config_feeds_back(self, tmp_path):
+        cfg = _write_json(tmp_path / "gen.json", {"n_instances": 400, "noise_level": 0.3})
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                   "--golden", "0,0,0", "--n", "300", "--seed", "4") == 0
+        first = _feed_back(tmp_path / "a" / "manifest_gen-data.json", "gen-data", tmp_path / "b", "--golden", "0,0,0")
+        assert (first["config"]["n_instances"], first["config"]["noise_level"], first["seed"]) == (300, 0.3, 4)
+
+    def test_teach_manifest_config_feeds_back(self, pipeline, tmp_path):
+        golden = str(pipeline / "data" / "golden_train.csv")
+        cfg = _write_json(tmp_path / "forest.json", {"n_trees": 3, "max_depth": 4, "bootstrap": False})
+        assert run("teach", "--golden-train", golden, "--config", str(cfg), "--out", str(tmp_path / "a"),
+                   "--seed", "9") == 0
+        first = _feed_back(tmp_path / "a" / "manifest_teach.json", "teach", tmp_path / "b", "--golden-train", golden)
+        assert first["config"]["seed"] == 9 and first["config"]["bootstrap"] is False
+        assert (tmp_path / "a" / "teachers.json").read_bytes() == (tmp_path / "b" / "teachers.json").read_bytes()
+
+    def test_distill_manifest_config_feeds_back(self, pipeline, tmp_path):
+        d = pipeline / "data"
+        sets = ("--train", str(d / "train_labeled.csv"), "--valid", str(d / "valid_labeled.csv"))
+        cfg = _write_json(tmp_path / "train.json", {"learning_rate": 0.01, "architecture": {**TINY_ARCH, "dropout": 0.1}})
+        assert run("distill", *sets, "--config", str(cfg), "--out", str(tmp_path / "a"), "--epochs", "1",
+                   "--lambda", "0.3", "--batch-size", "128", "--variant", "no-gradient", "--seed", "9") == 0
+        first = _feed_back(tmp_path / "a" / "manifest_distill.json", "distill", tmp_path / "b", *sets)
+        resolved = first["config"]
+        assert (resolved["lambda"], resolved["epochs"], resolved["learning_rate"], resolved["seed"]) == (0.3, 1, 0.01, 9)
+        assert resolved["architecture"]["dropout"] == 0.1 and "lr" not in resolved["optimizer"]
+        assert set(first["result"]) == {"best_epoch", "stopped_early"}
+        assert (tmp_path / "a" / "model.json").read_bytes() == (tmp_path / "b" / "model.json").read_bytes()
+
+    def test_seed_precedence_flag_env_config(self, pipeline, tmp_path, monkeypatch):
+        golden = str(pipeline / "data" / "golden_train.csv")
+        cfg = _write_json(tmp_path / "forest.json", {"n_trees": 1, "seed": 11})
+
+        def seed_of(out, *flags):
+            assert run("teach", "--golden-train", golden, "--config", str(cfg), "--out", str(tmp_path / out), *flags) == 0
+            return json.loads((tmp_path / out / "manifest_teach.json").read_text())["seed"]
+
+        assert seed_of("file") == 11
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "12")
+        assert seed_of("env") == 12
+        assert seed_of("flag", "--seed", "13") == 13
+
+    @pytest.mark.parametrize("command, doc, needle", [
+        ("distill", {"lamda": 0.5}, "'lamda'"),
+        ("distill", {"architecture": {"dropuot": 0.1}}, "'architecture.dropuot'"),
+        ("distill", {"optimizer": {"lr": 0.1}}, "'optimizer.lr'"),
+        ("distill", [0.5], "expected a JSON object"),
+        ("teach", {"bootstrap": "false"}, "'bootstrap'"),
+        ("teach", "n_trees", "expected a JSON object"),
+        ("gen-data", {"n_instance": 10}, "'n_instance'"),
+        ("sweep", {"lambda": 0.5}, "'lambda'"),
+        ("sweep", {"learning_rate": 0.01}, "'learning_rate'"),
+        ("sweep", {"optimizer": {"l2_penalty": 0.01}}, "'optimizer.l2_penalty'"),
+        ("sweep", {"architecture": TINY_ARCH}, "'architecture'"),
+        ("sweep --mode lambda", {"lambda": 0.5}, "'lambda'"),
+    ])
+    def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, command, doc, needle):
+        cfg = _write_json(tmp_path / "cfg.json", doc)
+        none = str(tmp_path / "none.csv")  # the config is read before any data
+        data_flags = {
+            "gen-data": (), "teach": ("--golden-train", none), "distill": ("--train", none, "--valid", none),
+            "sweep": ("--train", none, "--valid", none, "--test", none, "--golden-test", none),
+        }
+        words = command.split()
+        assert run(*words, *data_flags[words[0]], "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert needle in err and str(cfg) in err
+
+    def test_sweep_lambda_mode_honours_learning_rate_l2_and_architecture(self, pipeline, tmp_path):
+        d = pipeline / "data"
+        cfg = _write_json(tmp_path / "train.json", {"learning_rate": 0.02, "optimizer": {"l2_penalty": 0.001},
+                                                    "architecture": TINY_ARCH})
+        assert run("sweep", "--mode", "lambda", "--lambda-grid", "0.5", "--repeats", "1", "--epochs", "1",
+                   "--train", str(d / "train_labeled.csv"), "--valid", str(d / "valid_labeled.csv"),
+                   "--test", str(d / "test_labeled.csv"), "--golden-test", str(d / "golden_test.csv"),
+                   "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+        header, row = (tmp_path / "s" / "sweep.csv").read_text().strip().splitlines()
+        trial = dict(zip(header.split(","), row.split(",")))
+        assert (trial["learning_rate"], trial["l2"], trial["trunk_widths"]) == ("0.02", "0.001", "8")
+
+    def test_sweep_search_mode_lays_the_config_over_its_defaults(self, pipeline, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_search(space, n_trials, bundle, *, base, master_seed, jobs):
+            seen.update(base=base, master_seed=master_seed)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(cli.hpo, "run_search", fake_search)
+        d = pipeline / "data"
+        cfg = _write_json(tmp_path / "train.json", {"batch_size": 64, "validation_metric": "fidelity", "seed": 8,
+                                                    "optimizer": {"algorithm": "sgd"}})
+        with pytest.raises(RuntimeError, match="stop"):
+            run("sweep", "--train", str(d / "train_labeled.csv"), "--valid", str(d / "valid_labeled.csv"),
+                "--test", str(d / "test_labeled.csv"), "--golden-test", str(d / "golden_test.csv"),
+                "--config", str(cfg), "--out", str(tmp_path / "s"))
+        base = seen["base"]
+        assert (base.epochs, base.early_stop_patience, base.batch_size) == (40, 6, 64)
+        assert (base.validation_metric, base.optimizer.algorithm, seen["master_seed"]) == ("fidelity", "sgd", 8)
+
+    def test_teach_tune_with_config_is_usage_error(self, pipeline, tmp_path, capsys):
+        d = pipeline / "data"
+        cfg = _write_json(tmp_path / "forest.json", {"n_trees": 3})
+        assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid", str(d / "golden_valid.csv"),
+                   "--tune", "2", "--config", str(cfg), "--out", str(tmp_path / "t")) == 1
+        assert "--config" in capsys.readouterr().err
+
+
+class TestLoadErrors:
+    def test_model_without_attention_is_data_error_naming_the_key(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "model" / "model.json").read_text())
+        del doc["attention"]
+        broken = _write_json(tmp_path / "model.json", doc)
+        assert run("explain", "--model", str(broken), "--input", str(pipeline / "data" / "golden_test.csv"),
+                   "--out", str(tmp_path / "o.jsonl")) == 2
+        assert "'attention'" in capsys.readouterr().err
+
+    def test_key_error_inside_a_command_propagates(self, monkeypatch):
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "cmd_explain", broken)
+        with pytest.raises(KeyError, match="bug"):
+            run("explain", "--model", "m.json", "--input", "x.csv", "--out", "o.jsonl")
+
+    def test_evaluate_rejects_reordered_golden_concepts(self, pipeline, tmp_path, capsys):
+        golden = data.load_csv(pipeline / "data" / "golden_test.csv")
+        names = golden.concept_names
+        swapped = replace(golden, concept_names=names[::-1], golden=golden.golden[:, ::-1])
+        data.save_csv(swapped, tmp_path / "golden.csv")
+        assert run("evaluate", "--model", str(pipeline / "model" / "model.json"), "--golden", str(tmp_path / "golden.csv"),
+                   "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert str(names) in err and str(names[::-1]) in err

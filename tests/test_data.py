@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from conceptdistil import data
+from conceptdistil import data, schema
 from conceptdistil.errors import DataError
 
 
@@ -47,8 +49,8 @@ class TestGenerator:
 
     def test_config_json_round_trip(self):
         cfg = data.GeneratorConfig(n_instances=123, seed=9)
-        doc = cfg.to_json_dict()
-        assert data.GeneratorConfig.from_json_dict(doc) == cfg
+        doc = json.loads(json.dumps(schema.write(cfg)))
+        assert schema.read(data.GeneratorConfig, doc, "generator config") == cfg
 
 
 class TestCsvRoundTrip:

@@ -107,6 +107,12 @@ class TestRunSearch:
         fid, auc = hpo.evaluate_params(result.params, bundle.test, bundle.golden_test)
         assert trial.fidelity == fid and trial.mean_auc == auc
 
+    def test_evaluate_params_rejects_renamed_concepts(self, bundle):
+        arch = model.build_architecture(bundle.train.d, bundle.train.k)
+        params = model.init_model(arch, [f"other_{n}" for n in bundle.train.concept_names], 0)
+        with pytest.raises(DataError, match="golden test set concepts"):
+            hpo.evaluate_params(params, bundle.test, bundle.golden_test)
+
     def test_same_master_seed_reproduces_report(self, bundle):
         a = hpo.run_search(tiny_space(), 3, bundle, base=quick_base(), master_seed=9)
         b = hpo.run_search(tiny_space(), 3, bundle, base=quick_base(), master_seed=9)

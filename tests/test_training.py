@@ -58,13 +58,6 @@ class TestConceptLoss:
         permuted, _ = nn.bce_loss(pred[:, perm], target[:, perm])
         assert permuted == pytest.approx(base, abs=1e-15)
 
-    def test_equals_mean_of_per_concept_means(self):
-        rng = np.random.default_rng(1)
-        pred, target = rng.random((8, 3)), rng.random((8, 3))
-        loss, _ = nn.bce_loss(pred, target)
-        per = training.per_concept_bce(pred, target)
-        assert loss == pytest.approx(float(per.mean()), abs=1e-15)
-
 
 class TestTotalLoss:
     def outputs(self, n=8, k=3, seed=2):
@@ -190,6 +183,12 @@ class TestVariantContracts:
         cfg = quick_config(variant=training.BASELINE_CONCEPT)
         result = training.train(params, train_set, valid_set, cfg)
         assert all(r.kd_component == 0.0 for r in result.history)
+
+    def test_reordered_concept_names_rejected(self):
+        train_set, valid_set = make_sets(n=32, seed=14)
+        params = model.init_model(tiny_arch(), ("c2", "c1", "c0"), seed=0)
+        with pytest.raises(DataError, match=r"\('c0', 'c1', 'c2'\).*\('c2', 'c1', 'c0'\)"):
+            training.train(params, train_set, valid_set, quick_config())
 
     def test_default_requires_scores(self):
         train_set, valid_set = make_sets(n=32, seed=13, with_scores=False)
