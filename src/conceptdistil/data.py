@@ -183,8 +183,9 @@ class GeneratorConfig:
                 raise DataError(f"infeasible prevalence {rule.prevalence} for {rule.name!r}")
             if len(rule.feature_indices) != len(rule.weights):
                 raise DataError(f"rule {rule.name!r}: indices and weights differ in length")
-            if max(rule.feature_indices) >= self.d_features:
-                raise DataError(f"rule {rule.name!r} references a feature beyond d_features")
+            idx = rule.feature_indices
+            if not idx or min(idx) < 0 or max(idx) >= self.d_features:
+                raise DataError(f"rule {rule.name!r}: feature_indices must be non-empty and in [0, d_features)")
             if not all(np.isfinite(rule.weights)):
                 raise DataError(f"rule {rule.name!r} has non-finite weights")
         if not all(np.isfinite(self.fraud_weights)) or not np.isfinite(self.fraud_intercept):

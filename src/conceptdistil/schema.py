@@ -7,6 +7,7 @@ error is a :class:`DataError` naming the document and the key path.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -53,6 +54,8 @@ def _cast(tp, value, where, names, reject, path):
         value = float(value)
     if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
         raise DataError(f"{where}: {path!r} expects {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise DataError(f"{where}: {path!r} must be finite, got {value!r}")
     return value
 
 

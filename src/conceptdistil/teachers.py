@@ -31,19 +31,32 @@ _TUNE = 31
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (fraction/count)."""
+class Tree:
+    """One CART tree as parallel arrays over its nodes in preorder (root 0).
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    positive_fraction: float | None = None
-    sample_count: int = 0
+    A leaf has feature -1, threshold NaN and is its own left and right
+    child; ``value`` is a leaf's positive fraction (NaN inside the tree)
+    and ``count`` every node's training-row count. ``depth`` is the
+    deepest leaf's depth.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+    depth: int
+
+
+def _tree(rows) -> Tree:
+    """Tree from one ``[feature, threshold, left, right, value, count, depth]`` row per node, in preorder."""
+    *arrays, depth = (np.array(c) for c in zip(*rows))
+    return Tree(*arrays, int(depth.max()))
+
+
+def _leaf_row(i, fraction, count, depth) -> list:
+    return [-1, np.nan, i, i, fraction, count, depth]
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,8 @@ class ForestParams:
             raise DataError("min_leaf must be >= 1")
         if self.max_depth < 1:
             raise DataError("max_depth must be >= 1")
+        if self.feature_subsample is not None and self.feature_subsample < 1:
+            raise DataError(f"feature_subsample must be >= 1 or null, got {self.feature_subsample}")
 
     def resolved_subsample(self, d: int) -> int:
         if self.feature_subsample is None:
@@ -69,53 +84,34 @@ class ForestParams:
         return min(self.feature_subsample, d)
 
 
-def _gini(pos: float, n: float) -> float:
+def _gini(pos, n):
     p = pos / n
     return 2.0 * p * (1.0 - p)
-
-
-def _leaf(y: np.ndarray) -> TreeNode:
-    n = y.size
-    return TreeNode(positive_fraction=float(y.sum()) / n, sample_count=int(n))
 
 
 def _best_split(x, y, features, min_leaf):
-    """Best (gain, feature, threshold) over candidate midpoints, or None."""
+    """Best (feature, threshold) by Gini gain over all candidate midpoints, or None.
+
+    One search over the (boundary, feature) grid; the first maximum of its
+    feature-major ravel is the tie-break (lowest feature, then lowest threshold).
+    """
     n = y.size
+    cols = x[:, features]
+    order = np.argsort(cols, axis=0, kind="stable")
+    sv = np.take_along_axis(cols, order, axis=0)
     pos_total = float(y.sum())
-    parent = _gini(pos_total, n)
-    best_gain = 0.0
-    best = None
-    for f in features:
-        vals = x[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y[order]
-        boundaries = np.flatnonzero(sv[1:] != sv[:-1]) + 1  # left-side sizes
-        boundaries = boundaries[(boundaries >= min_leaf) & (n - boundaries >= min_leaf)]
-        if boundaries.size == 0:
-            continue
-        cum_pos = np.cumsum(sy)
-        left_n = boundaries.astype(np.float64)
-        left_pos = cum_pos[boundaries - 1].astype(np.float64)
-        right_n = n - left_n
-        right_pos = pos_total - left_pos
-        weighted = (left_n * _gini_vec(left_pos, left_n) + right_n * _gini_vec(right_pos, right_n)) / n
-        gains = parent - weighted
-        j = int(np.argmax(gains))  # first max keeps the lowest threshold on ties
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            i = boundaries[j]
-            best = (best_gain, int(f), float((sv[i - 1] + sv[i]) / 2.0))
-    return best
+    left_pos = np.cumsum(y[order], axis=0)[:-1]  # row b-1 holds boundary b: b rows go left
+    left_n = np.arange(1.0, n)[:, None]
+    right_n = n - left_n
+    right_pos = pos_total - left_pos
+    weighted = (left_n * _gini(left_pos, left_n) + right_n * _gini(right_pos, right_n)) / n
+    gains = _gini(pos_total, n) - weighted
+    gains[(sv[1:] == sv[:-1]) | (left_n < min_leaf) | (right_n < min_leaf)] = -np.inf
+    f, b = divmod(int(np.argmax(gains.T)), n - 1)
+    return (int(features[f]), float((sv[b, f] + sv[b + 1, f]) / 2.0)) if gains[b, f] > 0.0 else None
 
 
-def _gini_vec(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    p = pos / n
-    return 2.0 * p * (1.0 - p)
-
-
-def fit_tree(x, y, params: ForestParams, rng: np.random.Generator) -> TreeNode:
+def fit_tree(x, y, params: ForestParams, rng: np.random.Generator) -> Tree:
     """Grow one CART tree; deterministic given data and rng state."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -125,56 +121,53 @@ def fit_tree(x, y, params: ForestParams, rng: np.random.Generator) -> TreeNode:
         raise DataError("x and y row counts differ")
     if x.shape[0] < 2 * params.min_leaf:
         raise DataError(f"need at least {2 * params.min_leaf} rows, got {x.shape[0]}")
-    k = params.resolved_subsample(x.shape[1])
-    return _grow(x, y, 0, params, k, rng)
+    rows: list[list] = []
+    _grow(x, y, 0, params, params.resolved_subsample(x.shape[1]), rng, rows)
+    return _tree(rows)
 
 
-def _grow(x, y, depth, params, k, rng):
-    n = y.size
+def _grow(x, y, depth, params, k, rng, rows) -> int:
+    """Append the subtree's nodes to ``rows`` in preorder and return its root. Every node draws its
+    candidate features from the one ``rng``, so another growth order would change the trees."""
+    i, n = len(rows), y.size
     pos = y.sum()
-    if depth >= params.max_depth or n < 2 * params.min_leaf or pos == 0 or pos == n:
-        return _leaf(y)
-    features = np.sort(rng.choice(x.shape[1], size=min(k, x.shape[1]), replace=False))
-    best = _best_split(x, y, features, params.min_leaf)
+    best = None
+    if depth < params.max_depth and n >= 2 * params.min_leaf and 0 != pos != n:
+        features = np.sort(rng.choice(x.shape[1], size=min(k, x.shape[1]), replace=False))
+        best = _best_split(x, y, features, params.min_leaf)
     if best is None:
-        return _leaf(y)
-    _, feature, threshold = best
+        rows.append(_leaf_row(i, float(pos) / n, n, depth))
+        return i
+    feature, threshold = best
     mask = x[:, feature] < threshold
-    node = TreeNode(feature=feature, threshold=threshold, sample_count=int(n))
-    node.left = _grow(x[mask], y[mask], depth + 1, params, k, rng)
-    node.right = _grow(x[~mask], y[~mask], depth + 1, params, k, rng)
-    return node
-
-
-def _predict_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    stack = [(node, np.arange(x.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if nd.is_leaf:
-            out[idx] = nd.positive_fraction
-        else:
-            mask = x[idx, nd.feature] < nd.threshold
-            stack.append((nd.left, idx[mask]))
-            stack.append((nd.right, idx[~mask]))
-    return out
+    row = [feature, threshold, i, i, np.nan, n, depth]
+    rows.append(row)
+    row[2] = _grow(x[mask], y[mask], depth + 1, params, k, rng, rows)
+    row[3] = _grow(x[~mask], y[~mask], depth + 1, params, k, rng, rows)
+    return i
 
 
 @dataclass
 class Forest:
-    trees: list[TreeNode]
+    trees: list[Tree]
     params: ForestParams
     n_features: int
 
     def predict_proba(self, x) -> np.ndarray:
+        """Mean leaf fraction over the trees; every tree walks all rows down one level per step."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DataError(f"expected {self.n_features} feature columns, got shape {x.shape}")
+        xf = x.ravel()
+        base = np.arange(x.shape[0]) * x.shape[1]
         acc = np.zeros(x.shape[0])
-        for tree in self.trees:
-            acc += _predict_tree(tree, x)
+        for t in self.trees:
+            child = np.column_stack((t.right, t.left)).ravel()  # node i goes to child[2 * i + (x < threshold)]
+            col = np.maximum(t.feature, 0)
+            node = np.zeros(x.shape[0], dtype=np.intp)
+            for _ in range(t.depth):
+                node = child.take(2 * node + (xf.take(base + col.take(node)) < t.threshold.take(node)))
+            acc += t.value.take(node)
         return acc / len(self.trees)
 
 
@@ -267,31 +260,36 @@ def tune_teachers(
 
 # -- serialization ------------------------------------------------------------
 
-def _node_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"positive_fraction": node.positive_fraction, "sample_count": node.sample_count}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "sample_count": node.sample_count,
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
+def _tree_to_doc(t: Tree) -> dict:
+    feature, threshold, left, right, value, count = (
+        a.tolist() for a in (t.feature, t.threshold, t.left, t.right, t.value, t.count))
+
+    def node(i):
+        if left[i] == i:
+            return {"positive_fraction": value[i], "sample_count": count[i]}
+        return {"feature": feature[i], "threshold": threshold[i], "sample_count": count[i],
+                "left": node(left[i]), "right": node(right[i])}
+
+    return node(0)
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
-    if "feature" not in doc:
-        return TreeNode(
-            positive_fraction=float(doc["positive_fraction"]),
-            sample_count=int(doc["sample_count"]),
-        )
-    return TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        sample_count=int(doc.get("sample_count", 0)),
-        left=_node_from_doc(doc["left"]),
-        right=_node_from_doc(doc["right"]),
-    )
+def _tree_from_doc(doc: dict, n_features: int) -> Tree:
+    rows: list[list] = []
+
+    def visit(d, depth):
+        i = len(rows)
+        if "feature" not in d:
+            rows.append(_leaf_row(i, float(d["positive_fraction"]), int(d["sample_count"]), depth))
+            return i
+        row = [int(d["feature"]), float(d["threshold"]), i, i, np.nan, int(d.get("sample_count", 0)), depth]
+        if not 0 <= row[0] < n_features:
+            raise DataError(f"tree feature {row[0]} is outside [0, {n_features})")
+        rows.append(row)
+        row[2:4] = visit(d["left"], depth + 1), visit(d["right"], depth + 1)
+        return i
+
+    visit(doc, 0)
+    return _tree(rows)
 
 
 def teachers_to_doc(teachers: TeacherSet) -> dict:
@@ -304,7 +302,7 @@ def teachers_to_doc(teachers: TeacherSet) -> dict:
             {
                 "params": schema.write(f.params),
                 "n_features": f.n_features,
-                "trees": [_node_to_doc(t) for t in f.trees],
+                "trees": [_tree_to_doc(t) for t in f.trees],
             }
             for f in teachers.forests
         ],
@@ -315,7 +313,8 @@ def teachers_from_doc(doc: dict) -> TeacherSet:
     forests = []
     for i, blob in enumerate(doc["forests"]):
         params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
-        forests.append(Forest([_node_from_doc(t) for t in blob["trees"]], params, int(blob["n_features"])))
+        n_features = int(blob["n_features"])
+        forests.append(Forest([_tree_from_doc(t, n_features) for t in blob["trees"]], params, n_features))
     return TeacherSet(forests, tuple(doc["concept_names"]), tuple(doc["feature_names"]))
 
 

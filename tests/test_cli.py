@@ -334,6 +334,13 @@ class TestConfigFiles:
         ("sweep", {"optimizer": {"l2_penalty": 0.01}}, "'optimizer.l2_penalty'"),
         ("sweep", {"architecture": TINY_ARCH}, "'architecture'"),
         ("sweep --mode lambda", {"lambda": 0.5}, "'lambda'"),
+        ("teach", {"feature_subsample": 0}, "feature_subsample"),
+        ("gen-data", {"noise_level": float("nan")}, "'noise_level' must be finite"),
+        ("distill", {"learning_rate": float("inf")}, "'learning_rate' must be finite"),
+        ("gen-data", {"concepts": [{"name": "empty", "feature_indices": [], "weights": [], "prevalence": 0.2}],
+                      "fraud_weights": [1.0]}, "rule 'empty'"),
+        ("gen-data", {"concepts": [{"name": "neg", "feature_indices": [-1], "weights": [1.0], "prevalence": 0.2}],
+                      "fraud_weights": [1.0]}, "rule 'neg'"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, command, doc, needle):
         cfg = _write_json(tmp_path / "cfg.json", doc)

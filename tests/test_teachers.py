@@ -1,26 +1,152 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptdistil import data, metrics, teachers
 from conceptdistil.errors import DataError
 from conceptdistil.nn import derive_seed
 
 
-def leaf_values(node):
-    if node.is_leaf:
-        return [node.positive_fraction]
-    return leaf_values(node.left) + leaf_values(node.right)
+# -- reference CART: the recursive per-feature search the array trees replaced,
+# -- growing the nested teachers.json document directly
+
+def gini(pos, n):
+    p = pos / n
+    return 2.0 * p * (1.0 - p)
+
+
+def ref_best_split(x, y, features, min_leaf):
+    n = y.size
+    pos_total = float(y.sum())
+    parent = gini(pos_total, n)
+    best_gain, best = 0.0, None
+    for f in features:
+        order = np.argsort(x[:, f], kind="stable")
+        sv, sy = x[order, f], y[order]
+        boundaries = np.flatnonzero(sv[1:] != sv[:-1]) + 1  # left-side sizes
+        boundaries = boundaries[(boundaries >= min_leaf) & (n - boundaries >= min_leaf)]
+        if boundaries.size == 0:
+            continue
+        left_n = boundaries.astype(np.float64)
+        left_pos = np.cumsum(sy)[boundaries - 1]
+        right_n, right_pos = n - left_n, pos_total - left_pos
+        gains = parent - (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / n
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain, i = float(gains[j]), boundaries[j]
+            best = (int(f), float((sv[i - 1] + sv[i]) / 2.0))
+    return best
+
+
+def ref_grow(x, y, depth, params, k, rng):
+    n, pos = y.size, y.sum()
+    leaf = {"positive_fraction": float(pos) / n, "sample_count": n}
+    if depth >= params.max_depth or n < 2 * params.min_leaf or pos == 0 or pos == n:
+        return leaf
+    features = np.sort(rng.choice(x.shape[1], size=min(k, x.shape[1]), replace=False))
+    best = ref_best_split(x, y, features, params.min_leaf)
+    if best is None:
+        return leaf
+    feature, threshold = best
+    mask = x[:, feature] < threshold
+    return {"feature": feature, "threshold": threshold, "sample_count": n,
+            "left": ref_grow(x[mask], y[mask], depth + 1, params, k, rng),
+            "right": ref_grow(x[~mask], y[~mask], depth + 1, params, k, rng)}
+
+
+def ref_forest(x, y, params):
+    docs, n = [], y.size
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(derive_seed(params.seed, teachers._TREE_RNG, t))
+        rows = np.arange(n)
+        if params.bootstrap:
+            rows = np.random.default_rng(derive_seed(params.seed, teachers._BOOTSTRAP, t)).integers(0, n, n)
+        docs.append(ref_grow(x[rows], y[rows], 0, params, params.resolved_subsample(x.shape[1]), rng))
+    return docs
+
+
+def ref_predict(docs, x):
+    """Per-row root-to-leaf walk of each nested tree, summed over the trees in order."""
+    out = np.zeros(x.shape[0])
+    for r, row in enumerate(x):
+        for doc in docs:
+            while "feature" in doc:
+                doc = doc["left"] if row[doc["feature"]] < doc["threshold"] else doc["right"]
+            out[r] += doc["positive_fraction"]
+    return out / len(docs)
+
+
+def tree_doc(tree):
+    return teachers._tree_to_doc(tree)
+
+
+def leaf_tree(p, n):
+    """A one-leaf tree, read from its v1 document."""
+    return teachers._tree_from_doc({"positive_fraction": p, "sample_count": n}, 1)
+
+
+@st.composite
+def tie_heavy_fits(draw):
+    """Small integer-valued data (many tied values) and forest parameters."""
+    d = draw(st.integers(1, 4))
+    min_leaf = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * min_leaf, 40))
+    x = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    params = teachers.ForestParams(
+        n_trees=draw(st.integers(1, 3)), max_depth=draw(st.integers(1, 6)), min_leaf=min_leaf,
+        feature_subsample=draw(st.none() | st.integers(1, d + 1)), bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return x, y, params
+
+
+class TestAgainstReference:
+    @settings(max_examples=150)
+    @given(tie_heavy_fits())
+    def test_fit_matches_the_reference_cart(self, case):
+        x, y, params = case
+        forest = teachers.fit_forest(x, y, params)
+        assert [tree_doc(t) for t in forest.trees] == ref_forest(x, y, params)
+
+    @settings(max_examples=100)
+    @given(tie_heavy_fits(), st.lists(st.integers(-2, 8), min_size=1, max_size=60))
+    def test_predict_matches_a_per_row_walk_bit_for_bit(self, case, halves):
+        x, y, params = case
+        forest = teachers.fit_forest(x, y, params)
+        grid = np.resize(np.array(halves, dtype=float) / 2.0, (max(1, len(halves) // x.shape[1]), x.shape[1]))
+        test_x = np.vstack([grid, x])  # midpoints, exact thresholds and the training rows
+        expected = ref_predict([tree_doc(t) for t in forest.trees], test_x)
+        assert forest.predict_proba(test_x).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60)
+    @given(tie_heavy_fits())
+    def test_save_load_save_is_byte_identical(self, case):
+        x, y, params = case
+        forest = teachers.fit_forest(x, y, params)
+        names = tuple(f"f{j}" for j in range(x.shape[1]))
+        tset = teachers.TeacherSet([forest, forest], ("a", "b"), names)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            teachers.save_teachers(tset, first)
+            restored = teachers.load_teachers(first)
+            teachers.save_teachers(restored, second)
+            assert first.read_bytes() == second.read_bytes()
+            assert restored.forests[0].predict_proba(x).tobytes() == forest.predict_proba(x).tobytes()
 
 
 class TestFitTree:
     def test_pure_labels_give_single_leaf(self):
         x = np.random.default_rng(0).normal(size=(20, 3))
         tree = teachers.fit_tree(x, np.ones(20), teachers.ForestParams(min_leaf=2), np.random.default_rng(1))
-        assert tree.is_leaf and tree.positive_fraction == 1.0
+        assert tree_doc(tree) == {"positive_fraction": 1.0, "sample_count": 20} and tree.depth == 0
         tree = teachers.fit_tree(x, np.zeros(20), teachers.ForestParams(min_leaf=2), np.random.default_rng(1))
-        assert tree.is_leaf and tree.positive_fraction == 0.0
+        assert tree_doc(tree) == {"positive_fraction": 0.0, "sample_count": 20} and tree.depth == 0
 
     def test_1d_separable_data_needs_one_split(self):
         rng = np.random.default_rng(2)
@@ -28,11 +154,12 @@ class TestFitTree:
         y = np.concatenate([np.zeros(10), np.ones(10)])
         params = teachers.ForestParams(min_leaf=1, feature_subsample=1)
         tree = teachers.fit_tree(x, y, params, np.random.default_rng(3))
-        assert not tree.is_leaf
-        assert tree.left.is_leaf and tree.right.is_leaf
+        assert (tree.left.tolist(), tree.right.tolist(), tree.depth) == ([1, 1, 2], [2, 1, 2], 1)
+        doc = tree_doc(tree)
+        assert doc["left"] == {"positive_fraction": 0.0, "sample_count": 10}
+        assert doc["right"] == {"positive_fraction": 1.0, "sample_count": 10}
         max_neg, min_pos = x[y == 0].max(), x[y == 1].min()
-        assert max_neg <= tree.threshold < min_pos
-        assert tree.left.positive_fraction == 0.0 and tree.right.positive_fraction == 1.0
+        assert max_neg <= doc["threshold"] < min_pos
 
     def test_gini_gain_selects_the_clean_split(self):
         # 10 points, one feature separates perfectly, the other only partially:
@@ -44,10 +171,10 @@ class TestFitTree:
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
         params = teachers.ForestParams(min_leaf=1, feature_subsample=2, max_depth=1)
         tree = teachers.fit_tree(x, y, params, np.random.default_rng(4))
-        assert tree.feature == 0
-        assert sorted(leaf_values(tree)) == [0.0, 1.0]
+        assert tree.feature[0] == 0
+        assert sorted(tree.value[1:]) == [0.0, 1.0]
         # hand enumeration: children [5,0] and [0,5] have weighted gini 0 -> gain 0.5
-        counts = [(y[x[:, 0] < tree.threshold]).sum(), (y[x[:, 0] >= tree.threshold]).sum()]
+        counts = [(y[x[:, 0] < tree.threshold[0]]).sum(), (y[x[:, 0] >= tree.threshold[0]]).sum()]
         assert counts == [0.0, 5.0]
 
     def test_row_permutation_does_not_change_the_tree(self):
@@ -58,7 +185,7 @@ class TestFitTree:
         tree_a = teachers.fit_tree(x, y, params, np.random.default_rng(6))
         perm = rng.permutation(60)
         tree_b = teachers.fit_tree(x[perm], y[perm], params, np.random.default_rng(6))
-        assert teachers._node_to_doc(tree_a) == teachers._node_to_doc(tree_b)
+        assert tree_doc(tree_a) == tree_doc(tree_b)
 
     def test_empty_data_rejected(self):
         with pytest.raises(DataError):
@@ -72,7 +199,7 @@ class TestFitTree:
 class TestForest:
     def test_constant_leaf_forest_predicts_the_constant(self):
         p = 0.3
-        trees = [teachers.TreeNode(positive_fraction=p, sample_count=10) for _ in range(7)]
+        trees = [leaf_tree(p, 10) for _ in range(7)]
         forest = teachers.Forest(trees, teachers.ForestParams(n_trees=7), n_features=2)
         out = forest.predict_proba(np.random.default_rng(0).normal(size=(5, 2)))
         np.testing.assert_allclose(out, p, atol=1e-15)
@@ -87,7 +214,8 @@ class TestForest:
             x, y, params, np.random.default_rng(derive_seed(13, teachers._TREE_RNG, 0))
         )
         test_x = rng.normal(size=(30, 3))
-        np.testing.assert_array_equal(forest.predict_proba(test_x), teachers._predict_tree(direct, test_x))
+        assert tree_doc(forest.trees[0]) == tree_doc(direct)
+        np.testing.assert_array_equal(forest.predict_proba(test_x), ref_predict([tree_doc(direct)], test_x))
 
     def test_predictions_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -108,7 +236,7 @@ class TestForest:
         assert auc >= 0.95
 
     def test_dimension_mismatch_rejected(self):
-        forest = teachers.Forest([teachers.TreeNode(positive_fraction=0.5, sample_count=1)], teachers.ForestParams(), 3)
+        forest = teachers.Forest([leaf_tree(0.5, 1)], teachers.ForestParams(), 3)
         with pytest.raises(DataError):
             forest.predict_proba(np.zeros((2, 4)))
 
@@ -119,8 +247,58 @@ class TestForest:
         params = teachers.ForestParams(n_trees=5, seed=21)
         a = teachers.fit_forest(x, y, params)
         b = teachers.fit_forest(x, y, params)
-        docs = lambda f: [teachers._node_to_doc(t) for t in f.trees]
+        docs = lambda f: [tree_doc(t) for t in f.trees]
         assert docs(a) == docs(b)
+
+
+class TestForestParams:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_feature_subsample_below_one_rejected(self, k):
+        with pytest.raises(DataError, match="feature_subsample"):
+            teachers.ForestParams(feature_subsample=k)
+
+
+V1_DOC = {
+    "format_version": 1, "kind": "concept_teachers", "concept_names": ["c"], "feature_names": ["a", "b"],
+    "forests": [{
+        "params": {"n_trees": 1, "max_depth": 8, "min_leaf": 5, "feature_subsample": None, "bootstrap": True,
+                   "seed": 0},
+        "n_features": 2,
+        "trees": [{
+            "feature": 1, "threshold": 0.5, "sample_count": 10,
+            "left": {"positive_fraction": 0.25, "sample_count": 4},
+            "right": {"feature": 0, "threshold": -1.0, "sample_count": 6,
+                      "left": {"positive_fraction": 0.0, "sample_count": 2},
+                      "right": {"positive_fraction": 1.0, "sample_count": 4}},
+        }],
+    }],
+}
+
+
+class TestV1Document:
+    def test_hand_written_document_loads_into_preorder_arrays(self, tmp_path):
+        path = tmp_path / "teachers.json"
+        path.write_text(json.dumps(V1_DOC))
+        tree = teachers.load_teachers(path).forests[0].trees[0]
+        assert tree.feature.tolist() == [1, -1, 0, -1, -1]
+        assert (tree.left.tolist(), tree.right.tolist()) == ([1, 1, 3, 3, 4], [2, 1, 4, 3, 4])
+        assert tree.count.tolist() == [10, 4, 6, 2, 4] and tree.depth == 2
+        forest = teachers.load_teachers(path).forests[0]
+        out = forest.predict_proba(np.array([[0.0, 0.0], [-2.0, 1.0], [0.0, 1.0], [-1.0, 0.5]]))
+        assert out.tolist() == [0.25, 0.0, 1.0, 1.0]
+
+    def test_resave_reproduces_the_document_bytes(self, tmp_path):
+        path = tmp_path / "teachers.json"
+        teachers.save_teachers(teachers.teachers_from_doc(V1_DOC), path)
+        assert path.read_text() == json.dumps(V1_DOC, allow_nan=False)
+
+    def test_feature_outside_the_forest_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(V1_DOC))
+        doc["forests"][0]["trees"][0]["feature"] = 2
+        path = tmp_path / "teachers.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="feature 2"):
+            teachers.load_teachers(path)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +322,7 @@ class TestTeacherSet:
         prevalence = g_train.golden.mean(axis=0)
         for i, forest in enumerate(tset.forests):
             tset.forests[i] = teachers.Forest(
-                [teachers.TreeNode(positive_fraction=float(prevalence[i]), sample_count=g_train.n)],
+                [leaf_tree(float(prevalence[i]), g_train.n)],
                 forest.params,
                 forest.n_features,
             )
