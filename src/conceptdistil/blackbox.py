@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import nn, schema
+from . import nn, schema, training
 from .data import Dataset
 from .errors import DataError
 from .nn import EVAL, TRAIN, LayerSpec, MLPParams, OptimizerConfig, derive_seed
@@ -59,95 +59,61 @@ class ScoreFileBlackBox:
         return self._scores.copy()
 
 
-def default_blackbox_specs(n_features: int, hidden=(32, 16)) -> list[LayerSpec]:
+@dataclass(frozen=True)
+class BlackBoxConfig:
+    """The options of :func:`train_ffnn_blackbox` and their defaults."""
+
+    hidden: tuple[int, ...] = (32, 16)
+    learning_rate: float = 1e-3
+    epochs: int = 60
+    batch_size: int = 256
+    patience: int = 8
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:  # NaN too
+            raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
+
+
+def default_blackbox_specs(n_features: int, hidden) -> list[LayerSpec]:
     dims = [n_features, *hidden]
     specs = [LayerSpec(dims[i], dims[i + 1], "relu") for i in range(len(dims) - 1)]
     specs.append(LayerSpec(dims[-1], 1, "sigmoid"))
     return specs
 
 
-def _fit_mlp(
-    params: MLPParams,
-    x: np.ndarray,
-    targets: np.ndarray,
-    x_valid: np.ndarray,
-    targets_valid: np.ndarray,
-    *,
-    learning_rate: float,
-    epochs: int,
-    batch_size: int,
-    patience: int,
-    seed: int,
-    optimizer: OptimizerConfig | None = None,
-) -> tuple[MLPParams, list[tuple[float, float]]]:
-    """Minibatch BCE fit with early stopping on the validation loss."""
-    opt_cfg = replace(optimizer or OptimizerConfig(), lr=learning_rate)
-    t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    tv = np.asarray(targets_valid, dtype=np.float64).reshape(-1, 1)
-    work = params.copy()
-    state = nn.OptimizerState()
-    draws = nn.draws_masks(work.specs, TRAIN)
-    best = work.copy()
-    best_loss = math.inf
-    bad = 0
-    history = []
-    n = x.shape[0]
-    for e in range(epochs):
-        order = np.random.default_rng(derive_seed(seed, _SHUFFLE, e)).permutation(n)
-        running = 0.0
-        for b, lo in enumerate(range(0, n, batch_size)):
-            idx = order[lo : lo + batch_size]
-            seed_b = derive_seed(seed, _BATCH, e, b) if draws else 0  # read only by dropout
-            out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
-            loss, grad = nn.bce_loss(out, t[idx])
-            grads, _ = nn.backward(work, trace, grad)
-            nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
-            nn.update_running_stats(work, trace)
-            running += loss * len(idx)
-        v_out, _ = nn.forward(work, x_valid, EVAL)
-        v_loss, _ = nn.bce_loss(v_out, tv)
-        history.append((running / n, v_loss))
-        if v_loss < best_loss:
-            best_loss = v_loss
-            best = work.copy()
-            bad = 0
-        else:
-            bad += 1
-            if bad >= patience:
-                break
-    return best, history
+def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FFNNBlackBox:
+    """BCE-trained classifier on the task labels, returned frozen.
 
-
-def train_ffnn_blackbox(
-    train_set: Dataset,
-    valid_set: Dataset,
-    specs: list[LayerSpec] | None = None,
-    *,
-    learning_rate: float = 1e-3,
-    epochs: int = 60,
-    batch_size: int = 256,
-    patience: int = 8,
-    seed: int = 0,
-    optimizer: OptimizerConfig | None = None,
-) -> FFNNBlackBox:
-    """BCE-trained classifier on the task labels, returned frozen."""
+    ``options`` are :class:`BlackBoxConfig` fields. The copy with the lowest
+    validation loss is kept (see :func:`training.fit_epochs`).
+    """
+    cfg = BlackBoxConfig(**options)
     if train_set.y is None or valid_set.y is None:
         raise DataError("black-box training requires binary task labels")
-    if specs is None:
-        specs = default_blackbox_specs(train_set.d)
-    params = nn.init_mlp(specs, derive_seed(seed, 50))
-    fitted, _ = _fit_mlp(
-        params,
-        train_set.x,
-        train_set.y.astype(np.float64),
-        valid_set.x,
-        valid_set.y.astype(np.float64),
-        learning_rate=learning_rate,
-        epochs=epochs,
-        batch_size=batch_size,
-        patience=patience,
-        seed=seed,
-        optimizer=optimizer,
+    work = nn.init_mlp(default_blackbox_specs(train_set.d, cfg.hidden), derive_seed(cfg.seed, 50))
+    x, t = train_set.x, train_set.y.astype(np.float64).reshape(-1, 1)
+    tv = valid_set.y.astype(np.float64).reshape(-1, 1)
+
+    def step(idx, opt_cfg, state, seed_b):
+        out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
+        loss, grad = nn.bce_loss(out, t[idx])
+        grads, _ = nn.backward(work, trace, grad)
+        nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
+        nn.update_running_stats(work, trace)
+        return (loss,)
+
+    def validate(e, means):
+        v_loss, _ = nn.bce_loss(nn.forward(work, valid_set.x, EVAL)[0], tv)
+        return v_loss, None
+
+    fitted, _, _, _ = training.fit_epochs(
+        work, step, validate, n=train_set.n, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        patience=cfg.patience, opt_cfg=OptimizerConfig(lr=cfg.learning_rate),
+        draws=nn.draws_masks(work.specs, TRAIN), shuffle_key=(cfg.seed, _SHUFFLE), batch_key=(cfg.seed, _BATCH),
     )
     return FFNNBlackBox(fitted, descriptor="ffnn trained on task labels")
 

@@ -145,22 +145,18 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_blackbox(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
+    hidden = None if args.hidden is None else tuple(_parse_int_list(args.hidden, "--hidden"))
+    cfg = blackbox.BlackBoxConfig()
+    cfg = _overlay(cfg, seed=_resolve_seed(args, cfg.seed), hidden=hidden, learning_rate=args.learning_rate,
+                   epochs=args.epochs, batch_size=args.batch_size, patience=args.patience)
     train_set = data.load_csv(args.train)
     valid_set = data.load_csv(args.valid)
-    hidden = _parse_int_list(args.hidden, "--hidden")
-    specs = blackbox.default_blackbox_specs(train_set.d, hidden=tuple(hidden))
-    adapter = blackbox.train_ffnn_blackbox(
-        train_set, valid_set, specs,
-        learning_rate=args.learning_rate, epochs=args.epochs,
-        batch_size=args.batch_size, patience=args.patience, seed=seed,
-    )
+    adapter = blackbox.train_ffnn_blackbox(train_set, valid_set, **asdict(cfg))
     out = _out_dir(args.out)
     outputs = {"model": out / "blackbox.json"}
     blackbox.save_blackbox(adapter, outputs["model"])
-    cfg = {"hidden": hidden, "learning_rate": args.learning_rate, "epochs": args.epochs,
-           "batch_size": args.batch_size, "patience": args.patience}
-    _write_manifest(out, "train-blackbox", cfg, {"train": args.train, "valid": args.valid}, outputs, seed, started)
+    _write_manifest(out, "train-blackbox", schema.write(cfg), {"train": args.train, "valid": args.valid}, outputs,
+                    cfg.seed, started)
     return 0
 
 
@@ -388,11 +384,11 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", default="32,16")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--patience", type=int, default=8)
+    p.add_argument("--hidden", default=None, help="comma-separated hidden widths")
+    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--patience", type=int, default=None)
 
     p = add("teach", cmd_teach, "fit per-concept random-forest teachers on golden labels")
     p.add_argument("--golden-train", required=True)

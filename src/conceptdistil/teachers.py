@@ -314,6 +314,8 @@ def teachers_from_doc(doc: dict) -> TeacherSet:
     for i, blob in enumerate(doc["forests"]):
         params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
         n_features = int(blob["n_features"])
+        if len(blob["trees"]) != params.n_trees:
+            raise DataError(f"forests[{i}].trees: holds {len(blob['trees'])} trees, params.n_trees is {params.n_trees}")
         forests.append(Forest([_tree_from_doc(t, n_features) for t in blob["trees"]], params, n_features))
     return TeacherSet(forests, tuple(doc["concept_names"]), tuple(doc["feature_names"]))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +78,7 @@ class TrainConfig:
         return replace(self.optimizer, lr=self.learning_rate)
 
 
-@dataclass
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     total: float
     kd_component: float
     concept_component: float
@@ -208,47 +208,56 @@ def _metric_value(metric, breakdown, fid):
     return -fid  # maximized metric, minimized internally
 
 
-def _run_stage(params, train_set, valid_set, config, *, stage, lam, step_fn, start_epoch):
-    n = train_set.n
-    opt_cfg = config.effective_optimizer()
+def fit_epochs(work, step, validate, *, n, epochs, batch_size, patience, opt_cfg, draws, shuffle_key, batch_key):
+    """Minibatch fit of ``work`` with early stopping; returns ``(best copy, records, best epoch, stopped early)``.
+
+    Epoch ``e`` visits the ``n`` rows in the order drawn from ``derive_seed(*shuffle_key, e)``.
+    ``step(idx, opt_cfg, state, seed)`` updates ``work`` on the rows ``idx`` and returns its loss
+    terms, total first; ``seed`` is ``derive_seed(*batch_key, e, b)`` when the model ``draws``
+    dropout masks, else 0. ``validate(e, train_means)`` turns the row-weighted means of the terms
+    into ``(value, record)``. The copy of ``work`` with the lowest value is kept, and the fit
+    stops after ``patience`` epochs without a lower one.
+    """
     state = nn.OptimizerState()
-    arch = params.config
-    draws = nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN)
     history = []
-    best_value = math.inf
-    best_snapshot = params.copy()
-    best_epoch = start_epoch
-    bad_epochs = 0
-    stopped_early = False
-    for e in range(config.epochs):
-        epoch = start_epoch + e
-        order = np.random.default_rng(derive_seed(config.seed, _SHUFFLE, stage, e)).permutation(n)
-        sums = np.zeros(3)
-        for b, lo in enumerate(range(0, n, config.batch_size)):
-            idx = order[lo : lo + config.batch_size]
-            seed_b = derive_seed(config.seed, _BATCH, stage, e, b) if draws else 0  # read only by dropout
-            breakdown = step_fn(idx, opt_cfg, state, seed_b)
-            if not math.isfinite(breakdown.total):
-                raise NumericError(f"non-finite training loss at epoch {epoch}, batch {b}")
-            sums += len(idx) * np.array([breakdown.total, breakdown.kd_component, breakdown.concept_component])
-        train_means = sums / n
-        vb, vfid = _validation_record(params, valid_set, lam)
-        history.append(
-            EpochRecord(epoch, stage, float(train_means[0]), float(train_means[1]), float(train_means[2]),
-                        vb.total, vb.kd_component, vb.concept_component, vfid)
-        )
-        value = _metric_value(config.validation_metric, vb, vfid)
+    best_value, best, best_epoch, bad, stopped = math.inf, work.copy(), 0, 0, False
+    for e in range(epochs):
+        order = np.random.default_rng(derive_seed(*shuffle_key, e)).permutation(n)
+        sums = 0.0
+        for b, lo in enumerate(range(0, n, batch_size)):
+            idx = order[lo : lo + batch_size]
+            terms = step(idx, opt_cfg, state, derive_seed(*batch_key, e, b) if draws else 0)
+            if not math.isfinite(terms[0]):
+                raise NumericError(f"non-finite training loss at epoch {e}, batch {b}")
+            sums = sums + len(idx) * np.array(terms)
+        value, record = validate(e, sums / n)
+        history.append(record)
         if value < best_value:
-            best_value = value
-            best_snapshot = params.copy()
-            best_epoch = epoch
-            bad_epochs = 0
+            best_value, best, best_epoch, bad = value, work.copy(), e, 0
         else:
-            bad_epochs += 1
-            if bad_epochs >= config.early_stop_patience:
-                stopped_early = True
+            bad += 1
+            if bad >= patience:
+                stopped = True
                 break
-    return best_snapshot, history, best_epoch, stopped_early
+    return best, history, best_epoch, stopped
+
+
+def _run_stage(params, train_set, valid_set, config, *, stage, lam, step_fn, start_epoch):
+    arch = params.config
+
+    def validate(e, means):
+        vb, vfid = _validation_record(params, valid_set, lam)
+        record = EpochRecord(start_epoch + e, stage, float(means[0]), float(means[1]), float(means[2]),
+                             vb.total, vb.kd_component, vb.concept_component, vfid)
+        return _metric_value(config.validation_metric, vb, vfid), record
+
+    best, history, best_e, stopped = fit_epochs(
+        params, step_fn, validate, n=train_set.n, epochs=config.epochs, batch_size=config.batch_size,
+        patience=config.early_stop_patience, opt_cfg=config.effective_optimizer(),
+        draws=nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN),
+        shuffle_key=(config.seed, _SHUFFLE, stage), batch_key=(config.seed, _BATCH, stage),
+    )
+    return best, history, start_epoch + best_e, stopped
 
 
 def _require(condition, message):

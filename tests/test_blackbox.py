@@ -3,8 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from conceptdistil import blackbox, data, metrics, nn
+from conceptdistil import blackbox, data, metrics, nn, training
 from conceptdistil.errors import DataError
+from conceptdistil.nn import EVAL, TRAIN, derive_seed
+
+
+# -- reference loop: the black box's own minibatch fit that training.fit_epochs replaced
+
+def ref_fit_mlp(params, x, targets, x_valid, targets_valid, *, learning_rate, epochs, batch_size, patience, seed):
+    opt_cfg = nn.OptimizerConfig(lr=learning_rate)
+    t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    tv = np.asarray(targets_valid, dtype=np.float64).reshape(-1, 1)
+    work = params.copy()
+    state = nn.OptimizerState()
+    draws = nn.draws_masks(work.specs, TRAIN)
+    best = work.copy()
+    best_loss = math.inf
+    bad = 0
+    history = []
+    n = x.shape[0]
+    for e in range(epochs):
+        order = np.random.default_rng(derive_seed(seed, 51, e)).permutation(n)
+        running = 0.0
+        for b, lo in enumerate(range(0, n, batch_size)):
+            idx = order[lo : lo + batch_size]
+            seed_b = derive_seed(seed, 52, e, b) if draws else 0
+            out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
+            loss, grad = nn.bce_loss(out, t[idx])
+            grads, _ = nn.backward(work, trace, grad)
+            nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
+            nn.update_running_stats(work, trace)
+            running += loss * len(idx)
+        v_out, _ = nn.forward(work, x_valid, EVAL)
+        v_loss, _ = nn.bce_loss(v_out, tv)
+        history.append((running / n, v_loss))
+        if v_loss < best_loss:
+            best_loss = v_loss
+            best = work.copy()
+            bad = 0
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    return best, history
 
 
 def linearly_separable(n=600, d=4, seed=0):
@@ -59,6 +100,66 @@ class TestFFNNBlackBox:
         blackbox.save_blackbox(adapter, path)
         restored = blackbox.load_blackbox(path)
         assert np.array_equal(adapter.score_batch(train.x), restored.score_batch(train.x))
+
+
+class TestSharedLoop:
+    @pytest.fixture(scope="class")
+    def sets(self):
+        train, valid, _ = data.split(linearly_separable(n=600, seed=8), 0.6, 0.2, 0.2)
+        return train, valid
+
+    @pytest.mark.parametrize("options, stops_early", [
+        ({}, False),
+        ({"batch_size": 100, "learning_rate": 3e-3}, False),
+        ({"patience": 1, "learning_rate": 1e-2}, True),
+    ])
+    def test_black_box_equals_the_reference_loop(self, sets, options, stops_early):
+        train, valid = sets
+        cfg = blackbox.BlackBoxConfig(seed=3, **options)
+        init = nn.init_mlp(blackbox.default_blackbox_specs(train.d, cfg.hidden), derive_seed(cfg.seed, 50))
+        expected, history = ref_fit_mlp(init, train.x, train.y, valid.x, valid.y, learning_rate=cfg.learning_rate,
+                                        epochs=cfg.epochs, batch_size=cfg.batch_size, patience=cfg.patience, seed=3)
+        assert (len(history) < cfg.epochs) == stops_early
+        got = blackbox.train_ffnn_blackbox(train, valid, seed=3, **options)
+        assert nn.params_digest(got.params) == nn.params_digest(expected)
+
+    def test_fit_epochs_with_dropout_and_batchnorm_equals_the_reference_loop(self, sets):
+        train, valid = sets
+        specs = [nn.LayerSpec(train.d, 8, "relu", 0.3, True), nn.LayerSpec(8, 1, "sigmoid")]
+        init = nn.init_mlp(specs, 11)
+        assert nn.draws_masks(specs, TRAIN)
+        expected, ref_history = ref_fit_mlp(init, train.x, train.y, valid.x, valid.y, learning_rate=3e-3,
+                                            epochs=12, batch_size=64, patience=3, seed=7)
+        work = init.copy()
+        t, tv = train.y.astype(np.float64).reshape(-1, 1), valid.y.astype(np.float64).reshape(-1, 1)
+
+        def step(idx, opt_cfg, state, seed_b):
+            out, trace = nn.forward(work, train.x[idx], TRAIN, seed_b)
+            loss, grad = nn.bce_loss(out, t[idx])
+            grads, _ = nn.backward(work, trace, grad)
+            nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
+            nn.update_running_stats(work, trace)
+            return (loss,)
+
+        def validate(e, means):
+            v_loss, _ = nn.bce_loss(nn.forward(work, valid.x, EVAL)[0], tv)
+            return v_loss, (float(means[0]), v_loss)
+
+        best, history, _, _ = training.fit_epochs(
+            work, step, validate, n=train.n, epochs=12, batch_size=64, patience=3,
+            opt_cfg=nn.OptimizerConfig(lr=3e-3), draws=True, shuffle_key=(7, 51), batch_key=(7, 52))
+        assert history == ref_history
+        assert nn.params_digest(best) == nn.params_digest(expected)
+
+
+class TestBlackBoxConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("batch_size", 0), ("patience", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("learning_rate", float("nan")),
+    ])
+    def test_out_of_range_option_rejected_naming_it(self, field, value):
+        with pytest.raises(DataError, match=field):
+            blackbox.BlackBoxConfig(**{field: value})
 
 
 class TestScoreFile:

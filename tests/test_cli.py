@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conceptdistil import cli, data, model
+from conceptdistil import blackbox, cli, data, model, schema
 
 
 def run(*argv):
@@ -393,7 +393,51 @@ class TestConfigFiles:
         assert "--config" in capsys.readouterr().err
 
 
+class TestTrainBlackbox:
+    @pytest.fixture(autouse=True)
+    def no_env_seed(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+    def test_flag_defaults_are_the_config_defaults(self, pipeline, tmp_path):
+        d = pipeline / "data"
+        assert run("train-blackbox", "--train", str(d / "train.csv"), "--valid", str(d / "valid.csv"),
+                   "--out", str(tmp_path / "bb")) == 0
+        manifest = json.loads((tmp_path / "bb" / "manifest_train-blackbox.json").read_text())
+        assert manifest["config"] == schema.write(blackbox.BlackBoxConfig())
+        library = blackbox.train_ffnn_blackbox(data.load_csv(d / "train.csv"), data.load_csv(d / "valid.csv"))
+        blackbox.save_blackbox(library, tmp_path / "library.json")
+        assert (tmp_path / "bb" / "blackbox.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+
+    def test_manifest_records_the_resolved_options(self, pipeline, tmp_path):
+        d = pipeline / "data"
+        assert run("train-blackbox", "--train", str(d / "train.csv"), "--valid", str(d / "valid.csv"),
+                   "--out", str(tmp_path / "bb"), "--hidden", "8", "--epochs", "2", "--batch-size", "64",
+                   "--learning-rate", "0.01", "--patience", "3", "--seed", "4") == 0
+        manifest = json.loads((tmp_path / "bb" / "manifest_train-blackbox.json").read_text())
+        assert manifest["config"] == {"hidden": [8], "learning_rate": 0.01, "epochs": 2, "batch_size": 64,
+                                      "patience": 3, "seed": 4}
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--batch-size", "batch_size"), ("--epochs", "epochs"), ("--learning-rate", "learning_rate"),
+    ])
+    def test_zero_option_exits_2_naming_the_field(self, pipeline, tmp_path, capsys, flag, field):
+        d = pipeline / "data"
+        assert run("train-blackbox", "--train", str(d / "train.csv"), "--valid", str(d / "valid.csv"),
+                   "--out", str(tmp_path / "bb"), flag, "0") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "bb" / "blackbox.json").exists()
+
+
 class TestLoadErrors:
+    def test_label_rejects_a_forest_without_trees(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "teachers" / "teachers.json").read_text())
+        doc["forests"][0]["trees"] = []
+        broken = _write_json(tmp_path / "teachers.json", doc)
+        assert run("label", "--input", str(pipeline / "data" / "test.csv"), "--out", str(tmp_path / "l.csv"),
+                   "--teachers", str(broken)) == 2
+        assert "forests[0].trees" in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
     def test_model_without_attention_is_data_error_naming_the_key(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "model" / "model.json").read_text())
         del doc["attention"]

@@ -300,6 +300,17 @@ class TestV1Document:
         with pytest.raises(DataError, match="feature 2"):
             teachers.load_teachers(path)
 
+    @pytest.mark.parametrize("n_trees, trees", [(1, []), (2, "one")])
+    def test_tree_count_must_match_n_trees(self, tmp_path, n_trees, trees):
+        doc = json.loads(json.dumps(V1_DOC))
+        forest = doc["forests"][0]
+        forest["params"]["n_trees"] = n_trees
+        forest["trees"] = forest["trees"] if trees == "one" else trees
+        path = tmp_path / "teachers.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"forests\[0\]\.trees"):
+            teachers.load_teachers(path)
+
 
 @pytest.fixture(scope="module")
 def golden():
