@@ -312,7 +312,7 @@ def cmd_explain(args) -> int:
     seed = _resolve_seed(args)
     params = model.load_model(args.model)
     dataset = data.load_csv(args.input)
-    explanations = model.explain(params, dataset.x, ids=list(dataset.ids))
+    explanations = model.explain(params, dataset.x, ids=dataset.ids)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     model.explanations_to_jsonl(explanations, out_path)

@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -194,6 +195,8 @@ class GeneratorConfig:
             raise DataError("teacher_flip_p must be in [0, 0.5)")
         if self.teacher_feature_count < 0:
             raise DataError("teacher_feature_count must be >= 0")
+        if not 0.0 <= self.noise_level < np.inf:
+            raise DataError(f"noise_level must be finite and >= 0, got {self.noise_level}")
 
 
 def generate_synthetic(config: GeneratorConfig) -> Dataset:
@@ -243,54 +246,67 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
 
 # -- CSV ---------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+ROW_BLOCK = 2048  # rows per CSV block; bounds the per-cell Python objects alive at once
+_BINARY = {"0": 0, "1": 1}
+_CELL_TYPES = {"x": np.float64, "y": np.int64, "golden": np.int64, "soft": np.float64, "bb_scores": np.float64,
+               "teacher_x": np.float64}
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    header = ["id", *dataset.feature_names]
-    if dataset.y is not None:
-        header.append("y")
-    if dataset.golden is not None:
-        header += [f"c_{n}" for n in dataset.concept_names]
-    if dataset.soft is not None:
-        header += [f"c_{n}_soft" for n in dataset.concept_names]
-    if dataset.bb_scores is not None:
-        header.append("bb_score")
-    header += list(dataset.teacher_feature_names)
+    """Floats as ``repr``, 0/1 labels as digits, formatted a column at a time per row block."""
+    names = dataset.concept_names
+    headers = {
+        "x": dataset.feature_names, "y": ("y",), "golden": [f"c_{n}" for n in names],
+        "soft": [f"c_{n}_soft" for n in names], "bb_scores": ("bb_score",), "teacher_x": dataset.teacher_feature_names,
+    }
+    blocks = {field: cols for field, cols in headers.items() if getattr(dataset, field) is not None}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(dataset.n):
-            row = [str(dataset.ids[i]), *(_fmt(v) for v in dataset.x[i])]
-            if dataset.y is not None:
-                row.append(str(int(dataset.y[i])))
-            if dataset.golden is not None:
-                row += [str(int(v)) for v in dataset.golden[i]]
-            if dataset.soft is not None:
-                row += [_fmt(v) for v in dataset.soft[i]]
-            if dataset.bb_scores is not None:
-                row.append(_fmt(dataset.bb_scores[i]))
-            if dataset.teacher_x is not None:
-                row += [_fmt(v) for v in dataset.teacher_x[i]]
-            w.writerow(row)
+        w.writerow(["id", *itertools.chain(*blocks.values())])
+        for a in range(0, dataset.n, ROW_BLOCK):
+            rows = slice(a, a + ROW_BLOCK)
+            columns = [map(str, dataset.ids[rows].tolist())]
+            for field in blocks:
+                kind = _CELL_TYPES[field]
+                part = np.asarray(getattr(dataset, field)[rows], kind)
+                columns += [map(repr if kind is np.float64 else str, col) for col in part.reshape(len(part), -1).T.tolist()]
+            w.writerows(zip(*columns))
 
 
-def _parse_float(cell: str, line_no: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DataError(f"line {line_no}: non-numeric value {cell!r} in column {column!r}") from None
+def _locate_error(path, header, rows, first_line: int, fields) -> None:
+    """The row scan that names the line, and the column, of a block's first bad row or cell."""
+    for line_no, row in enumerate(rows, start=first_line):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
+        for j, kind in ((j, kind) for _, idx, kind in fields for j in idx):
+            cell, column = row[j], header[j]
+            if kind is np.int64 and cell not in _BINARY:
+                raise DataError(f"line {line_no}: expected 0/1 in column {column!r}, got {cell!r}")
+            try:
+                finite = kind is np.int64 or np.isfinite(float(cell))
+            except ValueError:
+                raise DataError(f"line {line_no}: non-numeric value {cell!r} in column {column!r}") from None
+            if not finite:
+                raise DataError(f"line {line_no}: non-finite value {cell!r} in column {column!r}")
 
 
-def _parse_binary(cell: str, line_no: int, column: str) -> int:
-    if cell not in ("0", "1"):
-        raise DataError(f"line {line_no}: expected 0/1 in column {column!r}, got {cell!r}")
-    return int(cell)
+def _read_block(rows, n_fields: int, fields, parts) -> tuple:
+    """Append the block's array of each field to ``parts``; return its ids. ValueError/KeyError on a bad row or cell."""
+    if any(len(row) != n_fields for row in rows):
+        raise ValueError("ragged row")
+    columns, m = list(zip(*rows)), len(rows)
+    for (_, idx, kind), part in zip(fields, parts):
+        block = np.empty((m, len(idx)), kind)
+        for c, j in enumerate(idx):
+            block[:, c] = np.fromiter(map(float if kind is np.float64 else _BINARY.__getitem__, columns[j]), kind, m)
+        if kind is np.float64 and not np.isfinite(block).all():
+            raise ValueError("non-finite value")
+        part.append(block)
+    return columns[0]
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV; errors carry 1-based file line numbers."""
+    """Read a dataset CSV a row block at a time; errors carry 1-based file line numbers."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -302,62 +318,47 @@ def load_csv(path) -> Dataset:
             raise DataError(f"{path}: empty file") from None
         if not header or header[0] != "id":
             raise DataError(f"{path}: first column must be 'id'")
-        feature_cols, teacher_cols, golden_cols, soft_cols = [], [], [], []
-        y_col = score_col = None
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names")
+        columns = {name: [] for name in _CELL_TYPES}  # Dataset field -> its column indexes
         for j, name in enumerate(header[1:], start=1):
-            if name == "y":
-                y_col = j
-            elif name == "bb_score":
-                score_col = j
+            if name in ("y", "bb_score"):
+                columns["y" if name == "y" else "bb_scores"].append(j)
             elif name.startswith("f_"):
-                feature_cols.append((j, name))
+                columns["x"].append(j)
             elif name.startswith("t_"):
-                teacher_cols.append((j, name))
-            elif name.startswith("c_") and name.endswith("_soft"):
-                soft_cols.append((j, name[2:-5]))
+                columns["teacher_x"].append(j)
             elif name.startswith("c_"):
-                golden_cols.append((j, name[2:]))
+                columns["soft" if name.endswith("_soft") else "golden"].append(j)
             else:
                 raise DataError(f"{path}: unrecognized column {name!r}")
-        golden_names = [n for _, n in golden_cols]
-        soft_names = [n for _, n in soft_cols]
+        golden_names = [header[j][2:] for j in columns["golden"]]
+        soft_names = [header[j][2:-5] for j in columns["soft"]]
         if golden_names and soft_names and golden_names != soft_names:
             raise DataError(f"{path}: hard and soft concept columns disagree")
-        concept_names = tuple(golden_names or soft_names)
+        fields = [(name, idx, _CELL_TYPES[name]) for name, idx in columns.items() if idx or name == "x"]
 
-        ids, xs, ys, gs, ss, scores, ts = [], [], [], [], [], [], []
-        n_fields = len(header)
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_fields:
-                raise DataError(f"{path}: line {line_no}: expected {n_fields} fields, got {len(row)}")
-            ids.append(row[0])
-            xs.append([_parse_float(row[j], line_no, name) for j, name in feature_cols])
-            if y_col is not None:
-                ys.append(_parse_binary(row[y_col], line_no, "y"))
-            if golden_cols:
-                gs.append([_parse_binary(row[j], line_no, f"c_{n}") for j, n in golden_cols])
-            if soft_cols:
-                ss.append([_parse_float(row[j], line_no, f"c_{n}_soft") for j, n in soft_cols])
-            if score_col is not None:
-                scores.append(_parse_float(row[score_col], line_no, "bb_score"))
-            if teacher_cols:
-                ts.append([_parse_float(row[j], line_no, name) for j, name in teacher_cols])
+        ids, parts = [], [[np.empty((0, len(idx)), kind)] for _, idx, kind in fields]
+        line_no = 2
+        while rows := list(itertools.islice(reader, ROW_BLOCK)):
+            try:
+                ids += _read_block(rows, len(header), fields, parts)
+            except (ValueError, KeyError):
+                _locate_error(path, header, rows, line_no, fields)
+                raise  # the scan found nothing the cast rejected
+            line_no += len(rows)
 
     ids_arr = np.asarray(ids)
     if len(np.unique(ids_arr)) != len(ids):
         raise DataError(f"{path}: duplicate instance ids")
-    to_mat = lambda rows: np.asarray(rows, dtype=np.float64)
+    squeeze = lambda name, a: a[:, 0] if name in ("y", "bb_scores") else a  # one-column fields are (n,)
+    arrays = {name: squeeze(name, np.concatenate(part)) for (name, _, _), part in zip(fields, parts)}
     return Dataset(
         ids=ids_arr,
-        feature_names=tuple(name for _, name in feature_cols),
-        x=to_mat(xs).reshape(len(ids), len(feature_cols)),
-        y=np.asarray(ys, dtype=np.int64) if y_col is not None else None,
-        concept_names=concept_names,
-        golden=np.asarray(gs, dtype=np.int64) if golden_cols else None,
-        soft=to_mat(ss) if soft_cols else None,
-        bb_scores=to_mat(scores) if score_col is not None else None,
-        teacher_feature_names=tuple(name for _, name in teacher_cols),
-        teacher_x=to_mat(ts) if teacher_cols else None,
+        feature_names=tuple(header[j] for j in columns["x"]),
+        concept_names=tuple(golden_names or soft_names),
+        teacher_feature_names=tuple(header[j] for j in columns["teacher_x"]),
+        **arrays,
     )
 
 

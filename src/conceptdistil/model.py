@@ -12,12 +12,15 @@ contributions, which is what the explanation output exposes.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import nn, schema
+from .data import ROW_BLOCK
 from .errors import DataError
 from .nn import EVAL, LayerSpec, MLPParams, derive_seed
 
@@ -270,60 +273,55 @@ def backward_full(
     return ModelGrads(grads_c, grads_m, grads_a, flat)
 
 
-@dataclass(frozen=True)
-class Explanation:
-    """Per-instance explanation: what the surrogate saw and why it scored so."""
+ExplanationRow = namedtuple("ExplanationRow",
+                            "concept_names concept_probs attention kd_score contributions instance_id")
+
+
+@dataclass(frozen=True, eq=False)
+class Explanations:
+    """What the surrogate saw and why it scored so, per instance; iterating yields an ``ExplanationRow`` of views."""
 
     concept_names: tuple[str, ...]
-    concept_probs: np.ndarray
-    attention: np.ndarray
-    kd_score: float
-    contributions: np.ndarray
-    instance_id: str | None = None
+    ids: tuple[str, ...] | None
+    concept_probs: np.ndarray  # (n, K)
+    attention: np.ndarray  # (n, K), rows sum to 1
+    contributions: np.ndarray  # (n, K), concept_probs * attention
+    kd_score: np.ndarray  # (n,), rows of contributions summed
 
     def __post_init__(self):
-        if abs(self.kd_score - float(self.contributions.sum())) > 1e-9:
+        if self.ids is not None and len(self.ids) != len(self.kd_score):
+            raise DataError("ids length does not match the number of rows")
+        if (np.abs(self.kd_score - self.contributions.sum(axis=1)) > 1e-9).any():
             raise DataError("kd_score must equal the sum of contributions")
-        lo, hi = float(self.concept_probs.min()), float(self.concept_probs.max())
-        if not (lo - 1e-9 <= self.kd_score <= hi + 1e-9):
+        lo, hi = self.concept_probs.min(axis=1), self.concept_probs.max(axis=1)
+        if not ((lo - 1e-9 <= self.kd_score) & (self.kd_score <= hi + 1e-9)).all():
             raise DataError("kd_score must lie within the concept probability range")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.instance_id,
-            "kd_score": self.kd_score,
-            "concept_probs": {n: float(p) for n, p in zip(self.concept_names, self.concept_probs)},
-            "attention": {n: float(a) for n, a in zip(self.concept_names, self.attention)},
-            "contributions": {n: float(c) for n, c in zip(self.concept_names, self.contributions)},
-        }
+    def __iter__(self):
+        ids = repeat(None) if self.ids is None else self.ids
+        return map(ExplanationRow, repeat(self.concept_names), self.concept_probs, self.attention,
+                   self.kd_score.tolist(), self.contributions, ids)
 
 
-def explain(params: ConceptDistilParams, x, ids=None) -> list[Explanation]:
-    """Eval-mode forward returning one Explanation per row."""
+def explain(params: ConceptDistilParams, x, ids=None) -> Explanations:
+    """Eval-mode forward explaining every row of ``x``; ``ids`` name the rows."""
     out = forward_full(params, x, EVAL)
-    n = out.y_e.shape[0]
-    if ids is None:
-        ids = [None] * n
-    elif len(ids) != n:
-        raise DataError("ids length does not match the number of rows")
-    contributions = out.y_e * out.alpha
-    return [
-        Explanation(
-            params.concept_names,
-            out.y_e[i].copy(),
-            out.alpha[i].copy(),
-            float(out.y_kd[i]),
-            contributions[i].copy(),
-            None if ids[i] is None else str(ids[i]),
-        )
-        for i in range(n)
-    ]
+    ids = None if ids is None else tuple(map(str, ids))
+    return Explanations(params.concept_names, ids, out.y_e, out.alpha, out.y_e * out.alpha, out.y_kd)
 
 
-def explanations_to_jsonl(explanations, path) -> None:
+def explanations_to_jsonl(explanations: Explanations, path) -> None:
+    """One JSON object per row, byte for byte as ``json.dumps(..., allow_nan=False)`` writes it."""
+    e = explanations
+    group = "{" + ", ".join(json.dumps(name).replace("%", "%%") + ": %r" for name in e.concept_names) + "}"
+    line = f'{{"id": %s, "kd_score": %r, "concept_probs": {group}, "attention": {group}, "contributions": {group}}}\n'
+    values = np.column_stack([e.kd_score, e.concept_probs, e.attention, e.contributions])
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in explanations:
-            fh.write(json.dumps(ex.to_json_dict(), allow_nan=False) + "\n")
+        for a in range(0, len(values), ROW_BLOCK):
+            ids = repeat("null") if e.ids is None else map(json.dumps, e.ids[a : a + ROW_BLOCK])
+            fh.writelines(line % (i, *v) for v, i in zip(values[a : a + ROW_BLOCK].tolist(), ids))
 
 
 def check_concepts(params: ConceptDistilParams, dataset, what: str) -> None:

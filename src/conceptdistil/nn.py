@@ -396,9 +396,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam"):
             raise DataError(f"unknown optimizer {self.algorithm!r}")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise DataError(f"learning rate must be >= 0, got {self.lr}")
-        if self.l2_penalty < 0:
+        if not self.l2_penalty >= 0:
             raise DataError(f"l2 penalty must be >= 0, got {self.l2_penalty}")
 
 

@@ -71,7 +71,7 @@ class TrainConfig:
             raise DataError(f"unknown validation metric {self.validation_metric!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.early_stop_patience < 1:
             raise DataError("epochs, batch_size and early_stop_patience must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
 
     def effective_optimizer(self) -> OptimizerConfig:

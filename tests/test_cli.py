@@ -341,6 +341,7 @@ class TestConfigFiles:
                       "fraud_weights": [1.0]}, "rule 'empty'"),
         ("gen-data", {"concepts": [{"name": "neg", "feature_indices": [-1], "weights": [1.0], "prevalence": 0.2}],
                       "fraud_weights": [1.0]}, "rule 'neg'"),
+        ("gen-data", {"noise_level": -1.0}, "noise_level must be finite and >= 0"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, command, doc, needle):
         cfg = _write_json(tmp_path / "cfg.json", doc)
@@ -353,6 +354,12 @@ class TestConfigFiles:
         assert run(*words, *data_flags[words[0]], "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert needle in err and str(cfg) in err
+
+    def test_nan_learning_rate_flag_exits_2_naming_it(self, tmp_path, capsys):
+        none = str(tmp_path / "none.csv")  # the flags are checked before any data is read
+        assert run("distill", "--train", none, "--valid", none, "--learning-rate", "nan",
+                   "--out", str(tmp_path / "o")) == 2
+        assert "learning_rate must be > 0" in capsys.readouterr().err
 
     def test_sweep_lambda_mode_honours_learning_rate_l2_and_architecture(self, pipeline, tmp_path):
         d = pipeline / "data"

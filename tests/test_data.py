@@ -1,7 +1,14 @@
+import csv
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conceptdistil import data, schema
 from conceptdistil.errors import DataError
@@ -35,6 +42,11 @@ class TestGenerator:
         data.save_csv(data.generate_synthetic(cfg), a)
         data.save_csv(data.generate_synthetic(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("noise_level", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_level_rejected(self, noise_level):
+        with pytest.raises(DataError, match="noise_level"):
+            data.GeneratorConfig(noise_level=noise_level)
 
     def test_infeasible_prevalence_rejected(self):
         bad = (data.ConceptRule("x", (0, 1, 2), (1.0, 1.0, 1.0), 1.0),)
@@ -100,9 +112,173 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="weird"):
             data.load_csv(path)
 
+    def test_duplicate_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,f_0,y,y\n0,1.0,0,1\n")
+        with pytest.raises(DataError, match="duplicate column"):
+            data.load_csv(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             data.load_csv(tmp_path / "nope.csv")
+
+
+def ref_save_csv(dataset, path) -> None:
+    """The row-at-a-time writer the columnar one replaced."""
+    header = ["id", *dataset.feature_names]
+    if dataset.y is not None:
+        header.append("y")
+    if dataset.golden is not None:
+        header += [f"c_{n}" for n in dataset.concept_names]
+    if dataset.soft is not None:
+        header += [f"c_{n}_soft" for n in dataset.concept_names]
+    if dataset.bb_scores is not None:
+        header.append("bb_score")
+    header += list(dataset.teacher_feature_names)
+    fmt = lambda v: repr(float(v))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(dataset.n):
+            row = [str(dataset.ids[i]), *(fmt(v) for v in dataset.x[i])]
+            if dataset.y is not None:
+                row.append(str(int(dataset.y[i])))
+            if dataset.golden is not None:
+                row += [str(int(v)) for v in dataset.golden[i]]
+            if dataset.soft is not None:
+                row += [fmt(v) for v in dataset.soft[i]]
+            if dataset.bb_scores is not None:
+                row.append(fmt(dataset.bb_scores[i]))
+            if dataset.teacher_x is not None:
+                row += [fmt(v) for v in dataset.teacher_x[i]]
+            w.writerow(row)
+
+
+def ref_load_csv(path) -> data.Dataset:
+    """The row-at-a-time reader the block reader replaced (its error handling left out)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cols = {"f_": [], "t_": [], "c_": [], "soft": []}
+        y_col = score_col = None
+        for j, name in enumerate(header[1:], start=1):
+            if name == "y":
+                y_col = j
+            elif name == "bb_score":
+                score_col = j
+            elif name.startswith("c_") and name.endswith("_soft"):
+                cols["soft"].append((j, name[2:-5]))
+            else:
+                cols[name[:2]].append((j, name[2:] if name.startswith("c_") else name))
+        rows = list(reader)
+    floats = lambda c: np.array([[float(r[j]) for j, _ in c] for r in rows], dtype=np.float64).reshape(len(rows), len(c))
+    ints = lambda c: np.array([[int(r[j]) for j, _ in c] for r in rows], dtype=np.int64).reshape(len(rows), len(c))
+    return data.Dataset(
+        ids=np.asarray([r[0] for r in rows]),
+        feature_names=tuple(n for _, n in cols["f_"]),
+        x=floats(cols["f_"]),
+        y=ints([(y_col, "y")])[:, 0] if y_col is not None else None,
+        concept_names=tuple(n for _, n in cols["c_"] or cols["soft"]),
+        golden=ints(cols["c_"]) if cols["c_"] else None,
+        soft=floats(cols["soft"]) if cols["soft"] else None,
+        bb_scores=floats([(score_col, "bb_score")])[:, 0] if score_col is not None else None,
+        teacher_feature_names=tuple(n for _, n in cols["t_"]),
+        teacher_x=floats(cols["t_"]) if cols["t_"] else None,
+    )
+
+
+def assert_bit_equal(a: data.Dataset, b: data.Dataset) -> None:
+    for f in ("ids", "x", "y", "golden", "soft", "bb_scores", "teacher_x"):
+        x, y = getattr(a, f), getattr(b, f)
+        assert (x is None) == (y is None), f
+        if x is not None:
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f
+            assert x.tobytes() == y.tobytes(), f  # -0.0 and 0.0 differ here
+    for f in ("feature_names", "concept_names", "teacher_feature_names"):
+        assert getattr(a, f) == getattr(b, f), f
+
+
+# ids that need quoting, look numeric, or leave ASCII; NUL is out, as numpy drops trailing NULs
+ID_TEXT = st.lists(st.sampled_from(["a", ",", '"', "\r\n", "\n", "\r", " ", "\u00e9", "\U0001f600", "1", "-0", ".5",
+                                    "e3", "nan", "inf", "'"]), max_size=4).map("".join)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def datasets(draw, max_rows):
+    n = draw(st.integers(1, max_rows))
+    d, k, t = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    block = lambda shape, elements, dtype=np.float64: draw(arrays(dtype, shape, elements=elements))
+    maybe = lambda make: make() if draw(st.booleans()) else None
+    golden = maybe(lambda: block((n, k), st.integers(0, 1), np.int64)) if k else None
+    soft = maybe(lambda: block((n, k), UNIT)) if k else None
+    return data.Dataset(
+        ids=np.array(draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))),
+        feature_names=tuple(f"f_{j}" for j in range(d)),
+        x=block((n, d), FLOATS),
+        y=maybe(lambda: block(n, st.integers(0, 1), np.int64)),
+        concept_names=tuple("abc"[:k]) if golden is not None or soft is not None else (),  # a file names no others
+        golden=golden,
+        soft=soft,
+        bb_scores=maybe(lambda: block(n, UNIT)),
+        teacher_feature_names=tuple(f"t_{j}" for j in range(t)),
+        teacher_x=block((n, t), FLOATS) if t else None,
+    )
+
+
+class TestCsvColumnar:
+    BLOCK = 3
+
+    @settings(max_examples=80)
+    @given(ds=datasets(max_rows=2 * BLOCK + 1))
+    def test_bytes_equal_the_row_writer_and_round_trip_bit_equal(self, ds):
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "ROW_BLOCK", self.BLOCK)  # row counts on both sides of a block boundary
+            new, ref = Path(d) / "new.csv", Path(d) / "ref.csv"
+            data.save_csv(ds, new)
+            ref_save_csv(ds, ref)
+            assert new.read_bytes() == ref.read_bytes()
+            assert_bit_equal(data.load_csv(new), ds)
+            assert_bit_equal(ref_load_csv(new), ds)
+
+    @pytest.fixture(scope="class")
+    def good_lines(self, tmp_path_factory):
+        """A file with every block, one row past two full row blocks, as lines."""
+        n, rng = 2 * data.ROW_BLOCK + 1, np.random.default_rng(3)
+        ds = data.Dataset(
+            ids=np.array([str(i) for i in range(n)]), feature_names=("f_0", "f_1"), x=rng.normal(size=(n, 2)),
+            y=rng.integers(0, 2, n), concept_names=("a",), golden=rng.integers(0, 2, (n, 1)),
+            soft=rng.random((n, 1)), bb_scores=rng.random(n), teacher_feature_names=("t_0",),
+            teacher_x=rng.normal(size=(n, 1)),
+        )
+        path = tmp_path_factory.mktemp("csv") / "good.csv"
+        data.save_csv(ds, path)
+        assert_bit_equal(data.load_csv(path), ds)
+        return path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("row", [0, data.ROW_BLOCK + 6, 2 * data.ROW_BLOCK])
+    @pytest.mark.parametrize("column, cell, message", [
+        ("f_1", "abc", "non-numeric value 'abc' in column 'f_1'"),
+        ("y", "2", "expected 0/1 in column 'y', got '2'"),
+        ("c_a", "1.0", "expected 0/1 in column 'c_a', got '1.0'"),
+        ("f_0", "inf", "non-finite value 'inf' in column 'f_0'"),
+        ("c_a_soft", "nan", "non-finite value 'nan' in column 'c_a_soft'"),
+        ("bb_score", "-inf", "non-finite value '-inf' in column 'bb_score'"),
+        ("t_0", "1e999", "non-finite value '1e999' in column 't_0'"),
+        (None, None, "expected 8 fields, got 7"),  # a ragged row
+    ])
+    def test_bad_cell_names_its_line_and_column(self, good_lines, tmp_path, row, column, cell, message):
+        header = good_lines[0].rstrip("\r\n").split(",")
+        cells = good_lines[row + 1].rstrip("\r\n").split(",")
+        if column is None:
+            cells.pop()
+        else:
+            cells[header.index(column)] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(good_lines[: row + 1]) + ",".join(cells) + "\r\n" + "".join(good_lines[row + 2:]))
+        with pytest.raises(DataError, match=re.escape(f"line {row + 2}: {message}")):
+            data.load_csv(path)
 
 
 class TestSplit:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptdistil import model, nn
 from conceptdistil.errors import DataError
@@ -91,12 +93,13 @@ class TestAttentionForward:
 
 class TestExplainForward:
     def test_combination_arithmetic(self):
-        ex = model.Explanation(
+        (ex,) = model.Explanations(
             ("a", "b"),
-            np.array([0.2, 0.8]),
-            np.array([0.5, 0.5]),
-            0.5,
-            np.array([0.1, 0.4]),
+            None,
+            np.array([[0.2, 0.8]]),
+            np.array([[0.5, 0.5]]),
+            np.array([[0.1, 0.4]]),
+            np.array([0.5]),
         )
         assert ex.kd_score == 0.5
         assert list(ex.contributions) == [0.1, 0.4]
@@ -120,7 +123,8 @@ class TestExplainForward:
 
     def test_explanation_invariants_enforced(self):
         with pytest.raises(DataError):
-            model.Explanation(("a", "b"), np.array([0.2, 0.4]), np.array([0.5, 0.5]), 0.9, np.array([0.45, 0.45]))
+            model.Explanations(("a", "b"), None, np.array([[0.2, 0.4]]), np.array([[0.5, 0.5]]),
+                               np.array([[0.45, 0.45]]), np.array([0.9]))
 
     def test_explain_returns_ids_and_sums(self):
         params = model.init_model(tiny_arch(), ("a", "b", "c"), seed=4)
@@ -140,6 +144,79 @@ class TestExplainForward:
         doc = json.loads(lines[0])
         assert list(doc["concept_probs"]) == ["zeta", "alpha", "mid"]
         assert set(doc) == {"id", "kd_score", "concept_probs", "attention", "contributions"}
+
+
+def ref_explain(params, x, ids=None) -> list[dict]:
+    """The per-row explanation objects the columnar record replaced."""
+    out = model.forward_full(params, x)
+    contributions = out.y_e * out.alpha
+    return [
+        dict(concept_names=params.concept_names, concept_probs=out.y_e[i].copy(), attention=out.alpha[i].copy(),
+             kd_score=float(out.y_kd[i]), contributions=contributions[i].copy(),
+             instance_id=None if ids is None else str(ids[i]))
+        for i in range(out.y_e.shape[0])
+    ]
+
+
+def ref_explanations_to_jsonl(rows, path) -> None:
+    """One ``json.dumps`` per row, as the explanation writer did before it worked on arrays."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in rows:
+            doc = {"id": r["instance_id"], "kd_score": r["kd_score"]}
+            for key, values in (("concept_probs", r["concept_probs"]), ("attention", r["attention"]),
+                                ("contributions", r["contributions"])):
+                doc[key] = {n: float(v) for n, v in zip(r["concept_names"], values)}
+            fh.write(json.dumps(doc, allow_nan=False) + "\n")
+
+
+ADVERSARIAL_TEXT = st.lists(st.sampled_from(["a", "%", "%s", "%%r", '"', "{", "}", "\\", ",", "\r\n", "\u00e9", "\u65e5",
+                                             "\U0001f600", "\ud800", "1", ".", "e", " "]), max_size=4).map("".join)
+
+
+class TestColumnarExplanations:
+    @settings(max_examples=40)
+    @given(names=st.lists(ADVERSARIAL_TEXT, min_size=1, max_size=4, unique=True),
+           n=st.integers(0, 9), with_ids=st.booleans(), block=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_jsonl_bytes_equal_the_per_row_writer(self, tmp_path_factory, names, n, with_ids, block, seed):
+        params = model.init_model(tiny_arch(k=len(names)), names, seed=seed)
+        x = np.random.default_rng(seed).normal(size=(n, 4))
+        ids = [f"{i}{''.join(names)}" for i in range(n)] if with_ids else None
+        d = tmp_path_factory.mktemp("jsonl")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "ROW_BLOCK", block)  # row counts on both sides of a block boundary
+            model.explanations_to_jsonl(model.explain(params, x, ids), d / "new.jsonl")
+        ref_explanations_to_jsonl(ref_explain(params, x, ids), d / "ref.jsonl")
+        assert (d / "new.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
+
+    def test_iteration_yields_the_per_row_values(self):
+        params = model.init_model(tiny_arch(), ("a", "b", "c"), seed=6)
+        x = np.random.default_rng(11).normal(size=(5, 4))
+        ids = np.array(["r0", "r1", "r2", "r3", "r4"])
+        rows = list(model.explain(params, x, ids))
+        assert len(rows) == 5
+        for row, ref in zip(rows, ref_explain(params, x, ids)):
+            assert row.concept_names == ref["concept_names"]
+            assert type(row.kd_score) is float and row.kd_score == ref["kd_score"]
+            assert type(row.instance_id) is str and row.instance_id == ref["instance_id"]
+            for key in ("concept_probs", "attention", "contributions"):
+                np.testing.assert_array_equal(getattr(row, key), ref[key])
+        assert [r.instance_id for r in model.explain(params, x)] == [None] * 5
+
+    def test_invariants_are_checked_on_every_row(self):
+        probs, attention = np.array([[0.2, 0.8], [0.2, 0.4]]), np.full((2, 2), 0.5)
+        contributions = probs * attention
+        kd = contributions.sum(axis=1)
+        model.Explanations(("a", "b"), None, probs, attention, contributions, kd)
+        with pytest.raises(DataError, match="sum of contributions"):
+            model.Explanations(("a", "b"), None, probs, attention, contributions, kd + [0.0, 1e-8])
+        with pytest.raises(DataError, match="ids length"):
+            model.Explanations(("a", "b"), ("only",), probs, attention, contributions, kd)
+
+    def test_non_finite_value_is_not_written_as_json(self, tmp_path):
+        probs, attention = np.array([[0.2, 0.8]]), np.array([[0.5, np.nan]])  # attention itself is not checked
+        ex = model.Explanations(("a", "b"), None, probs, attention, probs * [[0.5, 0.5]], np.array([0.5]))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            model.explanations_to_jsonl(ex, tmp_path / "x.jsonl")
 
 
 class TestValidation:

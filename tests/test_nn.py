@@ -317,6 +317,11 @@ class TestOptimizer:
         with pytest.raises(DataError):
             nn.OptimizerConfig(lr=-0.1)
 
+    @pytest.mark.parametrize("option", ["lr", "l2_penalty"])
+    def test_nan_rate_rejected(self, option):
+        with pytest.raises(DataError):
+            nn.OptimizerConfig(**{option: float("nan")})
+
     def test_zero_grad_zero_l2_leaves_params_bit_identical(self):
         specs = [nn.LayerSpec(3, 4, "relu"), nn.LayerSpec(4, 1, "sigmoid")]
         for algorithm in ("sgd", "adam"):

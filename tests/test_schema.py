@@ -44,7 +44,7 @@ def generator_configs(draw):
     return data.GeneratorConfig(
         n_instances=draw(counts), d_features=d, concepts=tuple(rules),
         fraud_weights=tuple(draw(st.lists(finite, min_size=len(rules), max_size=len(rules)))),
-        fraud_intercept=draw(finite), noise_level=draw(finite),
+        fraud_intercept=draw(finite), noise_level=draw(st.floats(min_value=0.0, max_value=1e6)),
         teacher_feature_count=draw(st.integers(0, 20)),
         teacher_flip_p=draw(st.floats(min_value=0.0, max_value=0.49)), seed=draw(seeds),
     )
