@@ -97,11 +97,12 @@ def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FF
     work = nn.init_mlp(default_blackbox_specs(train_set.d, cfg.hidden), derive_seed(cfg.seed, 50))
     x, t = train_set.x, train_set.y.astype(np.float64).reshape(-1, 1)
     tv = valid_set.y.astype(np.float64).reshape(-1, 1)
+    grads = nn.new_grads([work])[1][0]  # one buffer for the fit, overwritten every step
 
     def step(idx, opt_cfg, state, seed_b):
         out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
         loss, grad = nn.bce_loss(out, t[idx])
-        grads, _ = nn.backward(work, trace, grad)
+        nn.backward(work, trace, grad, grads, input_grad=False)
         nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
         nn.update_running_stats(work, trace)
         return (loss,)

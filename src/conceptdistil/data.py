@@ -72,10 +72,9 @@ class Dataset:
             raise DataError("y must be binary 0/1")
         if self.golden is not None and not np.isin(self.golden, (0, 1)).all():
             raise DataError("golden concept labels must be binary 0/1")
-        if self.soft is not None and (self.soft.min() < 0 or self.soft.max() > 1):
-            raise DataError("soft concept labels must lie in [0, 1]")
-        if self.bb_scores is not None and (self.bb_scores.min() < 0 or self.bb_scores.max() > 1):
-            raise DataError("black-box scores must lie in [0, 1]")
+        for block, what in ((self.soft, "soft concept labels"), (self.bb_scores, "black-box scores")):
+            if block is not None and block.size and (block.min() < 0 or block.max() > 1):  # no rows, no range
+                raise DataError(f"{what} must lie in [0, 1]")
         if (self.teacher_x is None) != (len(self.teacher_feature_names) == 0):
             raise DataError("teacher columns and names must be present together")
 

@@ -239,12 +239,19 @@ class ModelGrads:
         return nn.unstack(self.heads)
 
 
+def new_grads(params: ConceptDistilParams) -> ModelGrads:
+    """A gradient buffer for ``params``, for :func:`backward_full` to overwrite step after step."""
+    flat, sets = nn.new_grads([params.theta_c, params.heads, params.theta_a])
+    return ModelGrads(*sets, flat)
+
+
 def backward_full(
     params: ConceptDistilParams,
     outputs: ModelOutputs,
     d_y_kd: np.ndarray,
     d_y_e: np.ndarray,
     stop_concept_grad: bool = False,
+    grads: ModelGrads | None = None,
 ) -> ModelGrads:
     """Backpropagate loss gradients through the combiner and all stacks.
 
@@ -252,25 +259,27 @@ def backward_full(
     the direct gradient w.r.t. the concept probabilities. With
     ``stop_concept_grad`` the mimicry path is cut at the concept outputs:
     its gradient still reaches the attention stack but contributes
-    nothing to trunk or heads.
+    nothing to trunk or heads. Every slot of ``grads`` (new when omitted,
+    see :func:`new_grads`) is overwritten and returned.
     """
-    flat, (grads_c, grads_m, grads_a) = nn.new_grads([params.theta_c, params.heads, params.theta_a])
+    if grads is None:
+        grads = new_grads(params)
     y_e, alpha = outputs.y_e, outputs.alpha
     dk = np.asarray(d_y_kd, dtype=np.float64).reshape(-1, 1)
     d_alpha = dk * y_e
     d_e = nn.softmax_backward(alpha, d_alpha)
-    nn.backward(params.theta_a, outputs.attention_trace, d_e, grads_a)
+    nn.backward(params.theta_a, outputs.attention_trace, d_e, grads.theta_a, input_grad=False)
 
     d_ye_total = np.asarray(d_y_e, dtype=np.float64)
     if not stop_concept_grad:
         d_ye_total = d_ye_total + dk * alpha
 
-    _, d_in = nn.backward(params.heads, outputs.concept_traces.stack, d_ye_total.T[:, :, None], grads_m)
-    d_trunk_out = d_in[0]
-    for part in d_in[1:]:  # summed head by head, in order
-        d_trunk_out = d_trunk_out + part
-    nn.backward(params.theta_c, outputs.concept_traces.trunk, d_trunk_out, grads_c)
-    return ModelGrads(grads_c, grads_m, grads_a, flat)
+    _, d_in = nn.backward(params.heads, outputs.concept_traces.stack, d_ye_total.T[:, :, None], grads.heads)
+    d_trunk_out = d_in[0]  # d_in is backward's own array: summed into in place, head by head, in order
+    for part in d_in[1:]:
+        d_trunk_out += part
+    nn.backward(params.theta_c, outputs.concept_traces.trunk, d_trunk_out, grads.theta_c, input_grad=False)
+    return grads
 
 
 ExplanationRow = namedtuple("ExplanationRow",

@@ -220,11 +220,11 @@ class ForwardTrace:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # branch-free, with the bits of 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below
+    ez = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, ez)
+    ez += 1.0
+    out /= ez
     return out
 
 
@@ -311,30 +311,36 @@ def new_grads(mlps) -> tuple[np.ndarray, list[GradientSet]]:
     return flat, sets
 
 
-def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: GradientSet | None = None):
+def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: GradientSet | None = None,
+             input_grad: bool = True):
     """Exact reverse-mode gradients of the traced computation.
 
     Differentiates through the dropout masks and, in train mode, through
-    the batch statistics. Writes into ``grads`` (new when omitted) and
-    returns ``(grads, gradient w.r.t. the input)``.
+    the batch statistics. Overwrites every slot of ``grads`` (new when
+    omitted), so a buffer reused from step to step needs no zeroing, and
+    returns ``(grads, gradient w.r.t. the input)``; the input gradient is
+    None when ``input_grad`` is False, which skips the first layer's
+    ``d @ W``. ``upstream_grad`` is not modified.
     """
     if len(trace.layers) != len(params.specs):
         raise DataError("trace does not match params (layer counts differ)")
-    d = np.ascontiguousarray(upstream_grad, dtype=np.float64)
+    # a private C-ordered copy, worked on in place; C order keeps the matmuls' bits
+    d = np.array(upstream_grad, dtype=np.float64, order="C")
     last = trace.layers[-1].act_out
     if d.shape != last.shape:
         raise DataError(f"upstream_grad shape {d.shape} does not match output {last.shape}")
     if grads is None:
         grads = new_grads([params])[1][0]
-    for spec, layer, lt, g in reversed(list(zip(params.specs, params.layers, trace.layers, grads.layers))):
+    steps = list(enumerate(zip(params.specs, params.layers, trace.layers, grads.layers)))
+    for i, (spec, layer, lt, g) in reversed(steps):
         if lt.x_in.shape[-1] != spec.in_dim:
             raise DataError("trace does not match params (layer input width differs)")
         if lt.mask is not None:
-            d = d * lt.mask
+            d *= lt.mask
         if spec.activation == "relu":
-            d = d * (lt.act_out > 0.0)
+            d *= lt.act_out > 0.0
         elif spec.activation == "sigmoid":
-            d = d * (lt.act_out * (1.0 - lt.act_out))
+            d *= lt.act_out * (1.0 - lt.act_out)
         if spec.use_batchnorm:
             np.sum(d * lt.z_hat, axis=-2, out=g.gamma)
             np.sum(d, axis=-2, out=g.beta)
@@ -345,9 +351,11 @@ def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: Gradi
                 d = (inv / n) * (n * dzh - dzh.sum(axis=-2, keepdims=True)
                                  - lt.z_hat * (dzh * lt.z_hat).sum(axis=-2, keepdims=True))
             else:
-                d = d * (layer.gamma / np.sqrt(lt.bn_var + BN_EPS))[..., None, :]
+                d *= (layer.gamma / np.sqrt(lt.bn_var + BN_EPS))[..., None, :]
         np.matmul(d.swapaxes(-1, -2), lt.x_in, out=g.weights)
         np.sum(d, axis=-2, out=g.bias)
+        if i == 0 and not input_grad:
+            return grads, None
         d = d @ layer.weights
     return grads, d
 
@@ -364,8 +372,21 @@ def bce_loss(pred, target) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise DataError(f"pred shape {pred.shape} != target shape {target.shape}")
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log1p(-p))))
-    grad = (p - target) / (p * (1.0 - p)) / p.size
+    # in place, each operation rounding as in
+    # mean(-(target * log(p) + (1 - target) * log1p(-p))) and (p - target) / (p * (1 - p)) / p.size
+    terms = np.log(p)
+    terms *= target
+    rest = np.negative(p)
+    np.log1p(rest, out=rest)
+    rest *= 1.0 - target
+    terms += rest
+    np.negative(terms, out=terms)
+    loss = float(np.mean(terms))
+    den = 1.0 - p
+    den *= p
+    grad = np.subtract(p, target, out=p)
+    grad /= den
+    grad /= grad.size
     return loss, grad
 
 
@@ -373,9 +394,10 @@ def softmax_rowwise(e) -> np.ndarray:
     """Row-wise softmax with max subtraction; every row sums to 1."""
     e = as_matrix(e, "softmax input")
     ensure_finite(e, "softmax input")
-    shifted = e - e.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    ex = e - e.max(axis=1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=1, keepdims=True)
+    return ex
 
 
 def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
@@ -400,6 +422,11 @@ class OptimizerConfig:
             raise DataError(f"learning rate must be >= 0, got {self.lr}")
         if not self.l2_penalty >= 0:
             raise DataError(f"l2 penalty must be >= 0, got {self.l2_penalty}")
+        for name in ("adam_beta1", "adam_beta2"):  # a beta of 1 (or NaN) turns every parameter NaN
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise DataError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise DataError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass

@@ -163,10 +163,10 @@ def _concept_targets(dataset) -> np.ndarray | None:
     return None
 
 
-def _joint_step(params, xb, ye_t, kd_t, lam, stop_concept_grad, opt_cfg, state, rng_seed):
+def _joint_step(params, grads, xb, ye_t, kd_t, lam, stop_concept_grad, opt_cfg, state, rng_seed):
     out = model.forward_full(params, xb, TRAIN, rng_seed)
     breakdown, d_kd, d_ye = total_loss(out.y_e, out.y_kd, ye_t, kd_t, lam)
-    grads = model.backward_full(params, out, d_kd, d_ye, stop_concept_grad=stop_concept_grad)
+    model.backward_full(params, out, d_kd, d_ye, stop_concept_grad=stop_concept_grad, grads=grads)
     nn.optimizer_step(params.flat, grads.flat, opt_cfg, state)
     nn.update_running_stats(params.theta_c, out.concept_traces.trunk)
     nn.update_running_stats(params.heads, out.concept_traces.stack)
@@ -174,7 +174,7 @@ def _joint_step(params, xb, ye_t, kd_t, lam, stop_concept_grad, opt_cfg, state, 
     return breakdown
 
 
-def _attention_step(params, xb, kd_t, opt_cfg, state, rng_seed):
+def _attention_step(params, grads_a, xb, kd_t, opt_cfg, state, rng_seed):
     # stage 2: concept predictions frozen at their deployment-time values
     y_e, _ = model.concept_forward(params, xb, EVAL)
     alpha, trace_a = model.attention_forward(params, xb, TRAIN, rng_seed)
@@ -183,7 +183,7 @@ def _attention_step(params, xb, kd_t, opt_cfg, state, rng_seed):
     d_kd = g[:, 0].reshape(-1, 1)
     d_alpha = d_kd * y_e
     d_e = nn.softmax_backward(alpha, d_alpha)
-    grads_a, _ = nn.backward(params.theta_a, trace_a, d_e)
+    nn.backward(params.theta_a, trace_a, d_e, grads_a, input_grad=False)
     nn.optimizer_step(params.theta_a.flat, grads_a.flat, opt_cfg, state)
     nn.update_running_stats(params.theta_a, trace_a)
     return LossBreakdown(kd_component, kd_component, 0.0)
@@ -292,9 +292,10 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
         work = res1.params
         frozen = work.concept_digest()
         kd_t = train_set.bb_scores
+        grads_a = nn.new_grads([work.theta_a])[1][0]  # one buffer for the stage, overwritten every step
 
         def stage2_step(idx, opt_cfg, state, seed_b):
-            return _attention_step(work, train_set.x[idx], kd_t[idx], opt_cfg, state, seed_b)
+            return _attention_step(work, grads_a, train_set.x[idx], kd_t[idx], opt_cfg, state, seed_b)
 
         stage2_cfg = replace(config, validation_metric=METRIC_COMBINED)
         best, hist2, best_epoch, stopped = _run_stage(
@@ -314,11 +315,12 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     stop = variant == NO_GRADIENT
     kd_t = train_set.bb_scores
     x_train = train_set.x
+    grads = model.new_grads(work)  # one buffer for the stage, overwritten every step
 
     def joint(idx, opt_cfg, state, seed_b):
         ye_b = None if ye_train is None else ye_train[idx]
         kd_b = None if kd_t is None else kd_t[idx]
-        return _joint_step(work, x_train[idx], ye_b, kd_b, lam, stop, opt_cfg, state, seed_b)
+        return _joint_step(work, grads, x_train[idx], ye_b, kd_b, lam, stop, opt_cfg, state, seed_b)
 
     best, history, best_epoch, stopped = _run_stage(
         work, train_set, valid_set, config, stage=1, lam=lam, step_fn=joint, start_epoch=0

@@ -7,8 +7,11 @@ from conceptdistil import blackbox, data, metrics, nn, training
 from conceptdistil.errors import DataError
 from conceptdistil.nn import EVAL, TRAIN, derive_seed
 
+import nn_reference as ref
 
-# -- reference loop: the black box's own minibatch fit that training.fit_epochs replaced
+
+# -- reference loop: the black box's own minibatch fit that training.fit_epochs replaced, with the
+# reference kernels and a fresh gradient buffer every step
 
 def ref_fit_mlp(params, x, targets, x_valid, targets_valid, *, learning_rate, epochs, batch_size, patience, seed):
     opt_cfg = nn.OptimizerConfig(lr=learning_rate)
@@ -29,13 +32,13 @@ def ref_fit_mlp(params, x, targets, x_valid, targets_valid, *, learning_rate, ep
             idx = order[lo : lo + batch_size]
             seed_b = derive_seed(seed, 52, e, b) if draws else 0
             out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
-            loss, grad = nn.bce_loss(out, t[idx])
-            grads, _ = nn.backward(work, trace, grad)
+            loss, grad = ref.bce_loss(out, t[idx])
+            grads, _ = ref.backward(work, trace, grad)
             nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
             nn.update_running_stats(work, trace)
             running += loss * len(idx)
         v_out, _ = nn.forward(work, x_valid, EVAL)
-        v_loss, _ = nn.bce_loss(v_out, tv)
+        v_loss, _ = ref.bce_loss(v_out, tv)
         history.append((running / n, v_loss))
         if v_loss < best_loss:
             best_loss = v_loss

@@ -342,6 +342,7 @@ class TestConfigFiles:
         ("gen-data", {"concepts": [{"name": "neg", "feature_indices": [-1], "weights": [1.0], "prevalence": 0.2}],
                       "fraud_weights": [1.0]}, "rule 'neg'"),
         ("gen-data", {"noise_level": -1.0}, "noise_level must be finite and >= 0"),
+        ("distill", {"optimizer": {"adam_beta1": 1.0}}, "adam_beta1 must be in [0, 1)"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, command, doc, needle):
         cfg = _write_json(tmp_path / "cfg.json", doc)

@@ -356,6 +356,13 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match=field):
             data.Dataset(ids=np.array(["a", "b"]), feature_names=("f_0",), x=np.zeros((2, 1)), **blocks[field])
 
+    @pytest.mark.parametrize("header, field", [("id,f_0,bb_score", "bb_scores"), ("id,f_0,c_a_soft", "soft")])
+    def test_header_only_file_with_a_ranged_block_loads_empty(self, tmp_path, header, field):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        ds = data.load_csv(path)
+        assert ds.n == 0 and getattr(ds, field).shape[0] == 0
+
     def test_take_and_exclude(self, small_dataset):
         subset = small_dataset.take([0, 3, 5])
         assert subset.n == 3

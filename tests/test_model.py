@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conceptdistil import model, nn
 from conceptdistil.errors import DataError
 
+import nn_reference as ref
+
 
 def tiny_arch(n_features=4, k=3, dropout=0.0, batchnorm=False):
     return model.build_architecture(
@@ -325,6 +327,28 @@ class TestStackedHeads:
 
 
 class TestBackwardFull:
+    @pytest.mark.parametrize("mode", [nn.TRAIN, nn.EVAL])
+    @pytest.mark.parametrize("arch, n", [
+        (tiny_arch(), 8),
+        (tiny_arch(dropout=0.2, batchnorm=True), 8),
+        # eight heads summed into a one-wide trunk output on a one-row batch: the one shape where a single
+        # numpy reduction over the head axis would add in a different order than head by head
+        (model.build_architecture(4, 8, trunk_widths=(3, 1), head_widths=(), attention_widths=(3,)), 1),
+    ], ids=["plain", "dropout-batchnorm", "eight-heads-one-row"])
+    def test_reused_buffer_gives_the_reference_bits(self, mode, arch, n):
+        params = model.init_model(arch, tuple(f"c{i}" for i in range(arch.k_concepts)), seed=6)
+        params.theta_c.layers[-1].bias += 2.0  # live trunk relus, so the heads' summed gradient reaches the trunk
+        rng = np.random.default_rng(12)
+        grads = model.new_grads(params)
+        grads.flat[:] = np.nan  # any slot backward_full left unwritten would keep a NaN
+        for step in range(2):  # the second step overwrites the first one's gradients
+            out = model.forward_full(params, rng.normal(size=(n, 4)), mode, rng_seed=step)
+            d_kd, d_ye = rng.normal(size=n), rng.normal(size=(n, arch.k_concepts))
+            for stop in (False, True):
+                got = model.backward_full(params, out, d_kd, d_ye, stop_concept_grad=stop, grads=grads)
+                want = ref.backward_full(params, out, d_kd, d_ye, stop_concept_grad=stop)
+                assert got is grads and got.flat.tobytes() == want.flat.tobytes()
+
     def test_stop_concept_grad_blocks_kd_path_exactly(self):
         params = model.init_model(tiny_arch(), ("a", "b", "c"), seed=6)
         x = np.random.default_rng(12).normal(size=(8, 4))

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from conceptdistil import nn
 from conceptdistil.errors import DataError, NumericError
 
+import nn_reference as ref
 from oracles import fd_check_blocks, relu_kink_clearance, straight_line_mlp
+
+# overflow and underflow edges of exp, signed zeros, subnormals and the largest magnitudes
+EDGES = [745.0, -745.0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+         1e308, -1e308]
 
 
 def identity_layer(dim):
@@ -181,6 +186,101 @@ class TestBackward:
             nn.backward(b, trace, np.ones_like(out))
 
 
+@st.composite
+def traced_mlps(draw):
+    """A plain, dropout or batchnorm MLP, stacked or not, traced in train or eval mode, and two upstreams."""
+    kind = draw(st.sampled_from(["plain", "dropout", "batchnorm"]))
+    mode = draw(st.sampled_from([nn.TRAIN, nn.EVAL]))
+    k = draw(st.sampled_from([None, 1, 3]))  # None: unstacked
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    acts = draw(st.lists(st.sampled_from(nn.ACTIVATIONS), min_size=len(dims) - 1, max_size=len(dims) - 1))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    specs = [nn.LayerSpec(a, b, act, 0.3 if kind == "dropout" else 0.0, kind == "batchnorm")
+             for a, b, act in zip(dims, dims[1:], acts)]
+    rng = np.random.default_rng(seed)
+    members = [nn.init_mlp(specs, seed + i) for i in range(k or 1)]
+    for layer in (l for m in members for l in m.layers):
+        layer.bias += rng.normal(scale=0.1, size=layer.bias.shape)
+        if layer.gamma is not None:  # eval mode scales by gamma / sqrt(running_var + eps)
+            layer.gamma[:] = rng.uniform(0.5, 1.5, size=layer.gamma.shape)
+            layer.running_mean[:] = rng.normal(size=layer.running_mean.shape)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, size=layer.running_var.shape)
+    params = nn.stack(members) if k else members[0]
+    seeds = [seed + 100 + i for i in range(k)] if k else seed + 100
+    out, trace = nn.forward(params, rng.normal(size=(n, dims[0])), mode, seeds)
+    return params, trace, rng.normal(size=out.shape), rng.normal(size=out.shape)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestInPlaceBackward:
+    @given(traced_mlps(), st.booleans())
+    def test_reused_dirty_buffer_gives_the_reference_bits(self, case, input_grad):
+        params, trace, first, up = case
+        flat, (grads,) = nn.new_grads([params])
+        flat[:] = np.nan  # any slot backward left unwritten would keep a NaN
+        for upstream in (first, up):  # the second call reuses a buffer holding the first one's gradients
+            kept = upstream.copy()
+            got, d_in = nn.backward(params, trace, upstream, grads, input_grad=input_grad)
+            want, want_d_in = ref.backward(params, trace, upstream)
+            assert got is grads
+            assert_same_bits(grads.flat, want.flat)
+            if input_grad:
+                assert_same_bits(d_in, want_d_in)
+            else:
+                assert d_in is None
+            assert_same_bits(upstream, kept)
+
+    @pytest.mark.parametrize("mode", [nn.TRAIN, nn.EVAL])
+    def test_transposed_upstream_gives_the_bits_of_its_contiguous_copy(self, mode):
+        # the shape and layout of the stacked heads' upstream, (n, K) transposed to (K, n, 1)
+        specs = [nn.LayerSpec(5, 4, "relu", 0.2, True), nn.LayerSpec(4, 1, "sigmoid")]
+        params = nn.stack([nn.init_mlp(specs, seed) for seed in range(3)])
+        rng = np.random.default_rng(4)
+        _, trace = nn.forward(params, rng.normal(size=(20, 5)), mode, [1, 2, 3])
+        up = rng.normal(size=(20, 3)).T[:, :, None]
+        assert not up.flags.c_contiguous
+        got, d_in = nn.backward(params, trace, up)
+        copy, copy_d_in = nn.backward(params, trace, np.ascontiguousarray(up))
+        want, want_d_in = ref.backward(params, trace, up)
+        for a, b in ((got.flat, copy.flat), (d_in, copy_d_in), (got.flat, want.flat), (d_in, want_d_in)):
+            assert_same_bits(a, b)
+
+
+class TestKernelsMatchReferences:
+    def test_sigmoid(self):
+        z = np.array(EDGES + [709.8, -709.8, 746.0, -746.0, 36.7, -36.7, 1e-300, -1e-300])
+        z = np.concatenate([z, np.random.default_rng(0).normal(scale=40.0, size=62)])
+        for shaped in (z, z.reshape(2, 4, -1)):
+            assert_same_bits(nn._sigmoid(shaped), ref.sigmoid(shaped))
+
+    @given(st.lists(st.lists(st.sampled_from(EDGES) | st.floats(-1e3, 1e3), min_size=1, max_size=5),
+                    min_size=1, max_size=6).filter(lambda rows: len({len(r) for r in rows}) == 1))
+    def test_softmax(self, rows):
+        with np.errstate(over="ignore"):  # 1e308 - (-1e308) overflows to inf in both, and exp(-inf) is 0
+            assert_same_bits(nn.softmax_rowwise(rows), ref.softmax_rowwise(rows))
+
+    def test_bce_loss(self):
+        lo, hi = nn.BCE_EPS, 1.0 - nn.BCE_EPS
+        preds = EDGES + [lo, hi, np.nextafter(lo, 0), np.nextafter(lo, 1), np.nextafter(hi, 0),
+                         np.nextafter(hi, 1), 0.5, 1.0]
+        targets = [0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2**-53]
+        pred, target = (a.copy() for a in np.meshgrid(preds, targets))
+        cases = [(pred, target), (pred[:, :1], target[:, :1])]
+        cases += [(pred[i : i + 1, j : j + 1], target[i : i + 1, j : j + 1])
+                  for i in range(len(targets)) for j in range(len(preds))]
+        for p, t in cases:
+            kept = p.copy()
+            loss, grad = nn.bce_loss(p, t)
+            want_loss, want_grad = ref.bce_loss(p, t)
+            assert_same_bits(np.float64(loss), np.float64(want_loss))
+            assert_same_bits(grad, want_grad)
+            assert_same_bits(p, kept)
+
+
 class TestBceLoss:
     def test_half_vs_one_is_ln2(self):
         loss, _ = nn.bce_loss([[0.5]], [[1.0]])
@@ -321,6 +421,18 @@ class TestOptimizer:
     def test_nan_rate_rejected(self, option):
         with pytest.raises(DataError):
             nn.OptimizerConfig(**{option: float("nan")})
+
+    @pytest.mark.parametrize("option, value", [
+        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta1", float("nan")),
+        ("adam_beta2", 1.0), ("adam_beta2", -1e-9), ("adam_beta2", float("nan")),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", float("nan")),
+    ])
+    def test_out_of_range_adam_option_rejected_naming_it(self, option, value):
+        with pytest.raises(DataError, match=option):
+            nn.OptimizerConfig(**{option: value})
+
+    def test_zero_betas_accepted(self):
+        nn.OptimizerConfig(adam_beta1=0.0, adam_beta2=0.0)
 
     def test_zero_grad_zero_l2_leaves_params_bit_identical(self):
         specs = [nn.LayerSpec(3, 4, "relu"), nn.LayerSpec(4, 1, "sigmoid")]

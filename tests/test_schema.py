@@ -23,8 +23,10 @@ layer_specs = st.builds(
 forest_params = st.builds(
     teachers.ForestParams, counts, counts, counts, st.none() | counts, st.booleans(), seeds,
 )
+betas = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 optimizer_configs = st.builds(
-    nn.OptimizerConfig, st.sampled_from(("sgd", "adam")), unit, unit, unit, unit, unit,
+    nn.OptimizerConfig, st.sampled_from(("sgd", "adam")), unit, unit, betas, betas,
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
 train_configs = st.builds(
     training.TrainConfig, unit, st.floats(min_value=1e-9, max_value=10.0), counts, counts, counts, seeds,

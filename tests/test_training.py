@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conceptdistil import data, model, nn, training
+from conceptdistil import data, metrics, model, nn, training
 from conceptdistil.errors import DataError
+from conceptdistil.nn import EVAL, TRAIN, derive_seed
+
+import nn_reference as ref
 
 
 def tiny_arch(d=4, k=3, batchnorm=False, dropout=0.0):
@@ -288,3 +291,104 @@ class TestTrainingLoop:
         assert stages == {1, 2}
         epochs = [r.epoch for r in result.history]
         assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)
+
+
+# -- reference loop: training.train spelled out, with the reference kernels and fresh gradients every step
+
+def ref_total_loss(y_e, y_kd, ye_t, kd_t, lam):
+    kd, d_kd = 0.0, np.zeros(len(y_kd))
+    if kd_t is not None:
+        kd, g = ref.bce_loss(y_kd.reshape(-1, 1), kd_t.reshape(-1, 1))
+        d_kd = lam * g[:, 0]
+    concept, d_ye = 0.0, np.zeros_like(y_e)
+    if ye_t is not None:
+        concept, g = ref.bce_loss(y_e, ye_t)
+        d_ye = (1.0 - lam) * g
+    return (lam * kd + (1.0 - lam) * concept, kd, concept), d_kd, d_ye
+
+
+def ref_fit(work, step, train_set, valid_set, config, *, stage, lam, start):
+    arch = work.config
+    opt = config.effective_optimizer()
+    state = nn.OptimizerState()
+    draws = nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN)
+    n = train_set.n
+    best, best_value, best_epoch, bad, stopped, history = work.copy(), math.inf, 0, 0, False, []
+    for e in range(config.epochs):
+        order = np.random.default_rng(derive_seed(config.seed, 101, stage, e)).permutation(n)
+        sums = np.zeros(3)
+        for b, lo in enumerate(range(0, n, config.batch_size)):
+            idx = order[lo : lo + config.batch_size]
+            seed = derive_seed(config.seed, 102, stage, e, b) if draws else 0
+            sums += len(idx) * np.array(step(idx, opt, state, seed))
+        out = model.forward_full(work, valid_set.x, EVAL)
+        (total, kd, concept), _, _ = ref_total_loss(out.y_e, out.y_kd, valid_set.soft, valid_set.bb_scores, lam)
+        fid = metrics.fidelity(out.y_kd, valid_set.bb_scores)
+        history.append(training.EpochRecord(start + e, stage, *map(float, sums / n), total, kd, concept, fid))
+        value = {training.METRIC_COMBINED: total, training.METRIC_CONCEPT_BCE: concept,
+                 training.METRIC_FIDELITY: -fid}[config.validation_metric]
+        if value < best_value:
+            best, best_value, best_epoch, bad = work.copy(), value, e, 0
+        else:
+            bad += 1
+            if bad >= config.early_stop_patience:
+                stopped = True
+                break
+    return training.TrainResult(best, history, start + best_epoch, stopped)
+
+
+def ref_train(params, train_set, valid_set, config):
+    work = params.copy()
+    kd_t, ye_t = train_set.bb_scores, train_set.soft
+    if config.variant == training.TWO_STAGED:
+        first = ref_train(work, train_set, valid_set, replace(config, variant=training.BASELINE_CONCEPT))
+        work = first.params
+
+        def stage2(idx, opt, state, seed):
+            y_e, _ = model.concept_forward(work, train_set.x[idx], EVAL)
+            alpha, trace_a = model.attention_forward(work, train_set.x[idx], TRAIN, seed)
+            kd, g = ref.bce_loss((y_e * alpha).sum(axis=1).reshape(-1, 1), kd_t[idx].reshape(-1, 1))
+            grads, _ = ref.backward(work.theta_a, trace_a, nn.softmax_backward(alpha, g[:, 0].reshape(-1, 1) * y_e))
+            nn.optimizer_step(work.theta_a.flat, grads.flat, opt, state)
+            nn.update_running_stats(work.theta_a, trace_a)
+            return kd, kd, 0.0
+
+        stage2_config = replace(config, validation_metric=training.METRIC_COMBINED)
+        second = ref_fit(work, stage2, train_set, valid_set, stage2_config, stage=2, lam=1.0, start=len(first.history))
+        return replace(second, history=first.history + second.history)
+    lam = {training.BASELINE_DISTILL: 1.0, training.BASELINE_CONCEPT: 0.0}.get(config.variant, config.lam)
+
+    def joint(idx, opt, state, seed):
+        out = model.forward_full(work, train_set.x[idx], TRAIN, seed)
+        terms, d_kd, d_ye = ref_total_loss(out.y_e, out.y_kd, ye_t[idx], kd_t[idx], lam)
+        grads = ref.backward_full(work, out, d_kd, d_ye, config.variant == training.NO_GRADIENT)
+        nn.optimizer_step(work.flat, grads.flat, opt, state)
+        nn.update_running_stats(work.theta_c, out.concept_traces.trunk)
+        nn.update_running_stats(work.heads, out.concept_traces.stack)
+        nn.update_running_stats(work.theta_a, out.attention_trace)
+        return terms
+
+    return ref_fit(work, joint, train_set, valid_set, config, stage=1, lam=lam, start=0)
+
+
+class TestOneGradientBufferPerFit:
+    @pytest.mark.parametrize("variant", training.VARIANTS)
+    @pytest.mark.parametrize("regularised", [False, True], ids=["plain", "dropout-batchnorm"])
+    def test_variant_equals_the_fresh_gradient_reference_loop(self, variant, regularised):
+        train_set, valid_set = make_sets(n=48, seed=21)
+        arch = tiny_arch(dropout=0.2, batchnorm=True) if regularised else tiny_arch()
+        params = model.init_model(arch, ("c0", "c1", "c2"), seed=14)
+        cfg = quick_config(variant=variant, epochs=3)
+        got, want = training.train(params, train_set, valid_set, cfg), ref_train(params, train_set, valid_set, cfg)
+        assert got.params.digest() == want.params.digest()
+        assert (got.history, got.best_epoch, got.stopped_early) == (want.history, want.best_epoch, want.stopped_early)
+
+    def test_early_stopped_fit_equals_the_fresh_gradient_reference_loop(self):
+        train_set, valid_set = make_sets(n=48, seed=22)
+        params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=15)
+        cfg = quick_config(epochs=30, early_stop_patience=1, learning_rate=5e-2,
+                           validation_metric=training.METRIC_FIDELITY)
+        got, want = training.train(params, train_set, valid_set, cfg), ref_train(params, train_set, valid_set, cfg)
+        assert want.stopped_early
+        assert got.params.digest() == want.params.digest()
+        assert (got.history, got.best_epoch) == (want.history, want.best_epoch)
