@@ -20,6 +20,7 @@ from . import nn, schema, training
 from .data import Dataset
 from .errors import DataError
 from .nn import EVAL, TRAIN, LayerSpec, MLPParams, OptimizerConfig, derive_seed
+from .schema import Checked, bounded, each, ge, gt
 
 FORMAT_VERSION = 1
 
@@ -60,22 +61,15 @@ class ScoreFileBlackBox:
 
 
 @dataclass(frozen=True)
-class BlackBoxConfig:
+class BlackBoxConfig(Checked):
     """The options of :func:`train_ffnn_blackbox` and their defaults."""
 
-    hidden: tuple[int, ...] = (32, 16)
-    learning_rate: float = 1e-3
-    epochs: int = 60
-    batch_size: int = 256
-    patience: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:  # NaN too
-            raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
+    hidden: tuple[int, ...] = bounded((32, 16), each(ge(1)))
+    learning_rate: float = bounded(1e-3, gt(0))
+    epochs: int = bounded(60, ge(1))
+    batch_size: int = bounded(256, ge(1))
+    patience: int = bounded(8, ge(1))
+    seed: int = bounded(0, ge(0))
 
 
 def default_blackbox_specs(n_features: int, hidden) -> list[LayerSpec]:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .nn import derive_seed
+from .schema import Checked, bounded, each, ge, nonempty, within
 
 SEQUENTIAL = "sequential"
 RANDOM = "random"
@@ -131,14 +132,14 @@ def concept_prevalences(dataset: Dataset) -> dict[str, float]:
 # -- synthetic generator ------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConceptRule:
+class ConceptRule(Checked):
     """Linear threshold rule: concept fires when the weighted feature sum
     exceeds a quantile calibrated to hit the target prevalence."""
 
     name: str
-    feature_indices: tuple[int, ...]
+    feature_indices: tuple[int, ...] = bounded(MISSING, nonempty, each(ge(0)))
     weights: tuple[float, ...]
-    prevalence: float
+    prevalence: float = bounded(MISSING, within(0, 1, lo_open=True, hi_open=True))
 
 
 # Default concept vocabulary. The oblique eight-feature rules (overlapping
@@ -162,40 +163,26 @@ _DEFAULT_CONCEPTS = (
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    n_instances: int = 50_000
-    d_features: int = 16
-    concepts: tuple[ConceptRule, ...] = _DEFAULT_CONCEPTS
+class GeneratorConfig(Checked):
+    n_instances: int = bounded(50_000, ge(1))
+    d_features: int = bounded(16, ge(1))
+    concepts: tuple[ConceptRule, ...] = bounded(_DEFAULT_CONCEPTS, nonempty)
     fraud_weights: tuple[float, ...] = (-1.4, 1.5, 1.1, 1.5, 1.2, 0.9)
     fraud_intercept: float = -2.3
-    noise_level: float = 0.6
-    teacher_feature_count: int = 6
-    teacher_flip_p: float = 0.1
-    seed: int = 0
+    noise_level: float = bounded(0.6, ge(0))
+    teacher_feature_count: int = bounded(6, ge(0))
+    teacher_flip_p: float = bounded(0.1, within(0, 0.5, hi_open=True))
+    seed: int = bounded(0, ge(0))
 
     def __post_init__(self):
-        if self.n_instances < 1 or self.d_features < 1:
-            raise DataError("n_instances and d_features must be >= 1")
+        super().__post_init__()
         if len(self.fraud_weights) != len(self.concepts):
             raise DataError("fraud_weights must have one entry per concept")
         for rule in self.concepts:
-            if not 0.0 < rule.prevalence < 1.0:
-                raise DataError(f"infeasible prevalence {rule.prevalence} for {rule.name!r}")
             if len(rule.feature_indices) != len(rule.weights):
                 raise DataError(f"rule {rule.name!r}: indices and weights differ in length")
-            idx = rule.feature_indices
-            if not idx or min(idx) < 0 or max(idx) >= self.d_features:
-                raise DataError(f"rule {rule.name!r}: feature_indices must be non-empty and in [0, d_features)")
-            if not all(np.isfinite(rule.weights)):
-                raise DataError(f"rule {rule.name!r} has non-finite weights")
-        if not all(np.isfinite(self.fraud_weights)) or not np.isfinite(self.fraud_intercept):
-            raise DataError("fraud link parameters must be finite")
-        if not 0.0 <= self.teacher_flip_p < 0.5:
-            raise DataError("teacher_flip_p must be in [0, 0.5)")
-        if self.teacher_feature_count < 0:
-            raise DataError("teacher_feature_count must be >= 0")
-        if not 0.0 <= self.noise_level < np.inf:
-            raise DataError(f"noise_level must be finite and >= 0, got {self.noise_level}")
+            if max(rule.feature_indices) >= self.d_features:
+                raise DataError(f"rule {rule.name!r}: feature_indices must be < d_features ({self.d_features})")
 
 
 def generate_synthetic(config: GeneratorConfig) -> Dataset:

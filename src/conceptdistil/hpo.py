@@ -19,34 +19,32 @@ from . import metrics, model, training
 from .data import Dataset
 from .errors import ConceptDistilError, DataError
 from .nn import derive_seed
+from .schema import Checked, bounded, each, ge, gt, nonempty, within
 
 _TRIAL = 41
 _REPEAT = 42
 
 
 @dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(Checked):
     """Bounds for random sampling; widths and learning rate are log-uniform."""
 
-    trunk_depth: tuple[int, int] = (3, 5)
-    head_depth: tuple[int, int] = (3, 7)
-    attention_depth: tuple[int, int] = (1, 4)
-    width: tuple[int, int] = (2, 2048)
-    lam: tuple[float, float] = (0.2, 0.8)
-    learning_rate: tuple[float, float] = (0.0005, 0.01)
-    dropout: tuple[float, float] = (0.0, 0.4)
-    l2: tuple[float, float] = (0.0, 0.1)
-    batchnorm: tuple[bool, ...] = (False, True)
+    trunk_depth: tuple[int, int] = bounded((3, 5), each(ge(1)))
+    head_depth: tuple[int, int] = bounded((3, 7), each(ge(1)))
+    attention_depth: tuple[int, int] = bounded((1, 4), each(ge(1)))
+    width: tuple[int, int] = bounded((2, 2048), each(ge(1)))
+    lam: tuple[float, float] = bounded((0.2, 0.8), each(within(0, 1)))
+    learning_rate: tuple[float, float] = bounded((0.0005, 0.01), each(gt(0)))
+    dropout: tuple[float, float] = bounded((0.0, 0.4), each(within(0, 1, hi_open=True)))
+    l2: tuple[float, float] = bounded((0.0, 0.1), each(ge(0)))
+    batchnorm: tuple[bool, ...] = bounded((False, True), nonempty)
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("trunk_depth", "head_depth", "attention_depth", "width", "lam", "learning_rate", "dropout", "l2"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise DataError(f"{name} bounds out of order: {lo} > {hi}")
-        if self.width[0] < 1:
-            raise DataError("widths must be >= 1")
-        if not self.batchnorm:
-            raise DataError("batchnorm options must not be empty")
 
 
 def _log_uniform_int(rng, lo, hi):
@@ -283,9 +281,6 @@ def lambda_sweep(
     lambda sharing the same derived seed so the comparison is paired.
     """
     lambdas = [float(v) for v in lambdas]
-    for v in lambdas:
-        if not 0.0 <= v <= 1.0:
-            raise DataError(f"lambda {v} outside [0, 1]")
     if n_repeats < 1:
         raise DataError("n_repeats must be >= 1")
     base = base or training.TrainConfig()

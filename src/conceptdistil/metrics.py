@@ -16,6 +16,8 @@ def _as_vector(a, name) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64).ravel()
     if out.size == 0:
         raise DataError(f"{name} must not be empty")
+    if not np.isfinite(out).all():
+        raise DataError(f"{name} must be finite")
     return out
 
 

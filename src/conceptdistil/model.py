@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from . import nn, schema
 from .data import ROW_BLOCK
 from .errors import DataError
 from .nn import EVAL, LayerSpec, MLPParams, derive_seed
+from .schema import Checked, bounded, each, ge, nonempty, within
 
 FORMAT_VERSION = 1
 
@@ -33,7 +34,7 @@ _SEED_ATTENTION = 2
 
 
 @dataclass(frozen=True)
-class ArchitectureConfig:
+class ArchitectureConfig(Checked):
     """Layer stacks for the three sub-networks.
 
     ``head_template`` is replicated once per concept (each head gets its
@@ -42,17 +43,14 @@ class ArchitectureConfig:
     identity units.
     """
 
-    k_concepts: int
-    trunk: tuple[LayerSpec, ...]
-    head_template: tuple[LayerSpec, ...]
-    attention: tuple[LayerSpec, ...]
+    k_concepts: int = bounded(MISSING, ge(1))
+    trunk: tuple[LayerSpec, ...] = bounded(MISSING, nonempty)
+    head_template: tuple[LayerSpec, ...] = bounded(MISSING, nonempty)
+    attention: tuple[LayerSpec, ...] = bounded(MISSING, nonempty)
 
     def __post_init__(self):
-        if self.k_concepts < 1:
-            raise DataError("k_concepts must be >= 1")
+        super().__post_init__()
         for name, stack in (("trunk", self.trunk), ("head", self.head_template), ("attention", self.attention)):
-            if not stack:
-                raise DataError(f"{name} stack must have at least one layer")
             for i in range(len(stack) - 1):
                 if stack[i].out_dim != stack[i + 1].in_dim:
                     raise DataError(f"{name} stack dims do not chain at layer {i}")
@@ -73,13 +71,13 @@ class ArchitectureConfig:
 
 
 @dataclass(frozen=True)
-class ArchitectureOptions:
+class ArchitectureOptions(Checked):
     """The keyword options of :func:`build_architecture` and their defaults."""
 
-    trunk_widths: tuple[int, ...] = (64, 48, 32)
-    head_widths: tuple[int, ...] = (16, 8)
-    attention_widths: tuple[int, ...] = (16,)
-    dropout_p: float = 0.0
+    trunk_widths: tuple[int, ...] = bounded((64, 48, 32), nonempty, each(ge(1)))
+    head_widths: tuple[int, ...] = bounded((16, 8), each(ge(1)))
+    attention_widths: tuple[int, ...] = bounded((16,), each(ge(1)))
+    dropout_p: float = bounded(0.0, within(0, 1, hi_open=True))
     use_batchnorm: bool = False
 
 
@@ -90,8 +88,6 @@ def build_architecture(n_features: int, k_concepts: int, **options) -> Architect
     output layers stay plain.
     """
     o = ArchitectureOptions(**options)
-    if not o.trunk_widths:
-        raise DataError("trunk needs at least one width")
 
     def chain(in_dim, widths, last=()):  # relu hidden layers, then the plain output layer ``last``
         dims = [in_dim, *widths]

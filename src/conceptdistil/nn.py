@@ -18,12 +18,13 @@ side effect of :func:`forward`. This keeps (params, input, mode, seed)
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 
 from . import schema
 from .errors import DataError, NumericError
+from .schema import Checked, bounded, ge, gt, one_of, within
 
 TRAIN = "train"
 EVAL = "eval"
@@ -56,7 +57,7 @@ def ensure_finite(a: np.ndarray, context: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Checked):
     """Shape and behaviour of one layer.
 
     Dropout and batch normalization, when enabled, act on this layer's
@@ -64,19 +65,11 @@ class LayerSpec:
     activation -> dropout).
     """
 
-    in_dim: int
-    out_dim: int
-    activation: str = "relu"
-    dropout_p: float = 0.0
+    in_dim: int = bounded(MISSING, ge(1))
+    out_dim: int = bounded(MISSING, ge(1))
+    activation: str = bounded("relu", one_of(ACTIVATIONS))
+    dropout_p: float = bounded(0.0, within(0, 1, hi_open=True))
     use_batchnorm: bool = False
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise DataError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise DataError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.activation not in ACTIVATIONS:
-            raise DataError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -407,26 +400,14 @@ def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    algorithm: str = "adam"  # "sgd" or "adam"
-    lr: float = 1e-3
-    l2_penalty: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.algorithm not in ("sgd", "adam"):
-            raise DataError(f"unknown optimizer {self.algorithm!r}")
-        if not self.lr >= 0:
-            raise DataError(f"learning rate must be >= 0, got {self.lr}")
-        if not self.l2_penalty >= 0:
-            raise DataError(f"l2 penalty must be >= 0, got {self.l2_penalty}")
-        for name in ("adam_beta1", "adam_beta2"):  # a beta of 1 (or NaN) turns every parameter NaN
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise DataError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise DataError(f"adam_eps must be > 0, got {self.adam_eps}")
+class OptimizerConfig(Checked):
+    algorithm: str = bounded("adam", one_of(("sgd", "adam")))
+    lr: float = bounded(1e-3, ge(0))
+    l2_penalty: float = bounded(0.0, ge(0))
+    # a beta of 1 turns every parameter NaN
+    adam_beta1: float = bounded(0.9, within(0, 1, hi_open=True))
+    adam_beta2: float = bounded(0.999, within(0, 1, hi_open=True))
+    adam_eps: float = bounded(1e-8, gt(0))
 
 
 @dataclass

@@ -2,6 +2,10 @@
 
 Keys are the field names, or the file names given in ``names``. Every
 error is a :class:`DataError` naming the document and the key path.
+
+A field's single-value rules live in its metadata (:func:`bounded`), and
+:func:`check` applies them, so a config built in Python, from a flag or
+from a file fails alike, naming the field.
 """
 
 from __future__ import annotations
@@ -10,10 +14,68 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 from .errors import DataError
+
+RULES = "rules"  # the metadata key of a field's rules
+
+
+class Rule(typing.NamedTuple):
+    """A field rule: ``test(v)`` is true for a valid value and ``text`` says which values are."""
+
+    text: str
+    test: typing.Callable
+
+
+def within(lo, hi=math.inf, lo_open=False, hi_open=False) -> Rule:
+    """Valid when ``lo <= v <= hi`` (``<`` at an open end), so NaN never is."""
+    text = (f"{'>' if lo_open else '>='} {lo}" if hi == math.inf
+            else f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
+    return Rule(text, lambda v: (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi))
+
+
+ge = within  # ge(lo): lo <= v
+gt = partial(within, lo_open=True)  # gt(lo): lo < v
+nonempty = Rule("non-empty", bool)
+# every field's implicit rule: a float, alone or in a tuple, is finite
+_FINITE = Rule("finite", lambda v: all(math.isfinite(x) for x in (v if isinstance(v, tuple) else (v,))
+                                       if isinstance(x, float)))
+
+
+def one_of(options) -> Rule:
+    return Rule("one of " + ", ".join(map(repr, options)), tuple(options).__contains__)
+
+
+def each(rule: Rule) -> Rule:
+    return Rule(f"all {rule.text}", lambda v: all(map(rule.test, v)))
+
+
+def bounded(default, *rules):
+    """A dataclass field with ``default`` (``MISSING``: required) whose value must pass ``rules``."""
+    return field(default=default, metadata={RULES: rules})
+
+
+def check(obj) -> None:
+    """Raise a DataError naming the first field of dataclass ``obj`` that breaks its rules."""
+    for f in fields(obj):
+        if bad := _violation(getattr(obj, f.name), f.metadata.get(RULES, ())):
+            raise DataError(f"{f.name} {bad}")
+
+
+class Checked:
+    """Base of a config dataclass: constructing one applies :func:`check`."""
+
+    __post_init__ = check
+
+
+def _violation(value, rules) -> str | None:
+    """``must be <rule>, got <value>`` for the first rule ``value`` breaks, else None. None passes:
+    whether a field may be null is up to its type."""
+    broken = next((r for r in (_FINITE, *rules) if value is not None and not r.test(value)), None)
+    return broken and f"must be {broken.text}, got {value!r}"
 
 
 def read(cls, doc, where: str, names: dict | None = None, reject: dict | None = None, prefix: str = ""):
@@ -29,14 +91,16 @@ def read(cls, doc, where: str, names: dict | None = None, reject: dict | None = 
         path = prefix + key
         if path in reject or key not in by_key:
             raise DataError(f"{where}: key {path!r} {reject.get(path, 'is unknown')}")
-        name = by_key[key].name
-        kwargs[name] = _cast(hints[name], value, where, names, reject, path)
+        f = by_key[key]
+        kwargs[f.name] = _cast(hints[f.name], value, where, names, reject, path)
+        if bad := _violation(kwargs[f.name], f.metadata.get(RULES, ())):
+            raise DataError(f"{where}: {path!r} {bad}")
     for key, f in by_key.items():
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise DataError(f"{where}: key {prefix + key!r} is missing")
     try:
         return cls(**kwargs)
-    except DataError as exc:  # the dataclass's own range checks
+    except DataError as exc:  # the dataclass's cross-field checks
         raise DataError(f"{where}: {exc}") from None
 
 
@@ -54,8 +118,6 @@ def _cast(tp, value, where, names, reject, path):
         value = float(value)
     if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
         raise DataError(f"{where}: {path!r} expects {tp.__name__}, got {value!r}")
-    if tp is float and not math.isfinite(value):
-        raise DataError(f"{where}: {path!r} must be finite, got {value!r}")
     return value
 
 

@@ -20,6 +20,7 @@ from . import metrics, schema
 from .data import Dataset
 from .errors import DataError
 from .nn import derive_seed
+from .schema import Checked, bounded, ge
 
 FORMAT_VERSION = 1
 
@@ -60,23 +61,13 @@ def _leaf_row(i, fraction, count, depth) -> list:
 
 
 @dataclass(frozen=True)
-class ForestParams:
-    n_trees: int = 100
-    max_depth: int = 8
-    min_leaf: int = 5
-    feature_subsample: int | None = None  # None -> ceil(sqrt(d))
+class ForestParams(Checked):
+    n_trees: int = bounded(100, ge(1))
+    max_depth: int = bounded(8, ge(1))
+    min_leaf: int = bounded(5, ge(1))
+    feature_subsample: int | None = bounded(None, ge(1))  # None -> ceil(sqrt(d))
     bootstrap: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise DataError("n_trees must be >= 1")
-        if self.min_leaf < 1:
-            raise DataError("min_leaf must be >= 1")
-        if self.max_depth < 1:
-            raise DataError("max_depth must be >= 1")
-        if self.feature_subsample is not None and self.feature_subsample < 1:
-            raise DataError(f"feature_subsample must be >= 1 or null, got {self.feature_subsample}")
+    seed: int = bounded(0, ge(0))
 
     def resolved_subsample(self, d: int) -> int:
         if self.feature_subsample is None:
@@ -247,7 +238,7 @@ def tune_teachers(
             n_trees=int(rng.integers(50, 201)),
             max_depth=int(rng.integers(3, 13)),
             min_leaf=int(rng.integers(1, 21)),
-            feature_subsample=int(rng.integers(2, d + 1)),
+            feature_subsample=int(rng.integers(min(2, d), d + 1)),
             bootstrap=bool(rng.integers(0, 2)),
             seed=derive_seed(seed, _TUNE, t, 1),
         )

@@ -32,6 +32,7 @@ import numpy as np
 from . import metrics, model, nn
 from .errors import DataError, NumericError
 from .nn import EVAL, TRAIN, OptimizerConfig, derive_seed
+from .schema import Checked, bounded, ge, gt, one_of, within
 
 DEFAULT = "default"
 NO_GRADIENT = "no-gradient"
@@ -51,28 +52,16 @@ _BATCH = 102
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    lam: float = 0.5
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    batch_size: int = 256
-    early_stop_patience: int = 10
-    seed: int = 0
-    variant: str = DEFAULT
+class TrainConfig(Checked):
+    lam: float = bounded(0.5, within(0, 1))
+    learning_rate: float = bounded(1e-3, gt(0))
+    epochs: int = bounded(100, ge(1))
+    batch_size: int = bounded(256, ge(1))
+    early_stop_patience: int = bounded(10, ge(1))
+    seed: int = bounded(0, ge(0))
+    variant: str = bounded(DEFAULT, one_of(VARIANTS))
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    validation_metric: str = METRIC_COMBINED
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise DataError(f"lam must be in [0, 1], got {self.lam}")
-        if self.variant not in VARIANTS:
-            raise DataError(f"unknown variant {self.variant!r}")
-        if self.validation_metric not in VALIDATION_METRICS:
-            raise DataError(f"unknown validation metric {self.validation_metric!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.early_stop_patience < 1:
-            raise DataError("epochs, batch_size and early_stop_patience must be >= 1")
-        if not self.learning_rate > 0:
-            raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
+    validation_metric: str = bounded(METRIC_COMBINED, one_of(VALIDATION_METRICS))
 
     def effective_optimizer(self) -> OptimizerConfig:
         return replace(self.optimizer, lr=self.learning_rate)

@@ -242,6 +242,18 @@ class TestOptionalFlags:
         manifest = json.loads((out / "manifest_teach.json").read_text())
         assert manifest["seed"] == 3 and manifest["result"] == {"tune": 2}
 
+    def test_teach_tunes_on_a_one_feature_golden_set(self, tmp_path):
+        cfg = _write_json(tmp_path / "gen.json", {
+            "d_features": 1, "teacher_feature_count": 0, "fraud_weights": [1.0],
+            "concepts": [{"name": "c", "feature_indices": [0], "weights": [1.0], "prevalence": 0.3}],
+        })
+        d = tmp_path / "data"
+        assert run("gen-data", "--config", str(cfg), "--n", "400", "--golden", "100,60,10", "--out", str(d)) == 0
+        out = tmp_path / "tuned"
+        assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid", str(d / "golden_valid.csv"),
+                   "--out", str(out), "--tune", "1") == 0
+        assert json.loads((out / "manifest_teach.json").read_text())["config"]["feature_subsample"] == 1
+
     def test_label_with_score_file(self, pipeline, tmp_path):
         from conceptdistil import blackbox
 
@@ -338,11 +350,19 @@ class TestConfigFiles:
         ("gen-data", {"noise_level": float("nan")}, "'noise_level' must be finite"),
         ("distill", {"learning_rate": float("inf")}, "'learning_rate' must be finite"),
         ("gen-data", {"concepts": [{"name": "empty", "feature_indices": [], "weights": [], "prevalence": 0.2}],
-                      "fraud_weights": [1.0]}, "rule 'empty'"),
+                      "fraud_weights": [1.0]}, "'concepts[0].feature_indices' must be non-empty"),
         ("gen-data", {"concepts": [{"name": "neg", "feature_indices": [-1], "weights": [1.0], "prevalence": 0.2}],
-                      "fraud_weights": [1.0]}, "rule 'neg'"),
-        ("gen-data", {"noise_level": -1.0}, "noise_level must be finite and >= 0"),
-        ("distill", {"optimizer": {"adam_beta1": 1.0}}, "adam_beta1 must be in [0, 1)"),
+                      "fraud_weights": [1.0]}, "'concepts[0].feature_indices' must be all >= 0"),
+        ("gen-data", {"noise_level": -1.0}, "'noise_level' must be >= 0"),
+        ("distill", {"optimizer": {"adam_beta1": 1.0}}, "'optimizer.adam_beta1' must be in [0, 1)"),
+        ("distill", {"lambda": 2}, "'lambda' must be in [0, 1]"),
+        ("distill", {"patience": 0}, "'patience' must be >= 1"),
+        ("teach", {"seed": -1}, "'seed' must be >= 0"),
+        ("distill", {"architecture": {"dropout": 1.0}}, "'architecture.dropout' must be in [0, 1)"),
+        ("distill", {"architecture": {"trunk_widths": [0]}}, "'architecture.trunk_widths' must be all >= 1"),
+        ("gen-data", {"concepts": [{"name": "p", "feature_indices": [0], "weights": [1.0], "prevalence": 1.5}],
+                      "fraud_weights": [1.0]}, "'concepts[0].prevalence' must be in (0, 1)"),
+        ("gen-data", {"concepts": [], "fraud_weights": []}, "'concepts' must be non-empty"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, command, doc, needle):
         cfg = _write_json(tmp_path / "cfg.json", doc)
@@ -360,7 +380,7 @@ class TestConfigFiles:
         none = str(tmp_path / "none.csv")  # the flags are checked before any data is read
         assert run("distill", "--train", none, "--valid", none, "--learning-rate", "nan",
                    "--out", str(tmp_path / "o")) == 2
-        assert "learning_rate must be > 0" in capsys.readouterr().err
+        assert "learning_rate must be finite" in capsys.readouterr().err
 
     def test_sweep_lambda_mode_honours_learning_rate_l2_and_architecture(self, pipeline, tmp_path):
         d = pipeline / "data"

@@ -49,8 +49,8 @@ class TestGenerator:
             data.GeneratorConfig(noise_level=noise_level)
 
     def test_infeasible_prevalence_rejected(self):
-        bad = (data.ConceptRule("x", (0, 1, 2), (1.0, 1.0, 1.0), 1.0),)
-        with pytest.raises(DataError, match="infeasible prevalence"):
+        with pytest.raises(DataError, match=re.escape("prevalence must be in (0, 1)")):
+            bad = (data.ConceptRule("x", (0, 1, 2), (1.0, 1.0, 1.0), 1.0),)
             data.GeneratorConfig(concepts=bad, fraud_weights=(1.0,))
 
     def test_teacher_columns_track_concepts_with_flip_noise(self, small_dataset):

@@ -172,6 +172,11 @@ class TestLambdaSweep:
         with pytest.raises(DataError):
             hpo.lambda_sweep([0.5, 1.2], 1, bundle)
 
+    def test_out_of_range_lambda_fails_before_any_trial(self, bundle, monkeypatch):
+        monkeypatch.setattr(hpo, "_execute", lambda work, jobs: pytest.fail("a trial ran"))
+        with pytest.raises(DataError, match=r"lam must be in \[0, 1\], got 1.5"):
+            hpo.lambda_sweep([0.5, 1.5], 1, bundle)
+
 
 class TestIsolation:
     def test_parallel_execution_matches_sequential(self, bundle):

@@ -35,6 +35,13 @@ class TestFidelity:
         with pytest.raises(DataError):
             metrics.fidelity([1.2], [0.5])
 
+    @pytest.mark.parametrize("pred, true, name", [
+        ([np.nan], [0.5], "predictions"), ([0.5], [np.inf], "references"),
+    ])
+    def test_non_finite_input_rejected_naming_it(self, pred, true, name):
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            metrics.fidelity(pred, true)
+
 
 class TestRocAuc:
     def test_perfect_ranking(self):
@@ -46,6 +53,10 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="AUC undefined"):
             metrics.roc_auc([0.1, 0.2], [1, 1])
+
+    def test_nan_score_rejected(self):  # NaN sorts last in np.unique, so it used to rank as the top score
+        with pytest.raises(DataError, match="scores must be finite"):
+            metrics.roc_auc([np.nan, 0.2, 0.3], [1, 0, 1])
 
     def test_matches_pairwise_oracle_with_heavy_ties(self):
         rng = np.random.default_rng(7)
@@ -118,6 +129,10 @@ class TestRecallAtFpr:
     def test_level_out_of_range_rejected(self):
         with pytest.raises(DataError):
             metrics.recall_at_fpr([0.1, 0.9], [0, 1], 1.5)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="scores must be finite"):
+            metrics.recall_at_fpr([0.1, np.nan, 0.9], [0, 0, 1], 0.5)
 
     def test_matches_exhaustive_threshold_scan(self):
         rng = np.random.default_rng(5)

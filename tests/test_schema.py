@@ -1,12 +1,16 @@
 import json
+import math
 import re
+import types
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistil import cli, data, model, nn, schema, teachers, training
+from conceptdistil import blackbox, cli, data, hpo, model, nn, schema, teachers, training
 from conceptdistil.errors import DataError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -87,7 +91,7 @@ class TestRejections:
             schema.read(cls, doc, "where")
 
     def test_range_checks_name_the_document(self):
-        with pytest.raises(DataError, match="^where: lam must be in"):
+        with pytest.raises(DataError, match="^where: 'lam' must be in"):
             schema.read(training.TrainConfig, {"lam": 2.0}, "where")
 
     def test_rejected_path_gives_the_reason(self):
@@ -128,3 +132,118 @@ def _restrict(written, doc):
     if isinstance(doc, dict):
         return {k: _restrict(written[k], v) for k, v in doc.items()}
     return written
+
+
+# -- field rules ---------------------------------------------------------------
+
+# every dataclass whose fields carry rules; the first four are what --config files and flags fill
+RULED = (data.GeneratorConfig, teachers.ForestParams, blackbox.BlackBoxConfig, cli.TrainingFile,
+         hpo.SearchSpace, model.ArchitectureConfig)
+# numeric fields deliberately left without a range (schema.check still requires their floats to be finite)
+UNBOUNDED = {"GeneratorConfig.fraud_intercept", "GeneratorConfig.fraud_weights", "ConceptRule.weights"}
+
+
+def _element_type(tp):
+    """``int`` for ``int``, ``int | None`` and ``tuple[int, ...]``; likewise for every other type."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType, tuple):
+        return typing.get_args(tp)[0]
+    return tp
+
+
+def _reachable(cls):
+    """``cls`` and every dataclass its fields hold, as (class, field, element type) triples."""
+    for f in fields(cls):
+        tp = _element_type(typing.get_type_hints(cls)[f.name])
+        yield cls, f, tp
+        if is_dataclass(tp):
+            yield from _reachable(tp)
+
+
+FIELDS = {f"{cls.__name__}.{f.name}": (cls, f, tp) for root in RULED for cls, f, tp in _reachable(root)}
+BOUNDED = sorted(key for key, (_, f, _) in FIELDS.items() if f.metadata.get(schema.RULES))
+
+
+def _valid(cls):
+    """A valid instance of ``cls``."""
+    if cls is model.ArchitectureConfig:
+        return model.build_architecture(3, 2)
+    return {data.ConceptRule: data.GeneratorConfig().concepts[0], nn.LayerSpec: nn.LayerSpec(3, 2)}.get(cls) or cls()
+
+
+def _bounds(text):
+    """(lo, hi, lo_open, hi_open) read back from a range rule's text, e.g. ``>= 1`` or ``in [0, 1)``."""
+    if m := re.fullmatch(r"(>=?) (\S+)", text):
+        return float(m[2]), math.inf, m[1] == ">", False
+    m = re.fullmatch(r"in ([\[(])(\S+), (\S+)([\])])", text)
+    return float(m[2]), float(m[3]), m[1] == "(", m[4] == ")"
+
+
+def _outside(rule, tp):
+    """(the values just outside ``rule``, a strategy for any value outside it) for a value of type ``tp``."""
+    if rule is schema.nonempty:
+        return [()], st.just(())
+    if rule.text.startswith("one of "):
+        return [""], st.text().filter(lambda s: not rule.test(s))
+    edges, wider = [], []
+    lo, hi, lo_open, hi_open = _bounds(rule.text)
+    for bound, is_open, sign in ((lo, lo_open, -1), (hi, hi_open, 1)):
+        if math.isinf(bound):
+            continue
+        assert is_open != rule.test(int(bound) if tp is int else bound)  # the text says where the bound lies
+        edge = bound if is_open else bound + sign if tp is int else math.nextafter(bound, sign * math.inf)
+        edges.append(int(edge) if tp is int else edge)
+        limit = {"max_value" if sign < 0 else "min_value": edges[-1]}
+        wider.append(st.integers(**limit) if tp is int else st.floats(**limit, allow_nan=False))
+    return edges + ([math.nan] if tp is float else []), st.one_of(wider)
+
+
+def _rejects(cls, valid, name, bad):
+    """Both ways in, built in Python and read from a document, ``bad`` is a DataError naming ``name``."""
+    with pytest.raises(DataError, match="^" + re.escape(f"{name} must be ")):
+        replace(valid, **{name: bad})
+    doc = {**schema.write(valid), name: schema.write(bad)}
+    with pytest.raises(DataError, match="^" + re.escape(f"where: '{name}' must be ")):
+        schema.read(cls, doc, "where")
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize("key", BOUNDED)
+    @settings(max_examples=20)
+    @given(draw=st.data())
+    def test_a_value_outside_a_bound_is_rejected_naming_the_field(self, key, draw):
+        cls, f, tp = FIELDS[key]
+        valid = _valid(cls)
+        rule = draw.draw(st.sampled_from(f.metadata[schema.RULES]))
+        if rule.text.startswith("all "):  # each(inner): one element out of bounds
+            edges, wider = _outside(schema.within(*_bounds(rule.text[4:])), tp)
+            old = getattr(valid, f.name)
+            i = draw.draw(st.integers(0, len(old) - 1))
+            put = lambda v: (*old[:i], v, *old[i + 1:])
+        else:
+            edges, wider = _outside(rule, tp)
+            put = lambda v: v
+        for bad in [*edges, draw.draw(wider)]:
+            _rejects(cls, valid, f.name, put(bad))
+
+    def test_every_numeric_field_is_bounded_or_named_unbounded(self):
+        unbounded = {key for key, (_, f, tp) in FIELDS.items() if tp in (int, float) and not f.metadata.get(schema.RULES)}
+        assert unbounded == UNBOUNDED
+
+    @pytest.mark.parametrize("key", sorted(UNBOUNDED))
+    def test_unbounded_floats_must_still_be_finite(self, key):
+        cls, f, _ = FIELDS[key]
+        valid = _valid(cls)
+        value = getattr(valid, f.name)
+        for bad in (math.nan, math.inf, -math.inf):
+            _rejects(cls, valid, f.name, (*value[:-1], bad) if isinstance(value, tuple) else bad)
+
+    @pytest.mark.parametrize("rule, text", [
+        (schema.ge(1), ">= 1"), (schema.gt(0), "> 0"), (schema.within(0, 1), "in [0, 1]"),
+        (schema.within(0, 1, lo_open=True, hi_open=True), "in (0, 1)"), (schema.one_of(("a", "b")), "one of 'a', 'b'"),
+        (schema.nonempty, "non-empty"), (schema.each(schema.ge(0)), "all >= 0"),
+    ])
+    def test_rule_text(self, rule, text):
+        assert rule.text == text
+
+    def test_none_passes_the_rules_of_an_optional_field(self):
+        assert teachers.ForestParams(feature_subsample=None).feature_subsample is None
