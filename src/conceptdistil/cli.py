@@ -42,8 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@dataclass(frozen=True)
+class RunSeed(schema.Checked):
+    """The seed of a command that reads no config, held to the rule of every config's ``seed``."""
+
+    seed: int = schema.bounded(0, schema.ge(0))
+
+
 def _resolve_seed(args, default: int = 0) -> int:
-    """--seed, then $CONCEPTDISTIL_SEED, then ``default`` (a config file's seed)."""
+    """--seed, then $CONCEPTDISTIL_SEED, then ``default`` (a config file's seed), unchecked: the
+    config dataclass it goes into, or :class:`RunSeed`, applies the bound."""
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
@@ -52,11 +60,7 @@ def _resolve_seed(args, default: int = 0) -> int:
                 seed = int(env)
             except ValueError:
                 raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    if seed is None:
-        seed = default
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
-    return seed
+    return default if seed is None else seed
 
 
 def _read_config(cls, args, defaults=None, names=None, reject=None):
@@ -194,7 +198,7 @@ def cmd_teach(args) -> int:
 
 def cmd_label(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
+    seed = RunSeed(_resolve_seed(args)).seed
     if not (args.teachers or args.blackbox or args.score_file):
         raise UsageError("label needs at least one of --teachers, --blackbox, --score-file")
     if args.blackbox and args.score_file:
@@ -254,7 +258,7 @@ def cmd_distill(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
+    seed = RunSeed(_resolve_seed(args)).seed
     if args.model is None and args.data is None:
         raise UsageError("evaluate needs --model (with --test/--golden) or --data")
     out_path = Path(args.out)
@@ -309,7 +313,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_explain(args) -> int:
     started = time.time()
-    seed = _resolve_seed(args)
+    seed = RunSeed(_resolve_seed(args)).seed
     params = model.load_model(args.model)
     dataset = data.load_csv(args.input)
     explanations = model.explain(params, dataset.x, ids=dataset.ids)

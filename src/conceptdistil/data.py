@@ -7,12 +7,19 @@ concept labels ``c_<name>_soft``, black-box scores ``bb_score`` and
 teacher-only enrichment columns ``t_*``. Floats are written with their
 shortest round-trip representation, so save -> load -> save is
 byte-identical.
+
+Files are written and read in blocks of ``ROW_BLOCK`` rows. The csv
+module handles the header; rows are joined and split on ``,`` as plain
+text, with an id quoted exactly as ``csv.writer`` would quote it. From
+the first block holding a ``"`` on, ``csv.reader`` reads the rows. LF,
+CR and CRLF line endings are all read.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
@@ -108,9 +115,7 @@ class Dataset:
         )
 
     def exclude_ids(self, ids) -> "Dataset":
-        drop = set(map(str, ids))
-        keep = np.array([i for i in range(self.n) if str(self.ids[i]) not in drop])
-        return self.take(keep)
+        return self.take(np.flatnonzero(~np.isin(self.ids, [str(i) for i in ids])))
 
     def with_soft(self, soft, concept_names=None) -> "Dataset":
         names = self.concept_names if concept_names is None else tuple(concept_names)
@@ -236,10 +241,16 @@ ROW_BLOCK = 2048  # rows per CSV block; bounds the per-cell Python objects alive
 _BINARY = {"0": 0, "1": 1}
 _CELL_TYPES = {"x": np.float64, "y": np.int64, "golden": np.int64, "soft": np.float64, "bb_scores": np.float64,
                "teacher_x": np.float64}
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a field
+
+
+def _id_cell(i: str) -> str:
+    """``i`` quoted as ``csv.writer`` quotes a field (QUOTE_MINIMAL): in quotes, inner quotes doubled."""
+    return '"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Floats as ``repr``, 0/1 labels as digits, formatted a column at a time per row block."""
+    """Floats as ``repr``, 0/1 labels as digits, formatted a column at a time and joined per row block."""
     names = dataset.concept_names
     headers = {
         "x": dataset.feature_names, "y": ("y",), "golden": [f"c_{n}" for n in names],
@@ -248,15 +259,20 @@ def save_csv(dataset: Dataset, path) -> None:
     blocks = {field: cols for field, cols in headers.items() if getattr(dataset, field) is not None}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", *itertools.chain(*blocks.values())])
+        header = ["id", *itertools.chain(*blocks.values())]
+        w.writerow(header)
         for a in range(0, dataset.n, ROW_BLOCK):
             rows = slice(a, a + ROW_BLOCK)
-            columns = [map(str, dataset.ids[rows].tolist())]
+            ids = list(map(str, dataset.ids[rows].tolist()))
+            if len(header) == 1:  # csv.writer writes a lone empty field as '""'
+                w.writerows(zip(ids))
+                continue
+            columns = [map(_id_cell, ids)]
             for field in blocks:
                 kind = _CELL_TYPES[field]
                 part = np.asarray(getattr(dataset, field)[rows], kind)
                 columns += [map(repr if kind is np.float64 else str, col) for col in part.reshape(len(part), -1).T.tolist()]
-            w.writerows(zip(*columns))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _locate_error(path, header, rows, first_line: int, fields) -> None:
@@ -297,9 +313,8 @@ def load_csv(path) -> Dataset:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if not header or header[0] != "id":
@@ -325,14 +340,26 @@ def load_csv(path) -> Dataset:
         fields = [(name, idx, _CELL_TYPES[name]) for name, idx in columns.items() if idx or name == "x"]
 
         ids, parts = [], [[np.empty((0, len(idx)), kind)] for _, idx, kind in fields]
-        line_no = 2
-        while rows := list(itertools.islice(reader, ROW_BLOCK)):
+        line_no, reader = 2, None  # reader: the csv module's, over the rest of the file from the first '"' on
+        while True:
+            if reader is None:
+                lines = list(itertools.islice(fh, ROW_BLOCK))
+                # in an id-only file, split would read a blank line as an empty id
+                if len(header) == 1 or any('"' in line for line in lines):
+                    reader = csv.reader(itertools.chain(lines, fh))
+            if reader is None:
+                rows = [line.rstrip("\r\n").split(",") for line in lines]
+            else:
+                rows = list(itertools.islice(reader, ROW_BLOCK))
+            if not rows:
+                break
             try:
                 ids += _read_block(rows, len(header), fields, parts)
             except (ValueError, KeyError):
-                _locate_error(path, header, rows, line_no, fields)
+                _locate_error(path, header, csv.reader(lines) if reader is None else rows, line_no, fields)
                 raise  # the scan found nothing the cast rejected
             line_no += len(rows)
+            del rows  # one block's cells alive at a time, not two
 
     ids_arr = np.asarray(ids)
     if len(np.unique(ids_arr)) != len(ids):

@@ -193,8 +193,9 @@ def evaluate_params(params: model.ConceptDistilParams, test: Dataset, golden_tes
     return fid, mean_auc
 
 
-def _run_trial(args) -> Trial:
-    space, data, base, master_seed, index, fixed = args
+def _run_trial(args, data: SweepData | None = None) -> Trial:
+    space, base, master_seed, index, fixed = args
+    data = data or _worker_data
     seed = derive_seed(master_seed, _TRIAL, index)
     rng = np.random.default_rng(seed)
     if fixed is None:
@@ -260,8 +261,8 @@ def run_search(
     if n_trials < 1:
         raise DataError("n_trials must be >= 1")
     base = base or training.TrainConfig()
-    work = [(space, data, base, master_seed, i, None) for i in range(n_trials)]
-    trials = _execute(work, jobs)
+    work = [(space, base, master_seed, i, None) for i in range(n_trials)]
+    trials = _execute(work, data, jobs)
     return _assemble(trials)
 
 
@@ -291,14 +292,23 @@ def lambda_sweep(
         for r in range(n_repeats):
             seed = derive_seed(master_seed, _REPEAT, r)
             cfg = replace(base, lam=v, seed=seed)
-            work.append((None, data, base, master_seed, index, (arch, cfg)))
+            work.append((None, base, master_seed, index, (arch, cfg)))
             index += 1
-    trials = _execute(work, jobs)
+    trials = _execute(work, data, jobs)
     return _assemble(trials)
 
 
-def _execute(work, jobs: int) -> list[Trial]:
+_worker_data: SweepData | None = None  # a pool worker's copy, set once by _init_worker
+
+
+def _init_worker(data: SweepData) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _execute(work, data: SweepData, jobs: int) -> list[Trial]:
+    """The trials of ``work``; with ``jobs > 1`` in a process pool that gets ``data`` once per worker."""
     if jobs <= 1:
-        return [_run_trial(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [_run_trial(w, data) for w in work]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
         return list(pool.map(_run_trial, work))

@@ -194,8 +194,30 @@ class TestExitCodes:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
         assert run("gen-data", "--out", str(tmp_path / "d"), "--golden", "0,0,0") == 1
 
-    def test_negative_seed_is_usage_error(self, tmp_path):
-        assert run("gen-data", "--out", str(tmp_path / "d"), "--golden", "0,0,0", "--seed", "-3") == 1
+    def test_golden_sets_taking_every_row_exit_2(self, tmp_path, capsys):
+        assert run("gen-data", "--out", str(tmp_path / "d"), "--n", "30", "--golden", "10,10,10") == 2
+        assert "split produces an empty subset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command, required", [
+        ("gen-data", ()),
+        ("train-blackbox", ("--train", "--valid")),
+        ("teach", ("--golden-train",)),
+        ("label", ("--input", "--teachers")),
+        ("distill", ("--train", "--valid")),
+        ("evaluate", ("--data",)),
+        ("explain", ("--model", "--input")),
+        ("sweep", ("--train", "--valid", "--test", "--golden-test")),
+    ])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command, required, source):
+        argv = [command, "--out", str(tmp_path / "out"), *(a for flag in required for a in (flag, str(tmp_path / "none")))]
+        if source == "flag":
+            argv += ["--seed", "-3"]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+        assert run(*argv) == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any work
 
 
 class TestInputPreservation:

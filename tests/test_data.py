@@ -281,6 +281,92 @@ class TestCsvColumnar:
             data.load_csv(path)
 
 
+class TestCsvText:
+    """Files the row writer never makes, or makes rarely: each loads as the row reader loads it."""
+
+    BLOCK = 3
+
+    @staticmethod
+    def dataset(n, ids=None):
+        rng = np.random.default_rng(n)
+        return data.Dataset(
+            ids=np.array(ids or [f"r{i}" for i in range(n)]), feature_names=("f_0", "f_1"), x=rng.normal(size=(n, 2)),
+            y=rng.integers(0, 2, n), concept_names=("a",), soft=rng.random((n, 1)),
+        )
+
+    def load_both(self, path, text=None):
+        """``load_csv`` with a short ROW_BLOCK, checked bit-equal to the row reader; ``text`` replaces the file."""
+        if text is not None:
+            path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "ROW_BLOCK", self.BLOCK)
+            loaded = data.load_csv(path)
+        assert_bit_equal(loaded, ref_load_csv(path))
+        return loaded
+
+    @pytest.mark.parametrize("row", range(2 * BLOCK + 1))
+    @pytest.mark.parametrize("id_text", ["a\r\nb", "\r\n\r\n", 'q"\r\n"', "x\ny,\rz"])
+    def test_quoted_line_breaks_straddle_a_block_boundary(self, tmp_path, row, id_text):
+        n = 2 * self.BLOCK + 2
+        ds = self.dataset(n, [id_text if i == row else f"r{i}" for i in range(n)])
+        path = tmp_path / "ids.csv"
+        data.save_csv(ds, path)
+        assert_bit_equal(self.load_both(path), ds)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_line_endings_and_no_final_newline(self, tmp_path, ending, final):
+        ds = self.dataset(2 * self.BLOCK + 1)
+        path = tmp_path / "eol.csv"
+        data.save_csv(ds, path)
+        text = path.read_bytes().decode().replace("\r\n", ending)
+        assert_bit_equal(self.load_both(path, text if final else text[: -len(ending)]), ds)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("row", [0, BLOCK - 1, BLOCK, 2 * BLOCK])
+    def test_blank_line_is_a_row_of_no_fields(self, tmp_path, row, quoted):
+        n = 2 * self.BLOCK + 1
+        ds = self.dataset(n, ['"q"' if quoted and i == row else f"r{i}" for i in range(n)])
+        path = tmp_path / "blank.csv"
+        data.save_csv(ds, path)
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        path.write_bytes(("".join(lines[: row + 1]) + "\r\n" + "".join(lines[row + 1:])).encode())
+        with pytest.raises(DataError, match=re.escape(f"line {row + 2}: expected 5 fields, got 0")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "ROW_BLOCK", self.BLOCK)
+                data.load_csv(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_quoted_field_opened_after_a_stray_quote_spans_lines(self, tmp_path, block, monkeypatch):
+        path = tmp_path / "stray.csv"  # the '"' in x"y is a plain character; the one before 1.0 opens a field
+        path.write_bytes(b'id,f_0\r\nx"y,"1.0\r\nq",2.0\r\nz,3.0\r\n')
+        monkeypatch.setattr(data, "ROW_BLOCK", block)
+        with pytest.raises(DataError, match=re.escape("line 2: expected 2 fields, got 3")):
+            data.load_csv(path)
+
+    def test_quoted_numeric_cells_load_as_numbers(self, tmp_path):
+        text = 'id,f_0,y,bb_score\r\n"a","0.5","1","0.25"\r\nb,-1.5,0,1.0\r\n"c",2e-3,"0",0.0\r\n'
+        loaded = self.load_both(tmp_path / "quoted.csv", text)
+        assert loaded.ids.tolist() == ["a", "b", "c"]
+        assert loaded.x[:, 0].tolist() == [0.5, -1.5, 0.002] and loaded.y.tolist() == [1, 0, 0]
+        assert loaded.bb_scores.tolist() == [0.25, 1.0, 0.0]
+
+    @pytest.mark.parametrize("ids", [["a", "", "b,c", 'd"'], ["only"]])
+    def test_id_only_file(self, tmp_path, ids):
+        ds = data.Dataset(ids=np.array(ids), feature_names=(), x=np.zeros((len(ids), 0)))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        data.save_csv(ds, new)
+        ref_save_csv(ds, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        assert_bit_equal(self.load_both(new), ds)
+
+    def test_blank_line_in_an_id_only_file_is_no_empty_id(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("id\r\na\r\n\r\nb\r\n")
+        with pytest.raises(DataError, match=re.escape("line 3: expected 1 fields, got 0")):
+            data.load_csv(path)
+
+
 class TestSplit:
     def test_sequential_sizes_and_contiguity(self, small_dataset):
         ds = small_dataset.take(np.arange(100))
@@ -369,3 +455,8 @@ class TestDatasetInvariants:
         rest = small_dataset.exclude_ids(subset.ids)
         assert rest.n == small_dataset.n - 3
         assert not (set(rest.ids) & set(subset.ids))
+
+    def test_excluding_every_id_leaves_an_empty_dataset(self, small_dataset):
+        rest = small_dataset.exclude_ids(small_dataset.ids)
+        assert rest.n == 0 and rest.x.shape == (0, small_dataset.d) and rest.golden.shape == (0, small_dataset.k)
+        assert small_dataset.exclude_ids([]).ids.tolist() == small_dataset.ids.tolist()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ class TestLambdaSweep:
             hpo.lambda_sweep([0.5, 1.2], 1, bundle)
 
     def test_out_of_range_lambda_fails_before_any_trial(self, bundle, monkeypatch):
-        monkeypatch.setattr(hpo, "_execute", lambda work, jobs: pytest.fail("a trial ran"))
+        monkeypatch.setattr(hpo, "_execute", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(DataError, match=r"lam must be in \[0, 1\], got 1.5"):
             hpo.lambda_sweep([0.5, 1.5], 1, bundle)
 
@@ -184,3 +186,13 @@ class TestIsolation:
         par = hpo.run_search(tiny_space(), 4, bundle, base=quick_base(), master_seed=23, jobs=2)
         for a, b in zip(seq.trials, par.trials):
             assert (a.index, a.fidelity, a.mean_auc, a.history_digest) == (b.index, b.fidelity, b.mean_auc, b.history_digest)
+
+    def test_parallel_lambda_sweep_matches_sequential(self, bundle):
+        base = replace(quick_base(), optimizer=replace(quick_base().optimizer, l2_penalty=0.01))
+        arch = model.build_architecture(bundle.train.d, bundle.train.k, dropout_p=0.1, use_batchnorm=True)
+        seq, par = (hpo.lambda_sweep([0.25, 0.75], 2, bundle, arch=arch, base=base, master_seed=5, jobs=jobs)
+                    for jobs in (1, 2))
+        assert len(seq.trials) == len(par.trials) == 4
+        assert [(t.index, t.seed, t.lam, t.fidelity, t.mean_auc, t.history_digest) for t in seq.trials] == \
+            [(t.index, t.seed, t.lam, t.fidelity, t.mean_auc, t.history_digest) for t in par.trials]
+        assert seq.on_frontier.tolist() == par.on_frontier.tolist()
