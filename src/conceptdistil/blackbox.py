@@ -1,9 +1,10 @@
 """Model-agnostic scoring boundary.
 
 Anything that turns a feature matrix into scores in [0, 1] can be
-distilled. Two adapters are provided: a built-in feedforward classifier
-trained on the task labels, and a replayed score file for models trained
-elsewhere (export their scores to CSV, join on instance id).
+distilled: a black box is one score per row. This module provides a
+built-in feedforward classifier trained on the task labels, a reader for
+the score files of models trained elsewhere (export their scores to CSV,
+join on instance id), and uncertainty sampling over attached scores.
 """
 
 from __future__ import annotations
@@ -40,24 +41,6 @@ class FFNNBlackBox:
     def score_batch(self, x) -> np.ndarray:
         out, _ = nn.forward(self.params, x, EVAL)
         return out[:, 0]
-
-
-class ScoreFileBlackBox:
-    """Replays externally computed scores, aligned to one dataset's rows."""
-
-    def __init__(self, scores: np.ndarray, n_rows: int, descriptor: str):
-        self._scores = np.asarray(scores, dtype=np.float64)
-        self._n = n_rows
-        self.descriptor = descriptor
-
-    def score_batch(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[0] != self._n:
-            raise DataError(
-                f"score file covers {self._n} rows, got a batch of {x.shape[0]}; "
-                "score-file adapters only serve the dataset they were loaded against"
-            )
-        return self._scores.copy()
 
 
 @dataclass(frozen=True)
@@ -139,8 +122,8 @@ def save_score_file(path, ids, scores) -> None:
             w.writerow([str(i), repr(float(s))])
 
 
-def load_score_file(path, dataset: Dataset) -> ScoreFileBlackBox:
-    """Score adapter replaying ``path`` in ``dataset`` row order.
+def load_score_file(path, dataset: Dataset) -> np.ndarray:
+    """The scores of ``path`` in ``dataset`` row order.
 
     Every dataset id must be covered exactly once and every score must
     lie in [0, 1].
@@ -170,12 +153,11 @@ def load_score_file(path, dataset: Dataset) -> ScoreFileBlackBox:
     missing = [str(i) for i in dataset.ids if str(i) not in mapping]
     if missing:
         raise DataError(f"{path}: missing scores for ids {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    aligned = np.array([mapping[str(i)] for i in dataset.ids])
-    return ScoreFileBlackBox(aligned, dataset.n, descriptor=f"score file {path.name}")
+    return np.array([mapping[str(i)] for i in dataset.ids])
 
 
-def uncertainty_sample(adapter, dataset: Dataset, fraction: float, band_center: float = 0.5) -> Dataset:
-    """Rows whose score sits nearest ``band_center``, ties broken by id.
+def uncertainty_sample(dataset: Dataset, fraction: float) -> Dataset:
+    """Rows whose attached black-box score sits nearest 0.5, ties broken by id.
 
     Returns the ceil(fraction * n) most uncertain instances in their
     original dataset order.
@@ -184,8 +166,8 @@ def uncertainty_sample(adapter, dataset: Dataset, fraction: float, band_center: 
         raise DataError(f"fraction must be in (0, 1], got {fraction}")
     if dataset.n == 0:
         raise DataError("cannot sample from an empty dataset")
-    scores = adapter.score_batch(dataset.x)
+    if dataset.bb_scores is None:
+        raise DataError("uncertainty sampling needs black-box scores attached to the dataset")
     n_sel = int(math.ceil(fraction * dataset.n))
-    dist = np.abs(np.asarray(scores, dtype=np.float64) - band_center)
-    order = np.lexsort((dataset.ids, dist))
+    order = np.lexsort((dataset.ids, np.abs(dataset.bb_scores - 0.5)))
     return dataset.take(np.sort(order[:n_sel]))

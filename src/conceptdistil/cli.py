@@ -75,7 +75,7 @@ def _overlay(cfg, **flags):
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: dict, seed: int, started: float,
+def _write_manifest(command: str, started: float, out_dir: Path, config: dict, inputs: dict, outputs: dict, seed: int,
                     result: dict | None = None):
     manifest = {
         "command": command,
@@ -113,9 +113,9 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 
 # -- commands -----------------------------------------------------------------
+# Each returns (out_dir, config, inputs, outputs, seed[, result]): the manifest that main writes once it succeeds.
 
-def cmd_gen_data(args) -> int:
-    started = time.time()
+def cmd_gen_data(args):
     cfg = _overlay(_read_config(data.GeneratorConfig, args), n_instances=args.n)
     out = _out_dir(args.out)
     full = data.generate_synthetic(cfg)
@@ -142,13 +142,10 @@ def cmd_gen_data(args) -> int:
         outputs[name] = out / f"{name}.csv"
         data.save_csv(ds, outputs[name])
 
-    _write_manifest(out, "gen-data", schema.write(cfg),
-                    {"config": args.config or "<builtin>"}, outputs, cfg.seed, started)
-    return 0
+    return out, schema.write(cfg), {"config": args.config or "<builtin>"}, outputs, cfg.seed
 
 
-def cmd_train_blackbox(args) -> int:
-    started = time.time()
+def cmd_train_blackbox(args):
     hidden = None if args.hidden is None else tuple(_parse_int_list(args.hidden, "--hidden"))
     cfg = blackbox.BlackBoxConfig()
     cfg = _overlay(cfg, seed=_resolve_seed(args, cfg.seed), hidden=hidden, learning_rate=args.learning_rate,
@@ -159,13 +156,12 @@ def cmd_train_blackbox(args) -> int:
     out = _out_dir(args.out)
     outputs = {"model": out / "blackbox.json"}
     blackbox.save_blackbox(adapter, outputs["model"])
-    _write_manifest(out, "train-blackbox", schema.write(cfg), {"train": args.train, "valid": args.valid}, outputs,
-                    cfg.seed, started)
-    return 0
+    return out, schema.write(cfg), {"train": args.train, "valid": args.valid}, outputs, cfg.seed
 
 
-def cmd_teach(args) -> int:
-    started = time.time()
+def cmd_teach(args):
+    if args.tune < 0:
+        raise DataError(f"tune must be >= 0, got {args.tune}")
     if args.tune > 0 and args.config:
         raise UsageError("--tune draws the forest params; it cannot be combined with --config")
     params = _read_config(teachers.ForestParams, args)
@@ -191,18 +187,17 @@ def cmd_teach(args) -> int:
     if report:
         outputs["report"] = out / "teach_report.json"
         Path(outputs["report"]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "teach", schema.write(params), {"golden_train": args.golden_train}, outputs,
-                    seed, started, result={"tune": args.tune})
-    return 0
+    return out, schema.write(params), {"golden_train": args.golden_train}, outputs, seed, {"tune": args.tune}
 
 
-def cmd_label(args) -> int:
-    started = time.time()
+def cmd_label(args):
     seed = RunSeed(_resolve_seed(args)).seed
     if not (args.teachers or args.blackbox or args.score_file):
         raise UsageError("label needs at least one of --teachers, --blackbox, --score-file")
     if args.blackbox and args.score_file:
         raise UsageError("--blackbox and --score-file are mutually exclusive")
+    if args.uncertainty_fraction is not None and not (args.blackbox or args.score_file):
+        raise UsageError("--uncertainty-fraction requires a score source")
     dataset = data.load_csv(args.input)
     inputs = {"input": args.input}
     if args.teachers:
@@ -210,34 +205,21 @@ def cmd_label(args) -> int:
         soft = teachers.teach_labels(teacher_set, dataset)
         dataset = dataset.with_soft(soft, teacher_set.concept_names)
         inputs["teachers"] = args.teachers
-    adapter = None
     if args.blackbox:
-        adapter = blackbox.load_blackbox(args.blackbox)
+        dataset = dataset.with_scores(blackbox.load_blackbox(args.blackbox).score_batch(dataset.x))
         inputs["blackbox"] = args.blackbox
     elif args.score_file:
-        adapter = blackbox.load_score_file(args.score_file, dataset)
+        dataset = dataset.with_scores(blackbox.load_score_file(args.score_file, dataset))
         inputs["score_file"] = args.score_file
-    if adapter is not None:
-        dataset = dataset.with_scores(adapter.score_batch(dataset.x))
     if args.uncertainty_fraction is not None:
-        if adapter is None:
-            raise UsageError("--uncertainty-fraction requires a score source")
-        dataset = blackbox.uncertainty_sample(_attached_scores_adapter(dataset), dataset, args.uncertainty_fraction)
+        dataset = blackbox.uncertainty_sample(dataset, args.uncertainty_fraction)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     data.save_csv(dataset, out_path)
-    cfg = {"uncertainty_fraction": args.uncertainty_fraction}
-    _write_manifest(out_path.parent, "label", cfg, inputs, {"labeled": out_path}, seed, started)
-    return 0
+    return out_path.parent, {"uncertainty_fraction": args.uncertainty_fraction}, inputs, {"labeled": out_path}, seed
 
 
-def _attached_scores_adapter(dataset):
-    """Replay already-attached scores so sampling reuses them verbatim."""
-    return blackbox.ScoreFileBlackBox(dataset.bb_scores, dataset.n, "attached scores")
-
-
-def cmd_distill(args) -> int:
-    started = time.time()
+def cmd_distill(args):
     cfg = _read_config(TrainingFile, args, names=TRAIN_NAMES, reject=TRAIN_REJECT)
     cfg = _overlay(cfg, lam=args.lam, epochs=args.epochs, learning_rate=args.learning_rate,
                    batch_size=args.batch_size, variant=args.variant)
@@ -250,14 +232,11 @@ def cmd_distill(args) -> int:
     outputs = {"model": out / "model.json", "history": out / "history.csv"}
     model.save_model(result.params, outputs["model"])
     training.history_to_csv(result.history, outputs["history"])
-    _write_manifest(out, "distill", schema.write(cfg, TRAIN_NAMES, omit=TRAIN_REJECT),
-                    {"train": args.train, "valid": args.valid}, outputs, cfg.seed, started,
-                    result={"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
-    return 0
+    return (out, schema.write(cfg, TRAIN_NAMES, omit=TRAIN_REJECT), {"train": args.train, "valid": args.valid},
+            outputs, cfg.seed, {"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
 
 
-def cmd_evaluate(args) -> int:
-    started = time.time()
+def cmd_evaluate(args):
     seed = RunSeed(_resolve_seed(args)).seed
     if args.model is None and args.data is None:
         raise UsageError("evaluate needs --model (with --test/--golden) or --data")
@@ -269,8 +248,7 @@ def cmd_evaluate(args) -> int:
         if dataset.y is not None:
             report["positive_rate"] = float(dataset.y.mean())
         out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        _write_manifest(out_path.parent, "evaluate", {}, {"data": args.data}, {"report": out_path}, seed, started)
-        return 0
+        return out_path.parent, {}, {"data": args.data}, {"report": out_path}, seed
     params = model.load_model(args.model)
     fid = None
     per = mean_auc = None
@@ -307,12 +285,10 @@ def cmd_evaluate(args) -> int:
     )
     report.save(out_path)
     inputs = {k: v for k, v in (("model", args.model), ("test", args.test), ("golden", args.golden)) if v}
-    _write_manifest(out_path.parent, "evaluate", {"recall_fpr": args.recall_fpr}, inputs, {"report": out_path}, seed, started)
-    return 0
+    return out_path.parent, {"recall_fpr": args.recall_fpr}, inputs, {"report": out_path}, seed
 
 
-def cmd_explain(args) -> int:
-    started = time.time()
+def cmd_explain(args):
     seed = RunSeed(_resolve_seed(args)).seed
     params = model.load_model(args.model)
     dataset = data.load_csv(args.input)
@@ -320,9 +296,7 @@ def cmd_explain(args) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     model.explanations_to_jsonl(explanations, out_path)
-    _write_manifest(out_path.parent, "explain", {}, {"model": args.model, "input": args.input},
-                    {"explanations": out_path}, seed, started)
-    return 0
+    return out_path.parent, {}, {"model": args.model, "input": args.input}, {"explanations": out_path}, seed
 
 
 SWEEP_DEFAULTS = {"epochs": 40, "patience": 6}  # sweep's own, under the config file
@@ -332,8 +306,7 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 }
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
+def cmd_sweep(args):
     reject = {**TRAIN_REJECT, **SWEEP_SETS[args.mode]}
     base = _overlay(_read_config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject), epochs=args.epochs)
     bundle = hpo.SweepData(
@@ -357,8 +330,7 @@ def cmd_sweep(args) -> int:
     report.save_summary(outputs["summary"])
     inputs = {"train": args.train, "valid": args.valid, "test": args.test, "golden_test": args.golden_test}
     cfg.update(jobs=args.jobs, **schema.write(base, TRAIN_NAMES, omit=reject))
-    _write_manifest(out, "sweep", cfg, inputs, outputs, base.seed, started)
-    return 0
+    return out, cfg, inputs, outputs, base.seed
 
 
 # -- parser -------------------------------------------------------------------
@@ -455,7 +427,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.time()
+        _write_manifest(args.command, started, *args.func(args))
+        return 0
     except ConceptDistilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

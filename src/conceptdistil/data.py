@@ -100,19 +100,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        pick = lambda a: None if a is None else a[idx]
-        return Dataset(
-            ids=self.ids[idx],
-            feature_names=self.feature_names,
-            x=self.x[idx],
-            y=pick(self.y),
-            concept_names=self.concept_names,
-            golden=pick(self.golden),
-            soft=pick(self.soft),
-            bb_scores=pick(self.bb_scores),
-            teacher_feature_names=self.teacher_feature_names,
-            teacher_x=pick(self.teacher_x),
-        )
+        return replace(self, **{name: a[idx] for name, a in vars(self).items() if isinstance(a, np.ndarray)})
 
     def exclude_ids(self, ids) -> "Dataset":
         return self.take(np.flatnonzero(~np.isin(self.ids, [str(i) for i in ids])))
@@ -242,6 +230,7 @@ _BINARY = {"0": 0, "1": 1}
 _CELL_TYPES = {"x": np.float64, "y": np.int64, "golden": np.int64, "soft": np.float64, "bb_scores": np.float64,
                "teacher_x": np.float64}
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a field
+_LINE_BREAK = re.compile("\r\n|\r|\n")  # what ends a line when a file is read with newline=""
 
 
 def _id_cell(i: str) -> str:
@@ -275,21 +264,26 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _locate_error(path, header, rows, first_line: int, fields) -> None:
-    """The row scan that names the line, and the column, of a block's first bad row or cell."""
-    for line_no, row in enumerate(rows, start=first_line):
+def _locate_error(path, header, rows, line_no: int, fields) -> None:
+    """The row scan that names the line, and the column, of a block's first bad row or cell.
+
+    ``line_no`` is the file line the block starts on; a record spans one more line per line break in its cells.
+    """
+    for row in rows:
+        where = f"{path}: line {line_no}"
         if len(row) != len(header):
-            raise DataError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
+            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
         for j, kind in ((j, kind) for _, idx, kind in fields for j in idx):
             cell, column = row[j], header[j]
             if kind is np.int64 and cell not in _BINARY:
-                raise DataError(f"line {line_no}: expected 0/1 in column {column!r}, got {cell!r}")
+                raise DataError(f"{where}: expected 0/1 in column {column!r}, got {cell!r}")
             try:
                 finite = kind is np.int64 or np.isfinite(float(cell))
             except ValueError:
-                raise DataError(f"line {line_no}: non-numeric value {cell!r} in column {column!r}") from None
+                raise DataError(f"{where}: non-numeric value {cell!r} in column {column!r}") from None
             if not finite:
-                raise DataError(f"line {line_no}: non-finite value {cell!r} in column {column!r}")
+                raise DataError(f"{where}: non-finite value {cell!r} in column {column!r}")
+        line_no += 1 + sum(len(_LINE_BREAK.findall(cell)) for cell in row)
 
 
 def _read_block(rows, n_fields: int, fields, parts) -> tuple:
@@ -347,6 +341,7 @@ def load_csv(path) -> Dataset:
                 # in an id-only file, split would read a blank line as an empty id
                 if len(header) == 1 or any('"' in line for line in lines):
                     reader = csv.reader(itertools.chain(lines, fh))
+                    reader_start = line_no  # the file line of the reader's first line
             if reader is None:
                 rows = [line.rstrip("\r\n").split(",") for line in lines]
             else:
@@ -358,7 +353,7 @@ def load_csv(path) -> Dataset:
             except (ValueError, KeyError):
                 _locate_error(path, header, csv.reader(lines) if reader is None else rows, line_no, fields)
                 raise  # the scan found nothing the cast rejected
-            line_no += len(rows)
+            line_no = line_no + len(rows) if reader is None else reader_start + reader.line_num
             del rows  # one block's cells alive at a time, not two
 
     ids_arr = np.asarray(ids)

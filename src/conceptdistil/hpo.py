@@ -193,16 +193,9 @@ def evaluate_params(params: model.ConceptDistilParams, test: Dataset, golden_tes
     return fid, mean_auc
 
 
-def _run_trial(args, data: SweepData | None = None) -> Trial:
-    space, base, master_seed, index, fixed = args
+def _run_trial(index: int, arch: model.ArchitectureConfig, cfg: training.TrainConfig,
+               data: SweepData | None = None) -> Trial:
     data = data or _worker_data
-    seed = derive_seed(master_seed, _TRIAL, index)
-    rng = np.random.default_rng(seed)
-    if fixed is None:
-        arch, cfg = sample_config(space, rng, len(data.train.feature_names), data.train.k, base)
-    else:
-        arch, cfg = fixed
-    cfg = replace(cfg, seed=seed if fixed is None else cfg.seed)
     trial = Trial(
         index=index,
         seed=cfg.seed,
@@ -235,16 +228,11 @@ def _history_digest(result) -> str:
 
 
 def _assemble(trials: list[Trial]) -> SweepReport:
-    trials = sorted(trials, key=lambda t: t.index)
-    done = [t for t in trials if t.status == "completed"]
-    if not done:
+    done = np.array([t.status == "completed" for t in trials], dtype=bool)
+    if not done.any():
         raise DataError("all trials failed")
     flags = np.zeros(len(trials), dtype=bool)
-    pts = np.array([[t.fidelity, t.mean_auc] for t in done])
-    done_flags = metrics.pareto_frontier(pts)
-    by_index = {t.index: f for t, f in zip(done, done_flags)}
-    for i, t in enumerate(trials):
-        flags[i] = by_index.get(t.index, False)
+    flags[done] = metrics.pareto_frontier([[t.fidelity, t.mean_auc] for t in trials if t.status == "completed"])
     return SweepReport(trials, flags)
 
 
@@ -261,9 +249,12 @@ def run_search(
     if n_trials < 1:
         raise DataError("n_trials must be >= 1")
     base = base or training.TrainConfig()
-    work = [(space, base, master_seed, i, None) for i in range(n_trials)]
-    trials = _execute(work, data, jobs)
-    return _assemble(trials)
+    pairs = []
+    for i in range(n_trials):
+        seed = derive_seed(master_seed, _TRIAL, i)
+        arch, cfg = sample_config(space, np.random.default_rng(seed), len(data.train.feature_names), data.train.k, base)
+        pairs.append((arch, replace(cfg, seed=seed)))
+    return _assemble(_execute(pairs, data, jobs))
 
 
 def lambda_sweep(
@@ -286,16 +277,9 @@ def lambda_sweep(
         raise DataError("n_repeats must be >= 1")
     base = base or training.TrainConfig()
     arch = arch or model.build_architecture(len(data.train.feature_names), data.train.k)
-    work = []
-    index = 0
-    for v in lambdas:
-        for r in range(n_repeats):
-            seed = derive_seed(master_seed, _REPEAT, r)
-            cfg = replace(base, lam=v, seed=seed)
-            work.append((None, base, master_seed, index, (arch, cfg)))
-            index += 1
-    trials = _execute(work, data, jobs)
-    return _assemble(trials)
+    pairs = [(arch, replace(base, lam=v, seed=derive_seed(master_seed, _REPEAT, r)))
+             for v in lambdas for r in range(n_repeats)]
+    return _assemble(_execute(pairs, data, jobs))
 
 
 _worker_data: SweepData | None = None  # a pool worker's copy, set once by _init_worker
@@ -306,9 +290,11 @@ def _init_worker(data: SweepData) -> None:
     _worker_data = data
 
 
-def _execute(work, data: SweepData, jobs: int) -> list[Trial]:
-    """The trials of ``work``; with ``jobs > 1`` in a process pool that gets ``data`` once per worker."""
-    if jobs <= 1:
-        return [_run_trial(w, data) for w in work]
+def _execute(pairs, data: SweepData, jobs: int) -> list[Trial]:
+    """One trial per ``(arch, cfg)`` pair, in order; with ``jobs > 1`` in a process pool given ``data`` once per worker."""
+    if jobs < 1:
+        raise DataError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return [_run_trial(i, arch, cfg, data) for i, (arch, cfg) in enumerate(pairs)]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
-        return list(pool.map(_run_trial, work))
+        return list(pool.map(_run_trial, range(len(pairs)), *zip(*pairs)))

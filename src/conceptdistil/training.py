@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -133,15 +133,8 @@ class TrainResult:
 def history_to_csv(history, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["epoch", "stage", "total", "kd_component", "concept_component",
-             "valid_total", "valid_kd", "valid_concept", "valid_fidelity"]
-        )
-        for r in history:
-            w.writerow(
-                [r.epoch, r.stage, repr(r.total), repr(r.kd_component), repr(r.concept_component),
-                 repr(r.valid_total), repr(r.valid_kd), repr(r.valid_concept), repr(r.valid_fidelity)]
-            )
+        w.writerow(f.name for f in fields(EpochRecord))
+        w.writerows(map(repr, astuple(r)) for r in history)
 
 
 def _concept_targets(dataset) -> np.ndarray | None:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,8 +177,7 @@ class TestScoreFile:
         path = tmp_path / "scores.csv"
         path.write_text("id,score\nb,0.9\na,0.1\n")
         ds = self.dataset(["a", "b"])
-        adapter = blackbox.load_score_file(path, ds)
-        np.testing.assert_array_equal(adapter.score_batch(ds.x), [0.1, 0.9])
+        np.testing.assert_array_equal(blackbox.load_score_file(path, ds), [0.1, 0.9])
 
     def test_missing_id_named_in_error(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -210,51 +210,34 @@ class TestScoreFile:
         scores = adapter.score_batch(full.x)
         path = tmp_path / "scores.csv"
         blackbox.save_score_file(path, full.ids, scores)
-        replayed = blackbox.load_score_file(path, full)
-        np.testing.assert_array_equal(replayed.score_batch(full.x), scores)
-
-    def test_wrong_row_count_rejected_at_scoring(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("id,score\na,0.5\n")
-        adapter = blackbox.load_score_file(path, self.dataset(["a"]))
-        with pytest.raises(DataError):
-            adapter.score_batch(np.zeros((3, 1)))
-
-
-class FixedScores:
-    def __init__(self, scores):
-        self.scores = np.asarray(scores, dtype=float)
-        self.descriptor = "fixed"
-
-    def score_batch(self, x):
-        return self.scores.copy()
+        np.testing.assert_array_equal(blackbox.load_score_file(path, full), scores)
 
 
 class TestUncertaintySample:
     def make(self, scores):
         n = len(scores)
-        ds = data.Dataset(
+        return data.Dataset(
             ids=np.array([f"{i:03d}" for i in range(n)]),
             feature_names=("f_0",),
             x=np.zeros((n, 1)),
+            bb_scores=np.asarray(scores, dtype=float),
         )
-        return FixedScores(scores), ds
 
     def test_full_fraction_returns_everything(self):
-        adapter, ds = self.make([0.1, 0.2, 0.9])
-        out = blackbox.uncertainty_sample(adapter, ds, 1.0)
+        ds = self.make([0.1, 0.2, 0.9])
+        out = blackbox.uncertainty_sample(ds, 1.0)
         assert list(out.ids) == list(ds.ids)
 
     def test_middle_score_wins_at_one_third(self):
-        adapter, ds = self.make([0.1, 0.5, 0.9])
-        out = blackbox.uncertainty_sample(adapter, ds, 1 / 3)
+        ds = self.make([0.1, 0.5, 0.9])
+        out = blackbox.uncertainty_sample(ds, 1 / 3)
         assert list(out.ids) == ["001"]
 
     def test_matches_sort_oracle_on_random_scores(self):
         rng = np.random.default_rng(6)
         scores = rng.random(1000)
-        adapter, ds = self.make(scores)
-        out = blackbox.uncertainty_sample(adapter, ds, 0.1)
+        ds = self.make(scores)
+        out = blackbox.uncertainty_sample(ds, 0.1)
         expected_n = math.ceil(0.1 * 1000)
         assert out.n == expected_n
         order = sorted(range(1000), key=lambda i: (abs(scores[i] - 0.5), ds.ids[i]))
@@ -264,20 +247,20 @@ class TestUncertaintySample:
     def test_selected_are_no_farther_than_rejected(self):
         rng = np.random.default_rng(7)
         scores = np.round(rng.random(200), 2)
-        adapter, ds = self.make(scores)
-        out = blackbox.uncertainty_sample(adapter, ds, 0.25)
+        ds = self.make(scores)
+        out = blackbox.uncertainty_sample(ds, 0.25)
         chosen = set(out.ids)
         dist = {i: abs(s - 0.5) for i, s in zip(ds.ids, scores)}
         worst_chosen = max(dist[i] for i in chosen)
         best_rejected = min(dist[i] for i in ds.ids if i not in chosen)
         assert worst_chosen <= best_rejected
 
-    def test_band_center_is_configurable(self):
-        adapter, ds = self.make([0.05, 0.5, 0.93])
-        out = blackbox.uncertainty_sample(adapter, ds, 1 / 3, band_center=0.9)
-        assert list(out.ids) == ["002"]
-
     def test_bad_fraction_rejected(self):
-        adapter, ds = self.make([0.5])
+        ds = self.make([0.5])
         with pytest.raises(DataError):
-            blackbox.uncertainty_sample(adapter, ds, 0.0)
+            blackbox.uncertainty_sample(ds, 0.0)
+
+    def test_dataset_without_scores_rejected(self):
+        ds = replace(self.make([0.5]), bb_scores=None)
+        with pytest.raises(DataError, match="black-box scores"):
+            blackbox.uncertainty_sample(ds, 1.0)

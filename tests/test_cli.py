@@ -40,6 +40,10 @@ def pipeline(tmp_path_factory):
     return root
 
 
+SWEEP_INPUTS = ("--train", "train_labeled.csv", "--valid", "valid_labeled.csv", "--test", "test_labeled.csv",
+                "--golden-test", "golden_test.csv")
+
+
 def _forest_cfg(root):
     path = root / "forest.json"
     path.write_text(json.dumps({"n_trees": 8, "max_depth": 6}))
@@ -220,6 +224,19 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()  # rejected before any work
 
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("teach", "--golden-train", "golden_train.csv", "--tune", "-2"), "tune must be >= 0, got -2"),
+        (("sweep", *SWEEP_INPUTS, "--jobs", "-4"), "jobs must be >= 1, got -4"),
+        (("sweep", *SWEEP_INPUTS, "--mode", "lambda", "--jobs", "0"), "jobs must be >= 1, got 0"),
+    ])
+    def test_out_of_range_count_flag_exits_2_naming_it(self, pipeline, tmp_path, capsys, argv, needle):
+        d = pipeline / "data"  # file names are in pipeline's data directory
+        argv = [str(d / a) if a.endswith(".csv") else a for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestInputPreservation:
     def test_label_does_not_mutate_its_input(self, pipeline):
         d = pipeline / "data"
@@ -288,6 +305,27 @@ class TestOptionalFlags:
         assert run("label", "--input", str(d / "test.csv"), "--out", str(out),
                    "--score-file", str(score_path)) == 0
         np.testing.assert_array_equal(data.load_csv(out).bb_scores, scores)
+
+    def test_label_with_score_file_and_uncertainty_fraction(self, pipeline, tmp_path):
+        d = pipeline / "data"
+        ds = data.load_csv(d / "test.csv")
+        score_path = tmp_path / "scores.csv"
+        scores = np.linspace(0.0, 1.0, ds.n)
+        blackbox.save_score_file(score_path, ds.ids, scores)
+        out = tmp_path / "uncertain.csv"
+        assert run("label", "--input", str(d / "test.csv"), "--out", str(out),
+                   "--score-file", str(score_path), "--uncertainty-fraction", "0.2") == 0
+        n_sel = int(np.ceil(0.2 * ds.n))
+        keep = np.sort(np.lexsort((ds.ids, np.abs(scores - 0.5)))[:n_sel])
+        subset = data.load_csv(out)
+        assert subset.ids.tolist() == ds.ids[keep].tolist()
+        np.testing.assert_array_equal(subset.bb_scores, scores[keep])
+
+    def test_uncertainty_fraction_without_a_score_source_is_usage_error(self, pipeline, tmp_path, capsys):
+        d = pipeline / "data"
+        assert run("label", "--input", str(d / "test_labeled.csv"), "--out", str(tmp_path / "u.csv"),
+                   "--teachers", str(pipeline / "teachers" / "teachers.json"), "--uncertainty-fraction", "0.2") == 1
+        assert "--uncertainty-fraction requires a score source" in capsys.readouterr().err
 
 
 def _write_json(path, doc):

@@ -277,7 +277,7 @@ class TestCsvColumnar:
             cells[header.index(column)] = cell
         path = tmp_path / "bad.csv"
         path.write_text("".join(good_lines[: row + 1]) + ",".join(cells) + "\r\n" + "".join(good_lines[row + 2:]))
-        with pytest.raises(DataError, match=re.escape(f"line {row + 2}: {message}")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {row + 2}: {message}")):
             data.load_csv(path)
 
 
@@ -342,6 +342,21 @@ class TestCsvText:
         path.write_bytes(b'id,f_0\r\nx"y,"1.0\r\nq",2.0\r\nz,3.0\r\n')
         monkeypatch.setattr(data, "ROW_BLOCK", block)
         with pytest.raises(DataError, match=re.escape("line 2: expected 2 fields, got 3")):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("plain_rows", [0, 1])
+    @pytest.mark.parametrize("last_row, message", [
+        ("c,xyz", "non-numeric value 'xyz' in column 'f_0'"),
+        ("c", "expected 2 fields, got 1"),
+    ])
+    def test_line_numbers_count_line_breaks_in_quoted_cells(self, tmp_path, monkeypatch, block, plain_rows, last_row,
+                                                            message):
+        path = tmp_path / "breaks.csv"  # the quoted id spans two lines, so the last row is on line 4 + plain_rows
+        plain = "z,0.5\r\n" * plain_rows
+        path.write_bytes(f'id,f_0\r\n{plain}"a\r\nb",1.0\r\n{last_row}\r\n'.encode())
+        monkeypatch.setattr(data, "ROW_BLOCK", block)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {4 + plain_rows}: {message}")):
             data.load_csv(path)
 
     def test_quoted_numeric_cells_load_as_numbers(self, tmp_path):

@@ -181,6 +181,14 @@ class TestLambdaSweep:
 
 
 class TestIsolation:
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_fail_before_any_trial(self, bundle, monkeypatch, jobs):
+        monkeypatch.setattr(hpo, "_run_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(DataError, match=f"jobs must be >= 1, got {jobs}"):
+            hpo.run_search(tiny_space(), 2, bundle, base=quick_base(), jobs=jobs)
+        with pytest.raises(DataError, match=f"jobs must be >= 1, got {jobs}"):
+            hpo.lambda_sweep([0.5], 1, bundle, base=quick_base(), jobs=jobs)
+
     def test_parallel_execution_matches_sequential(self, bundle):
         seq = hpo.run_search(tiny_space(), 4, bundle, base=quick_base(), master_seed=23, jobs=1)
         par = hpo.run_search(tiny_space(), 4, bundle, base=quick_base(), master_seed=23, jobs=2)
