@@ -223,7 +223,6 @@ class TestExitCodes:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any work
 
-
     @pytest.mark.parametrize("argv, needle", [
         (("teach", "--golden-train", "golden_train.csv", "--tune", "-2"), "tune must be >= 0, got -2"),
         (("sweep", *SWEEP_INPUTS, "--jobs", "-4"), "jobs must be >= 1, got -4"),
