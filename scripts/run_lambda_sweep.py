@@ -10,11 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from conceptdistil import blackbox, data, hpo, teachers, training
+from conceptdistil import hpo, pipeline, training
 
 
 def parse_args():
@@ -31,19 +29,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    cfg = data.GeneratorConfig(n_instances=args.n, seed=args.seed)
-    full = data.generate_synthetic(cfg)
-    g_train, g_valid, g_test = data.golden_subset(full, 1500, 150, 400, seed=args.seed)
-    corpus = full.exclude_ids(np.concatenate([g_train.ids, g_valid.ids, g_test.ids]))
-    tr, va, te = data.split(corpus, 0.7, 0.1, 0.2)
-
-    teacher_set = teachers.fit_teachers(g_train, teachers.ForestParams(seed=args.seed))
-    bb = blackbox.train_ffnn_blackbox(tr, va, seed=args.seed)
-    tr = tr.with_scores(bb.score_batch(tr.x)).with_soft(teachers.teach_labels(teacher_set, tr))
-    va = va.with_scores(bb.score_batch(va.x)).with_soft(teachers.teach_labels(teacher_set, va))
-    te = te.with_scores(bb.score_batch(te.x))
-    bundle = hpo.SweepData(train=tr, valid=va, test=te, golden_test=g_test)
-
+    bundle, _ = pipeline.desk_data(args.seed, args.n, (1500, 150, 400), (0.7, 0.1, 0.2))
     base = training.TrainConfig(epochs=args.epochs, early_stop_patience=6)
     report = hpo.lambda_sweep(args.grid, args.repeats, bundle, base=base,
                               master_seed=args.seed, jobs=args.jobs)

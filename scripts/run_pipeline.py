@@ -10,15 +10,11 @@ writes everything to a CSV next to the run outputs.
 import argparse
 import csv
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from conceptdistil import blackbox, data, hpo, model, teachers, training
+from conceptdistil import pipeline
 
 
 def parse_args():
@@ -31,51 +27,19 @@ def parse_args():
     return p.parse_args()
 
 
-def run_seed(seed, args):
-    cfg = data.GeneratorConfig(n_instances=args.n, seed=seed)
-    full = data.generate_synthetic(cfg)
-    # golden sizes follow the 1934/203/506 protocol, scaled down when the
-    # requested dataset is smaller than the reference 29,643 rows
-    scale = min(1.0, args.n / 29_643)
-    sizes = [max(50, round(s * scale)) for s in (1934, 203, 506)]
-    g_train, g_valid, g_test = data.golden_subset(full, *sizes, seed=seed)
-    corpus = full.exclude_ids(np.concatenate([g_train.ids, g_valid.ids, g_test.ids]))
-    tr, va, te = data.split(corpus, 20 / 27, 2 / 27, 5 / 27)
-
-    teacher_set = teachers.fit_teachers(g_train, teachers.ForestParams(seed=seed))
-    _, teachers_auc = teachers.evaluate_teachers(teacher_set, g_test)
-
-    bb = blackbox.train_ffnn_blackbox(tr, va, seed=seed)
-    tr = tr.with_scores(bb.score_batch(tr.x)).with_soft(teachers.teach_labels(teacher_set, tr))
-    va = va.with_scores(bb.score_batch(va.x)).with_soft(teachers.teach_labels(teacher_set, va))
-    te = te.with_scores(bb.score_batch(te.x))
-
-    arch = model.build_architecture(full.d, full.k)
-    base = training.TrainConfig(lam=args.lam, epochs=args.epochs, early_stop_patience=8, seed=seed)
-    init = model.init_model(arch, full.concept_names, seed=seed)
-    rows = [(seed, "teachers", None, teachers_auc)]
-    for variant in training.VARIANTS:
-        t0 = time.time()
-        result = training.train(init, tr, va, replace(base, variant=variant))
-        fid, auc = hpo.evaluate_params(result.params, te, g_test)
-        rows.append((seed, variant, fid, auc))
-        print(f"seed {seed} {variant:18s} fidelity {fid:.4f}  mean AUC {auc:.4f}  ({time.time() - t0:.0f}s)")
-    return rows
-
-
 def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    all_rows = []
-    for seed in args.seeds:
-        all_rows += run_seed(seed, args)
     path = out / "variant_table.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["seed", "variant", "fidelity", "mean_golden_auc"])
-        for seed, variant, fid, auc in all_rows:
-            w.writerow([seed, variant, "" if fid is None else f"{fid:.6f}", f"{auc:.6f}"])
+        for seed in args.seeds:
+            for variant, (fid, auc) in pipeline.run_desk(seed, args.n, args.epochs, args.lam).items():
+                row = [seed, variant, "" if fid is None else f"{fid:.6f}", f"{auc:.6f}"]
+                w.writerow(row)
+                print(f"seed {seed} {variant:18s} fidelity {row[2] or '-':8s}  mean AUC {row[3]}")
     print(f"\nwrote {path}")
 
 

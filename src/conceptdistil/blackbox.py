@@ -71,6 +71,9 @@ def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FF
     cfg = BlackBoxConfig(**options)
     if train_set.y is None or valid_set.y is None:
         raise DataError("black-box training requires binary task labels")
+    for ds, name in ((train_set, "training"), (valid_set, "validation")):
+        if ds.n == 0:
+            raise DataError(f"black-box {name} set has no rows")
     work = nn.init_mlp(default_blackbox_specs(train_set.d, cfg.hidden), derive_seed(cfg.seed, 50))
     x, t = train_set.x, train_set.y.astype(np.float64).reshape(-1, 1)
     tv = valid_set.y.astype(np.float64).reshape(-1, 1)

@@ -17,8 +17,6 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, blackbox, data, hpo, metrics, model, schema, teachers, training
 from .errors import ConceptDistilError, DataError, UsageError
 
@@ -117,31 +115,20 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 def cmd_gen_data(args):
     cfg = _overlay(_read_config(data.GeneratorConfig, args), n_instances=args.n)
-    out = _out_dir(args.out)
-    full = data.generate_synthetic(cfg)
-    outputs = {"full": out / "full.csv"}
-    data.save_csv(full, outputs["full"])
-
-    corpus = full
     golden_sizes = _parse_int_list(args.golden, "--golden")
     if len(golden_sizes) != 3:
         raise UsageError("--golden expects three sizes, e.g. 1934,203,506")
-    if any(golden_sizes):
-        g_train, g_valid, g_test = data.golden_subset(full, *golden_sizes, seed=cfg.seed)
-        for name, ds in (("golden_train", g_train), ("golden_valid", g_valid), ("golden_test", g_test)):
-            outputs[name] = out / f"{name}.csv"
-            data.save_csv(ds, outputs[name])
-        taken = np.concatenate([g_train.ids, g_valid.ids, g_test.ids])
-        corpus = full.exclude_ids(taken)
-
     fracs = _parse_float_list(args.split, "--split")
     if len(fracs) != 3:
         raise UsageError("--split expects three fractions, e.g. 0.8,0.1,0.1")
-    tr, va, te = data.split(corpus, *fracs, mode=args.split_mode, seed=cfg.seed)
-    for name, ds in (("train", tr), ("valid", va), ("test", te)):
-        outputs[name] = out / f"{name}.csv"
+    full = data.generate_synthetic(cfg)
+    golden, splits = data.carve(full, golden_sizes, fracs, mode=args.split_mode, seed=cfg.seed)
+    sets = {"full": full, **dict(zip(("golden_train", "golden_valid", "golden_test"), golden or ())),
+            **dict(zip(("train", "valid", "test"), splits))}
+    out = _out_dir(args.out)
+    outputs = {name: out / f"{name}.csv" for name in sets}
+    for name, ds in sets.items():
         data.save_csv(ds, outputs[name])
-
     return out, schema.write(cfg), {"config": args.config or "<builtin>"}, outputs, cfg.seed
 
 
@@ -164,26 +151,22 @@ def cmd_teach(args):
         raise DataError(f"tune must be >= 0, got {args.tune}")
     if args.tune > 0 and args.config:
         raise UsageError("--tune draws the forest params; it cannot be combined with --config")
+    if args.tune > 0 and not args.golden_valid:
+        raise UsageError("--tune requires --golden-valid")
     params = _read_config(teachers.ForestParams, args)
     seed = params.seed  # tuning replaces params, seed included
     golden_train = data.load_csv(args.golden_train)
-    out = _out_dir(args.out)
-    report: dict = {}
+    golden_valid = data.load_csv(args.golden_valid) if args.golden_valid else None
     if args.tune > 0:
-        if not args.golden_valid:
-            raise UsageError("--tune requires --golden-valid")
-        golden_valid = data.load_csv(args.golden_valid)
-        teacher_set, best_params, best_auc = teachers.tune_teachers(golden_train, golden_valid, args.tune, seed)
-        report["tuned_valid_mean_auc"] = best_auc
-        params = best_params
+        teacher_set, params, best_auc = teachers.tune_teachers(golden_train, golden_valid, args.tune, seed)
+        report = {"tuned_valid_mean_auc": best_auc}
     else:
         teacher_set = teachers.fit_teachers(golden_train, params)
+        report = {} if golden_valid is None else {
+            "valid_mean_auc": teachers.evaluate_teachers(teacher_set, golden_valid)[1]}
+    out = _out_dir(args.out)
     outputs = {"teachers": out / "teachers.json"}
     teachers.save_teachers(teacher_set, outputs["teachers"])
-    if args.golden_valid and args.tune == 0:
-        golden_valid = data.load_csv(args.golden_valid)
-        _, mean_auc = teachers.evaluate_teachers(teacher_set, golden_valid)
-        report["valid_mean_auc"] = mean_auc
     if report:
         outputs["report"] = out / "teach_report.json"
         Path(outputs["report"]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -309,6 +292,7 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 def cmd_sweep(args):
     reject = {**TRAIN_REJECT, **SWEEP_SETS[args.mode]}
     base = _overlay(_read_config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject), epochs=args.epochs)
+    lambdas = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.mode == "lambda" else None
     bundle = hpo.SweepData(
         train=data.load_csv(args.train),
         valid=data.load_csv(args.valid),
@@ -319,7 +303,6 @@ def cmd_sweep(args):
         report = hpo.run_search(hpo.SearchSpace(), args.trials, bundle, base=base, master_seed=base.seed, jobs=args.jobs)
         cfg = {"mode": "search", "trials": args.trials}
     else:
-        lambdas = _parse_float_list(args.lambda_grid, "--lambda-grid")
         arch = model.build_architecture(bundle.train.d, bundle.train.k, **asdict(base.architecture))
         report = hpo.lambda_sweep(lambdas, args.repeats, bundle, arch=arch, base=base,
                                   master_seed=base.seed, jobs=args.jobs)

@@ -417,3 +417,13 @@ def golden_subset(
     sel_valid = np.sort(perm[n_train : n_train + n_valid])
     sel_test = np.sort(perm[n_train + n_valid : total])
     return dataset.take(sel_train), dataset.take(sel_valid), dataset.take(sel_test)
+
+
+def carve(full: Dataset, golden, fractions, mode: str = SEQUENTIAL, seed: int = 0):
+    """``(golden subsets, (train, valid, test))``: :func:`golden_subset` of the three ``golden``
+    sizes (``None`` when all are 0), then :func:`split` of the rows they leave by ``fractions``."""
+    subsets, corpus = None, full
+    if any(golden):
+        subsets = golden_subset(full, *golden, seed=seed)
+        corpus = full.exclude_ids(np.concatenate([s.ids for s in subsets]))
+    return subsets, split(corpus, *fractions, mode=mode, seed=seed)

@@ -273,6 +273,8 @@ def lambda_sweep(
     lambda sharing the same derived seed so the comparison is paired.
     """
     lambdas = [float(v) for v in lambdas]
+    if not lambdas:
+        raise DataError("the lambda grid is empty")
     if n_repeats < 1:
         raise DataError("n_repeats must be >= 1")
     base = base or training.TrainConfig()

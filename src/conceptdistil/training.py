@@ -256,6 +256,8 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     """
     model.check_concepts(params, train_set, "training set")
     model.check_concepts(params, valid_set, "validation set")
+    _require(train_set.n > 0, "training set has no rows")
+    _require(valid_set.n > 0, "validation set has no rows")  # its loss would be nan, and no epoch the best
     work = params.copy()
     variant = config.variant
     ye_train = _concept_targets(train_set)

@@ -96,6 +96,13 @@ class TestFFNNBlackBox:
         with pytest.raises(DataError):
             blackbox.train_ffnn_blackbox(unlabeled, unlabeled, epochs=1)
 
+    @pytest.mark.parametrize("empty, name", [(0, "training"), (1, "validation")])
+    def test_zero_row_set_rejected_naming_it(self, empty, name):
+        sets = list(data.split(linearly_separable(n=100), 0.6, 0.2, 0.2)[:2])
+        sets[empty] = sets[empty].take(np.arange(0))
+        with pytest.raises(DataError, match=f"black-box {name} set has no rows"):
+            blackbox.train_ffnn_blackbox(*sets, epochs=1)
+
     def test_save_load_round_trip_is_exact(self, tmp_path):
         full = linearly_separable(n=200, seed=4)
         train, valid, _ = data.split(full, 0.6, 0.2, 0.2)

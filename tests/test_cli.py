@@ -201,6 +201,51 @@ class TestExitCodes:
     def test_golden_sets_taking_every_row_exit_2(self, tmp_path, capsys):
         assert run("gen-data", "--out", str(tmp_path / "d"), "--n", "30", "--golden", "10,10,10") == 2
         assert "split produces an empty subset" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--golden", "60,30,30", "--split", "0.8,0.2"), 1),
+        (("--golden", "60,30"), 1),
+        (("--golden", "60,30,30", "--split", "0.5,0.4,0.4"), 2),
+        (("--golden", "600,30,30"), 2),
+    ])
+    def test_gen_data_writes_nothing_when_a_subset_fails(self, tmp_path, argv, code):
+        assert run("gen-data", "--out", str(tmp_path / "d"), "--n", "400", *argv) == code
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_teach_tune_without_golden_valid_fails_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "t"  # golden-train does not exist: reading it would exit 2
+        assert run("teach", "--golden-train", str(tmp_path / "none.csv"), "--tune", "2", "--out", str(out)) == 1
+        assert "--tune requires --golden-valid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, argv", [
+        ("distill", ("--variant", "baseline-concept")),
+        ("train-blackbox", ("--epochs", "2")),
+    ])
+    @pytest.mark.parametrize("empty, name", [("--train", "training"), ("--valid", "validation")])
+    def test_zero_row_set_exits_2_naming_it(self, pipeline, tmp_path, capsys, command, argv, empty, name):
+        d = pipeline / "data"
+        suffix = "_labeled" if command == "distill" else ""
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text((d / f"train{suffix}.csv").read_text().splitlines(keepends=True)[0])
+        sets = {"--train": d / f"train{suffix}.csv", "--valid": d / f"valid{suffix}.csv", empty: header_only}
+        out = tmp_path / "out"
+        assert run(command, *argv, *(str(a) for kv in sets.items() for a in kv), "--out", str(out)) == 2
+        assert f"{name} set has no rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_empty_lambda_grid_exits_2_naming_it(self, pipeline, tmp_path, capsys):
+        d = pipeline / "data"
+        argv = [str(d / a) if a.endswith(".csv") else a for a in SWEEP_INPUTS]
+        assert run("sweep", "--mode", "lambda", "--lambda-grid", "", *argv, "--out", str(tmp_path / "s")) == 2
+        assert "the lambda grid is empty" in capsys.readouterr().err
+
+    def test_sweep_parses_the_lambda_grid_before_reading_data(self, tmp_path, capsys):
+        none = str(tmp_path / "none.csv")  # reading it would exit 2
+        assert run("sweep", "--mode", "lambda", "--lambda-grid", "0,x", "--train", none, "--valid", none,
+                   "--test", none, "--golden-test", none, "--out", str(tmp_path / "s")) == 1
+        assert "--lambda-grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("command, required", [

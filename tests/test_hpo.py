@@ -174,6 +174,11 @@ class TestLambdaSweep:
         with pytest.raises(DataError):
             hpo.lambda_sweep([0.5, 1.2], 1, bundle)
 
+    def test_empty_grid_rejected_by_name_before_any_trial(self, bundle, monkeypatch):
+        monkeypatch.setattr(hpo, "_execute", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(DataError, match="the lambda grid is empty"):
+            hpo.lambda_sweep([], 1, bundle)
+
     def test_out_of_range_lambda_fails_before_any_trial(self, bundle, monkeypatch):
         monkeypatch.setattr(hpo, "_execute", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(DataError, match=r"lam must be in \[0, 1\], got 1.5"):

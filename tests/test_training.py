@@ -193,6 +193,15 @@ class TestVariantContracts:
         with pytest.raises(DataError, match=r"\('c0', 'c1', 'c2'\).*\('c2', 'c1', 'c0'\)"):
             training.train(params, train_set, valid_set, quick_config())
 
+    @pytest.mark.parametrize("variant", training.VARIANTS)
+    @pytest.mark.parametrize("empty, name", [(0, "training"), (1, "validation")])
+    def test_zero_row_set_rejected_naming_it(self, variant, empty, name):
+        sets = list(make_sets(n=32, seed=15))
+        sets[empty] = sets[empty].take(np.arange(0))
+        params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=0)
+        with pytest.raises(DataError, match=f"{name} set has no rows"):
+            training.train(params, *sets, quick_config(variant=variant))
+
     def test_default_requires_scores(self):
         train_set, valid_set = make_sets(n=32, seed=13, with_scores=False)
         params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=0)
