@@ -10,7 +10,6 @@ join on instance id), and uncertainty sampling over attached scores.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,6 @@ from .data import Dataset
 from .errors import DataError
 from .nn import EVAL, TRAIN, LayerSpec, MLPParams, OptimizerConfig, derive_seed
 from .schema import Checked, bounded, each, ge, gt
-
-FORMAT_VERSION = 1
 
 _SHUFFLE = 51
 _BATCH = 52
@@ -77,7 +74,7 @@ def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FF
     work = nn.init_mlp(default_blackbox_specs(train_set.d, cfg.hidden), derive_seed(cfg.seed, 50))
     x, t = train_set.x, train_set.y.astype(np.float64).reshape(-1, 1)
     tv = valid_set.y.astype(np.float64).reshape(-1, 1)
-    grads = nn.new_grads([work])[1][0]  # one buffer for the fit, overwritten every step
+    grads = nn.zero_grads(work)  # one buffer for the fit, overwritten every step
 
     def step(idx, opt_cfg, state, seed_b):
         out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
@@ -100,13 +97,8 @@ def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FF
 
 
 def save_blackbox(adapter: FFNNBlackBox, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "ffnn_blackbox",
-        "descriptor": adapter.descriptor,
-        "network": nn.mlp_to_doc(adapter.params),
-    }
-    Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
+    schema.save_file(path, "ffnn_blackbox", {"descriptor": adapter.descriptor,
+                                             "network": nn.mlp_to_doc(adapter.params)})
 
 
 def load_blackbox(path) -> FFNNBlackBox:

@@ -230,7 +230,7 @@ def _history_digest(result) -> str:
 def _assemble(trials: list[Trial]) -> SweepReport:
     done = np.array([t.status == "completed" for t in trials], dtype=bool)
     if not done.any():
-        raise DataError("all trials failed")
+        raise DataError(f"all trials failed; trial {trials[0].index}: {trials[0].error}")
     flags = np.zeros(len(trials), dtype=bool)
     flags[done] = metrics.pareto_frontier([[t.fidelity, t.mean_auc] for t in trials if t.status == "completed"])
     return SweepReport(trials, flags)

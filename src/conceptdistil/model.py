@@ -15,7 +15,6 @@ import json
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, replace
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .data import ROW_BLOCK
 from .errors import DataError
 from .nn import EVAL, LayerSpec, MLPParams, derive_seed
 from .schema import Checked, bounded, each, ge, nonempty, within
-
-FORMAT_VERSION = 1
 
 # seed-stream tags for the three sub-networks
 _SEED_TRUNK = 0
@@ -106,30 +103,27 @@ class ConceptDistilParams:
 
     The heads are one stacked MLP with per-head views in ``theta_m``. All
     arrays are views of one ``buffer`` (see :func:`nn.pack`); ``flat`` is
-    its learnable prefix: trunk, heads, attention.
+    its learnable prefix: trunk, heads, attention. ``config`` is read from
+    the three stacks and the number of concept names, and checked.
     """
 
-    config: ArchitectureConfig
     theta_c: MLPParams
     heads: MLPParams
     theta_a: MLPParams
     concept_names: tuple[str, ...]
     buffer: np.ndarray | None = field(default=None, repr=False)
+    config: ArchitectureConfig = field(init=False)
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = self.config.k_concepts
+        k = len(self.concept_names)
         if self.heads.layers[0].weights.shape[:-2] != (k,):
-            raise DataError(f"expected {k} stacked heads, got shape {self.heads.layers[0].weights.shape}")
-        if len(self.concept_names) != k or len(set(self.concept_names)) != k:
-            raise DataError("concept_names must be unique and match k_concepts")
-        if tuple(self.theta_c.specs) != self.config.trunk:
-            raise DataError("trunk params do not match architecture")
-        if tuple(self.heads.specs) != self.config.head_template:
-            raise DataError("head params do not match architecture")
-        if tuple(self.theta_a.specs) != self.config.attention:
-            raise DataError("attention params do not match architecture")
+            raise DataError(f"expected {k} stacked heads, one per concept name, "
+                            f"got shape {self.heads.layers[0].weights.shape}")
+        if len(set(self.concept_names)) != k:
+            raise DataError("concept_names must be unique")
         parts = [self.theta_c, self.heads, self.theta_a]
+        self.config = ArchitectureConfig(k, *(tuple(p.specs) for p in parts))
         self.buffer = nn.pack(parts, self.buffer)
         self.flat = self.buffer[: sum(p.flat.size for p in parts)]
 
@@ -142,8 +136,8 @@ class ConceptDistilParams:
         """Deep copy: one copy of the buffer, viewed through the same layout."""
         shallow = lambda m: replace(m, layers=[replace(l) for l in m.layers])
         return ConceptDistilParams(
-            self.config, shallow(self.theta_c), shallow(self.heads), shallow(self.theta_a),
-            tuple(self.concept_names), self.buffer.copy(),
+            shallow(self.theta_c), shallow(self.heads), shallow(self.theta_a), tuple(self.concept_names),
+            self.buffer.copy(),
         )
 
     def digest(self, include_running_stats: bool = True) -> str:
@@ -166,7 +160,7 @@ def init_model(config: ArchitectureConfig, concept_names, seed: int = 0) -> Conc
         for i in range(config.k_concepts)
     ]
     theta_a = nn.init_mlp(config.attention, derive_seed(seed, _SEED_ATTENTION))
-    return ConceptDistilParams(config, theta_c, nn.stack(theta_m), theta_a, names)
+    return ConceptDistilParams(theta_c, nn.stack(theta_m), theta_a, names)
 
 
 @dataclass
@@ -220,46 +214,26 @@ def forward_full(params: ConceptDistilParams, x, mode: str = EVAL, rng_seed: int
     return ModelOutputs(y_e, alpha, y_kd, ct, at, mode)
 
 
-@dataclass
-class ModelGrads:
-    """Gradients packed like ``ConceptDistilParams.flat``."""
-
-    theta_c: nn.GradientSet
-    heads: nn.GradientSet  # stacked, leading K axis
-    theta_a: nn.GradientSet
-    flat: np.ndarray
-
-    @property
-    def theta_m(self) -> list[nn.GradientSet]:
-        """Per-head views of the stacked head gradients."""
-        return nn.unstack(self.heads)
-
-
-def new_grads(params: ConceptDistilParams) -> ModelGrads:
-    """A gradient buffer for ``params``, for :func:`backward_full` to overwrite step after step."""
-    flat, sets = nn.new_grads([params.theta_c, params.heads, params.theta_a])
-    return ModelGrads(*sets, flat)
-
-
 def backward_full(
     params: ConceptDistilParams,
     outputs: ModelOutputs,
     d_y_kd: np.ndarray,
     d_y_e: np.ndarray,
     stop_concept_grad: bool = False,
-    grads: ModelGrads | None = None,
-) -> ModelGrads:
+    grads: ConceptDistilParams | None = None,
+) -> ConceptDistilParams:
     """Backpropagate loss gradients through the combiner and all stacks.
 
     ``d_y_kd`` is the loss gradient w.r.t. the mimicry score, ``d_y_e``
     the direct gradient w.r.t. the concept probabilities. With
     ``stop_concept_grad`` the mimicry path is cut at the concept outputs:
     its gradient still reaches the attention stack but contributes
-    nothing to trunk or heads. Every slot of ``grads`` (new when omitted,
-    see :func:`new_grads`) is overwritten and returned.
+    nothing to trunk or heads. Every learnable slot of ``grads`` (an
+    :func:`nn.zero_grads` buffer, new when omitted) is overwritten, and
+    ``grads`` is returned.
     """
     if grads is None:
-        grads = new_grads(params)
+        grads = nn.zero_grads(params)
     y_e, alpha = outputs.y_e, outputs.alpha
     dk = np.asarray(d_y_kd, dtype=np.float64).reshape(-1, 1)
     d_alpha = dk * y_e
@@ -345,34 +319,19 @@ def predict_scores(params: ConceptDistilParams, x) -> np.ndarray:
 
 # -- serialization ----------------------------------------------------------
 
-def model_to_doc(params: ConceptDistilParams) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "concept_distil",
+def model_from_doc(doc: dict) -> ConceptDistilParams:
+    theta_c = nn.mlp_from_doc(doc["trunk"])
+    heads = nn.stack([nn.mlp_from_doc(h) for h in doc["heads"]])
+    return ConceptDistilParams(theta_c, heads, nn.mlp_from_doc(doc["attention"]), tuple(doc["concept_names"]))
+
+
+def save_model(params: ConceptDistilParams, path) -> None:
+    schema.save_file(path, "concept_distil", {
         "concept_names": list(params.concept_names),
         "trunk": nn.mlp_to_doc(params.theta_c),
         "heads": [nn.mlp_to_doc(h) for h in params.theta_m],
         "attention": nn.mlp_to_doc(params.theta_a),
-    }
-
-
-def model_from_doc(doc: dict) -> ConceptDistilParams:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported model format_version {doc.get('format_version')!r}")
-    theta_c = nn.mlp_from_doc(doc["trunk"])
-    heads = nn.stack([nn.mlp_from_doc(h) for h in doc["heads"]])
-    theta_a = nn.mlp_from_doc(doc["attention"])
-    config = ArchitectureConfig(
-        k_concepts=len(doc["heads"]),
-        trunk=tuple(theta_c.specs),
-        head_template=tuple(heads.specs),
-        attention=tuple(theta_a.specs),
-    )
-    return ConceptDistilParams(config, theta_c, heads, theta_a, tuple(doc["concept_names"]))
-
-
-def save_model(params: ConceptDistilParams, path) -> None:
-    Path(path).write_text(json.dumps(model_to_doc(params), allow_nan=False), encoding="utf-8")
+    })
 
 
 def load_model(path) -> ConceptDistilParams:

@@ -125,7 +125,7 @@ class MLPParams:
 
 
 def pack(parts, buffer: np.ndarray | None = None) -> np.ndarray:
-    """Rebind every array of ``parts`` (MLPParams or GradientSets) to a view of one buffer.
+    """Rebind every array of the MLPParams ``parts`` to a view of one buffer.
 
     Learnable blocks come first, part by part and layer by layer (weights,
     bias, gamma, beta), then all running statistics; each part's ``flat``
@@ -133,7 +133,7 @@ def pack(parts, buffer: np.ndarray | None = None) -> np.ndarray:
     copied into a new one; a given ``buffer`` has this layout and is kept.
     """
     slots = [(l, name) for names in (LEARNABLE, RUNNING) for p in parts for l in p.layers
-             for name in names if getattr(l, name, None) is not None]
+             for name in names if getattr(l, name) is not None]
     arrays = [getattr(l, name) for l, name in slots]
     if buffer is None:
         buffer = np.concatenate([a.ravel() for a in arrays])
@@ -162,7 +162,7 @@ def stack(mlps) -> MLPParams:
 
 
 def unstack(obj) -> list:
-    """Member views of a stacked MLPParams, GradientSet or ForwardTrace; writes go through."""
+    """Member views of a stacked MLPParams or ForwardTrace; writes go through."""
     def member(layer, i):
         return replace(layer, **{name: a[i] for name, a in vars(layer).items() if a is not None})
 
@@ -282,38 +282,25 @@ def forward(params: MLPParams, x, mode: str = EVAL, rng_seed=0):
     return h, ForwardTrace(mode, traces)
 
 
-@dataclass
-class LayerGrads:
-    weights: np.ndarray
-    bias: np.ndarray
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
+def zero_grads(params):
+    """A gradient buffer for ``params`` (MLPParams or ConceptDistilParams): a packed copy, ``flat`` zeroed,
+    so ``grads.flat`` lines up with ``params.flat``."""
+    grads = params.copy()
+    grads.flat[:] = 0.0
+    return grads
 
 
-@dataclass
-class GradientSet:
-    layers: list[LayerGrads]
-    flat: np.ndarray | None = field(default=None, init=False, repr=False)  # set by pack()
-
-
-def new_grads(mlps) -> tuple[np.ndarray, list[GradientSet]]:
-    """Zeroed gradient sets for ``mlps`` packed like their learnable blocks: ``(flat, sets)``."""
-    sets = [GradientSet([LayerGrads(l.weights, l.bias, l.gamma, l.beta) for l in m.layers]) for m in mlps]
-    flat = pack(sets)
-    flat[:] = 0.0  # the parameter values only lent their shapes
-    return flat, sets
-
-
-def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: GradientSet | None = None,
+def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: MLPParams | None = None,
              input_grad: bool = True):
     """Exact reverse-mode gradients of the traced computation.
 
     Differentiates through the dropout masks and, in train mode, through
-    the batch statistics. Overwrites every slot of ``grads`` (new when
-    omitted), so a buffer reused from step to step needs no zeroing, and
-    returns ``(grads, gradient w.r.t. the input)``; the input gradient is
-    None when ``input_grad`` is False, which skips the first layer's
-    ``d @ W``. ``upstream_grad`` is not modified.
+    the batch statistics. Overwrites every learnable slot of ``grads``
+    (a :func:`zero_grads` buffer, new when omitted), so a buffer reused
+    from step to step needs no zeroing, and returns ``(grads, gradient
+    w.r.t. the input)``; the input gradient is None when ``input_grad``
+    is False, which skips the first layer's ``d @ W``. ``upstream_grad``
+    is not modified.
     """
     if len(trace.layers) != len(params.specs):
         raise DataError("trace does not match params (layer counts differ)")
@@ -323,7 +310,7 @@ def backward(params: MLPParams, trace: ForwardTrace, upstream_grad, grads: Gradi
     if d.shape != last.shape:
         raise DataError(f"upstream_grad shape {d.shape} does not match output {last.shape}")
     if grads is None:
-        grads = new_grads([params])[1][0]
+        grads = zero_grads(params)
     steps = list(enumerate(zip(params.specs, params.layers, trace.layers, grads.layers)))
     for i, (spec, layer, lt, g) in reversed(steps):
         if lt.x_in.shape[-1] != spec.in_dim:

@@ -6,6 +6,7 @@ fidelity and mean concept AUC.
 from dataclasses import replace
 
 from . import blackbox, data, hpo, model, teachers, training
+from .errors import DataError
 
 REFERENCE_N = 29_643  # the source protocol's corpus, golden rows included
 REFERENCE_GOLDEN = (data.GOLDEN_TRAIN_DEFAULT, data.GOLDEN_VALID_DEFAULT, data.GOLDEN_TEST_DEFAULT)
@@ -18,6 +19,8 @@ def desk_data(seed: int, n: int, golden, fractions) -> tuple[hpo.SweepData, floa
 
     Returns the labelled bundle (golden-test as its golden set) and the teachers' golden-test mean AUC.
     """
+    if not any(golden):
+        raise DataError(f"the teachers need golden sets, and every golden size is 0: {tuple(golden)}")
     full = data.generate_synthetic(data.GeneratorConfig(n_instances=n, seed=seed))
     (g_train, _, g_test), (tr, va, te) = data.carve(full, golden, fractions, seed=seed)
     teacher_set = teachers.fit_teachers(g_train, teachers.ForestParams(seed=seed))

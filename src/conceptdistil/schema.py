@@ -21,6 +21,7 @@ from pathlib import Path
 from .errors import DataError
 
 RULES = "rules"  # the metadata key of a field's rules
+FORMAT_VERSION = 1  # of every artifact file (save_file)
 
 
 class Rule(typing.NamedTuple):
@@ -145,11 +146,20 @@ def load_json(path) -> dict:
     return doc
 
 
+def save_file(path, kind: str, body: dict) -> None:
+    """Write ``body`` as a ``kind`` artifact: one JSON object led by ``format_version`` and ``kind``."""
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, **body}
+    Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
+
+
 def load_file(path, kind: str, from_doc):
-    """``from_doc`` of the ``kind`` document at ``path``; its errors name the file, a KeyError the key."""
+    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote; its errors name
+    the file, a KeyError the key."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported {kind} format_version {doc.get('format_version')!r}")
     try:
         return from_doc(doc)
     except KeyError as exc:

@@ -10,9 +10,7 @@ threshold), so fitting is row-order invariant given the same rng.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +19,6 @@ from .data import Dataset
 from .errors import DataError
 from .nn import derive_seed
 from .schema import Checked, bounded, ge
-
-FORMAT_VERSION = 1
 
 # seed-stream tags
 _TREE_RNG = 11
@@ -283,23 +279,6 @@ def _tree_from_doc(doc: dict, n_features: int) -> Tree:
     return _tree(rows)
 
 
-def teachers_to_doc(teachers: TeacherSet) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "concept_teachers",
-        "concept_names": list(teachers.concept_names),
-        "feature_names": list(teachers.feature_names),
-        "forests": [
-            {
-                "params": schema.write(f.params),
-                "n_features": f.n_features,
-                "trees": [_tree_to_doc(t) for t in f.trees],
-            }
-            for f in teachers.forests
-        ],
-    }
-
-
 def teachers_from_doc(doc: dict) -> TeacherSet:
     forests = []
     for i, blob in enumerate(doc["forests"]):
@@ -312,7 +291,14 @@ def teachers_from_doc(doc: dict) -> TeacherSet:
 
 
 def save_teachers(teachers: TeacherSet, path) -> None:
-    Path(path).write_text(json.dumps(teachers_to_doc(teachers), allow_nan=False), encoding="utf-8")
+    schema.save_file(path, "concept_teachers", {
+        "concept_names": list(teachers.concept_names),
+        "feature_names": list(teachers.feature_names),
+        "forests": [
+            {"params": schema.write(f.params), "n_features": f.n_features, "trees": [_tree_to_doc(t) for t in f.trees]}
+            for f in teachers.forests
+        ],
+    })
 
 
 def load_teachers(path) -> TeacherSet:

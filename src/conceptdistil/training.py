@@ -276,7 +276,7 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
         work = res1.params
         frozen = work.concept_digest()
         kd_t = train_set.bb_scores
-        grads_a = nn.new_grads([work.theta_a])[1][0]  # one buffer for the stage, overwritten every step
+        grads_a = nn.zero_grads(work.theta_a)  # one buffer for the stage, overwritten every step
 
         def stage2_step(idx, opt_cfg, state, seed_b):
             return _attention_step(work, grads_a, train_set.x[idx], kd_t[idx], opt_cfg, state, seed_b)
@@ -299,7 +299,7 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     stop = variant == NO_GRADIENT
     kd_t = train_set.bb_scores
     x_train = train_set.x
-    grads = model.new_grads(work)  # one buffer for the stage, overwritten every step
+    grads = nn.zero_grads(work)  # one buffer for the stage, overwritten every step
 
     def joint(idx, opt_cfg, state, seed_b):
         ye_b = None if ye_train is None else ye_train[idx]

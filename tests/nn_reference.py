@@ -8,7 +8,7 @@ tests require the in-place kernels of ``conceptdistil.nn`` and
 
 import numpy as np
 
-from conceptdistil import model, nn
+from conceptdistil import nn
 from conceptdistil.nn import BCE_EPS, BN_EPS, TRAIN
 
 
@@ -24,7 +24,7 @@ def sigmoid(z):
 def backward(params, trace, upstream_grad, grads=None):
     d = np.ascontiguousarray(upstream_grad, dtype=np.float64)
     if grads is None:
-        grads = nn.new_grads([params])[1][0]
+        grads = nn.zero_grads(params)
     for spec, layer, lt, g in reversed(list(zip(params.specs, params.layers, trace.layers, grads.layers))):
         if lt.mask is not None:
             d = d * lt.mask
@@ -67,17 +67,17 @@ def softmax_rowwise(e):
 
 def backward_full(params, outputs, d_y_kd, d_y_e, stop_concept_grad=False):
     """model.backward_full with fresh gradients and :func:`backward`."""
-    flat, (grads_c, grads_m, grads_a) = nn.new_grads([params.theta_c, params.heads, params.theta_a])
+    grads = nn.zero_grads(params)
     y_e, alpha = outputs.y_e, outputs.alpha
     dk = np.asarray(d_y_kd, dtype=np.float64).reshape(-1, 1)
     d_e = nn.softmax_backward(alpha, dk * y_e)
-    backward(params.theta_a, outputs.attention_trace, d_e, grads_a)
+    backward(params.theta_a, outputs.attention_trace, d_e, grads.theta_a)
     d_ye_total = np.asarray(d_y_e, dtype=np.float64)
     if not stop_concept_grad:
         d_ye_total = d_ye_total + dk * alpha
-    _, d_in = backward(params.heads, outputs.concept_traces.stack, d_ye_total.T[:, :, None], grads_m)
+    _, d_in = backward(params.heads, outputs.concept_traces.stack, d_ye_total.T[:, :, None], grads.heads)
     d_trunk_out = d_in[0]
     for part in d_in[1:]:  # summed head by head, in order
         d_trunk_out = d_trunk_out + part
-    backward(params.theta_c, outputs.concept_traces.trunk, d_trunk_out, grads_c)
-    return model.ModelGrads(grads_c, grads_m, grads_a, flat)
+    backward(params.theta_c, outputs.concept_traces.trunk, d_trunk_out, grads.theta_c)
+    return grads

@@ -241,6 +241,16 @@ class TestExitCodes:
         assert run("sweep", "--mode", "lambda", "--lambda-grid", "", *argv, "--out", str(tmp_path / "s")) == 2
         assert "the lambda grid is empty" in capsys.readouterr().err
 
+    def test_sweep_with_every_trial_failing_names_the_first_cause(self, pipeline, tmp_path, capsys):
+        d = pipeline / "data"
+        header_only = tmp_path / "test_labeled.csv"
+        header_only.write_text((d / "test_labeled.csv").read_text().splitlines(keepends=True)[0])
+        argv = [str(header_only) if a == "test_labeled.csv" else str(d / a) if a.endswith(".csv") else a
+                for a in SWEEP_INPUTS]
+        assert run("sweep", "--mode", "lambda", "--lambda-grid", "0.5", "--repeats", "1", "--epochs", "1",
+                   *argv, "--out", str(tmp_path / "s")) == 2
+        assert "all trials failed; trial 0: predictions must not be empty" in capsys.readouterr().err
+
     def test_sweep_parses_the_lambda_grid_before_reading_data(self, tmp_path, capsys):
         none = str(tmp_path / "none.csv")  # reading it would exit 2
         assert run("sweep", "--mode", "lambda", "--lambda-grid", "0,x", "--train", none, "--valid", none,

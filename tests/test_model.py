@@ -252,6 +252,14 @@ class TestValidation:
         with pytest.raises(DataError):
             model.init_model(tiny_arch(4, 3), ("a", "a", "b"), seed=0)
 
+    def test_config_is_read_from_the_stacks(self):
+        config = tiny_arch(4, 3, dropout=0.1, batchnorm=True)
+        params = model.init_model(config, ("a", "b", "c"), seed=0)
+        assert params.config == config
+        assert params.copy().config == config and nn.zero_grads(params).config == config
+        with pytest.raises(TypeError):
+            model.ConceptDistilParams(params.theta_c, params.heads, params.theta_a, ("a", "b", "c"), config=config)
+
 
 class TestSerialization:
     def test_round_trip_forward_is_bit_identical(self, tmp_path):
@@ -277,6 +285,30 @@ class TestSerialization:
         path.write_text(json.dumps({"format_version": 1, "kind": "other"}))
         with pytest.raises(DataError):
             model.load_model(path)
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        path = tmp_path / "model.json"
+        model.save_model(model.init_model(tiny_arch(4, 3), ("a", "b", "c"), seed=2), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_concept_name_count_must_match_the_heads(self, tmp_path):
+        path = self.edited(tmp_path, lambda doc: doc["concept_names"].pop())
+        with pytest.raises(DataError, match=r"model\.json: expected 2 stacked heads, one per concept name"):
+            model.load_model(path)
+
+    def test_attention_output_width_must_match_the_heads(self, tmp_path):
+        def drop_attention_unit(doc):  # a consistent 2-unit attention output layer for 3 heads
+            last, spec = doc["attention"]["layers"][-1], doc["attention"]["specs"][-1]
+            spec["out_dim"] -= 1
+            last["weights"] = last["weights"][: spec["out_dim"] * spec["in_dim"]]
+            last["bias"] = last["bias"][:-1]
+
+        with pytest.raises(DataError, match=r"model\.json: attention must end in k_concepts units"):
+            model.load_model(self.edited(tmp_path, drop_attention_unit))
 
 
 class TestStackedHeads:
@@ -339,7 +371,7 @@ class TestBackwardFull:
         params = model.init_model(arch, tuple(f"c{i}" for i in range(arch.k_concepts)), seed=6)
         params.theta_c.layers[-1].bias += 2.0  # live trunk relus, so the heads' summed gradient reaches the trunk
         rng = np.random.default_rng(12)
-        grads = model.new_grads(params)
+        grads = nn.zero_grads(params)
         grads.flat[:] = np.nan  # any slot backward_full left unwritten would keep a NaN
         for step in range(2):  # the second step overwrites the first one's gradients
             out = model.forward_full(params, rng.normal(size=(n, 4)), mode, rng_seed=step)

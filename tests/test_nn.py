@@ -216,12 +216,32 @@ def assert_same_bits(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+class TestZeroGrads:
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_a_zeroed_packed_copy_laid_out_like_the_params(self, k):
+        specs = [nn.LayerSpec(3, 4, "relu", use_batchnorm=True), nn.LayerSpec(4, 1, "sigmoid")]
+        members = [nn.init_mlp(specs, seed) for seed in range(k or 1)]
+        params = nn.stack(members) if k else members[0]
+        nn.pack([params])
+        kept = params.flat.copy()
+        grads = nn.zero_grads(params)
+        assert grads.specs == params.specs and grads.flat.shape == params.flat.shape
+        assert not grads.flat.any() and not np.shares_memory(grads.flat, params.flat)
+        assert_same_bits(params.flat, kept)
+        for g, p in zip(grads.layers, params.layers):
+            for name in (n for n in nn.LEARNABLE if getattr(p, n) is not None):
+                assert getattr(g, name).shape == getattr(p, name).shape
+                assert np.shares_memory(getattr(g, name), grads.flat)
+            for name in (n for n in nn.RUNNING if getattr(p, n) is not None):  # outside flat: copied, not zeroed
+                assert_same_bits(getattr(g, name), getattr(p, name))
+
+
 class TestInPlaceBackward:
     @given(traced_mlps(), st.booleans())
     def test_reused_dirty_buffer_gives_the_reference_bits(self, case, input_grad):
         params, trace, first, up = case
-        flat, (grads,) = nn.new_grads([params])
-        flat[:] = np.nan  # any slot backward left unwritten would keep a NaN
+        grads = nn.zero_grads(params)
+        grads.flat[:] = np.nan  # any slot backward left unwritten would keep a NaN
         for upstream in (first, up):  # the second call reuses a buffer holding the first one's gradients
             kept = upstream.copy()
             got, d_in = nn.backward(params, trace, upstream, grads, input_grad=input_grad)

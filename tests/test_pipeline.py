@@ -76,3 +76,12 @@ def test_carve_rejects_what_golden_subset_rejects(golden):
     full = data.generate_synthetic(data.GeneratorConfig(n_instances=1500, seed=5))
     with pytest.raises(DataError):
         data.carve(full, golden, (0.8, 0.1, 0.1))
+
+
+def test_desk_data_without_golden_sets_fails_before_generating(monkeypatch):
+    def generate(*_):
+        raise AssertionError("data was generated")
+
+    monkeypatch.setattr(data, "generate_synthetic", generate)
+    with pytest.raises(DataError, match=r"every golden size is 0: \(0, 0, 0\)"):
+        pipeline.desk_data(1, 600, (0, 0, 0), (0.7, 0.1, 0.2))

@@ -247,3 +247,54 @@ class TestFieldRules:
 
     def test_none_passes_the_rules_of_an_optional_field(self):
         assert teachers.ForestParams(feature_subsample=None).feature_subsample is None
+
+
+# -- artifact files ------------------------------------------------------------
+
+def _saved_artifact(kind, path):
+    """A real ``kind`` file saved at ``path``, and the reader that loads it."""
+    if kind == "concept_distil":
+        model.save_model(model.init_model(model.build_architecture(3, 2), ("a", "b"), seed=0), path)
+        return model.load_model
+    if kind == "concept_teachers":
+        full = data.generate_synthetic(data.GeneratorConfig(n_instances=200, seed=1))
+        teachers.save_teachers(teachers.fit_teachers(full, teachers.ForestParams(n_trees=2, seed=1)), path)
+        return teachers.load_teachers
+    blackbox.save_blackbox(blackbox.FFNNBlackBox(nn.init_mlp(blackbox.default_blackbox_specs(3, (4,)))), path)
+    return blackbox.load_blackbox
+
+
+KINDS = ("concept_distil", "concept_teachers", "ffnn_blackbox")
+
+
+class TestArtifactEnvelope:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_saved_file_leads_with_version_and_kind_and_loads_back(self, tmp_path, kind):
+        path = tmp_path / "artifact.json"
+        load = _saved_artifact(kind, path)
+        assert list(json.loads(path.read_text()).items())[:2] == [("format_version", 1), ("kind", kind)]
+        load(path)
+
+    @pytest.mark.parametrize("version", [99, "1", None])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_rejects_another_format_version_naming_the_file(self, tmp_path, kind, version):
+        path = tmp_path / "artifact.json"
+        load = _saved_artifact(kind, path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: unsupported {kind} format_version {version!r}")):
+            load(path)
+
+    def test_version_99_exits_2_at_the_command_line(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        _saved_artifact("concept_distil", path)
+        path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 99', 1))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
+        assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
+        assert f"{path}: unsupported concept_distil format_version 99" in capsys.readouterr().err
+
+    def test_save_file_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            schema.save_file(tmp_path / "x.json", "k", {"value": math.nan})
