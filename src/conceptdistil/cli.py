@@ -157,6 +157,8 @@ def cmd_teach(args):
     seed = params.seed  # tuning replaces params, seed included
     golden_train = data.load_csv(args.golden_train)
     golden_valid = data.load_csv(args.golden_valid) if args.golden_valid else None
+    if golden_valid is not None:
+        data.check_concepts(golden_valid, golden_train.concept_names, "--golden-valid")
     if args.tune > 0:
         teacher_set, params, best_auc = teachers.tune_teachers(golden_train, golden_valid, args.tune, seed)
         report = {"tuned_valid_mean_auc": best_auc}
@@ -223,6 +225,8 @@ def cmd_evaluate(args):
     seed = RunSeed(_resolve_seed(args)).seed
     if args.model is None and args.data is None:
         raise UsageError("evaluate needs --model (with --test/--golden) or --data")
+    if args.model is not None and not (args.test or args.golden):
+        raise UsageError("evaluate with --model needs --test and/or --golden")
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.model is None:
@@ -233,40 +237,26 @@ def cmd_evaluate(args):
         out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         return out_path.parent, {}, {"data": args.data}, {"report": out_path}, seed
     params = model.load_model(args.model)
-    fid = None
-    per = mean_auc = None
-    names = None
-    n_eval = 0
+    report = {"n_eval": 0, "fidelity": None, "mean_auc": None}
     recall = None
     if args.test:
         test_set = data.load_csv(args.test)
-        if test_set.bb_scores is None:
-            raise DataError("--test file must carry bb_score for fidelity")
         pred = model.predict_scores(params, test_set.x)
-        fid = metrics.fidelity(pred, test_set.bb_scores)
-        n_eval = max(n_eval, test_set.n)
+        report["fidelity"] = metrics.score_fidelity(pred, test_set, "--test file")
+        report["n_eval"] = test_set.n
         if args.recall_fpr is not None:
             if test_set.y is None:
                 raise DataError("--recall-fpr needs task labels on the --test file")
-            recall = metrics.recall_at_fpr(pred, test_set.y, args.recall_fpr)
+            recall = {"fpr_level": args.recall_fpr, "recall": metrics.recall_at_fpr(pred, test_set.y, args.recall_fpr)}
     if args.golden:
         golden_set = data.load_csv(args.golden)
-        if golden_set.golden is None:
-            raise DataError("--golden file must carry hard concept labels")
-        model.check_concepts(params, golden_set, "--golden")
-        per, mean_auc = metrics.mean_concept_auc(
-            model.predict_concepts(params, golden_set.x), golden_set.golden, golden_set.concept_names
-        )
-        names = golden_set.concept_names
-        n_eval = max(n_eval, golden_set.n)
-    if fid is None and mean_auc is None:
-        raise UsageError("evaluate with --model needs --test and/or --golden")
-    report = metrics.EvalReport(
-        n_eval=n_eval, fidelity=fid, per_concept_auc=per, mean_auc=mean_auc, concept_names=names,
-        recall_fpr_level=args.recall_fpr if recall is not None else None,
-        recall_at_fpr=recall,
-    )
-    report.save(out_path)
+        probs = model.predict_concepts(params, golden_set.x)
+        per, report["mean_auc"] = metrics.golden_auc(probs, golden_set, params.concept_names, "--golden file")
+        report["n_eval"] = max(report["n_eval"], golden_set.n)
+        report["per_concept_auc"] = dict(zip(params.concept_names, per.tolist()))
+    if recall is not None:
+        report["recall_at_fpr"] = recall
+    out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     inputs = {k: v for k, v in (("model", args.model), ("test", args.test), ("golden", args.golden)) if v}
     return out_path.parent, {"recall_fpr": args.recall_fpr}, inputs, {"report": out_path}, seed
 

@@ -106,11 +106,19 @@ class Dataset:
         return self.take(np.flatnonzero(~np.isin(self.ids, [str(i) for i in ids])))
 
     def with_soft(self, soft, concept_names=None) -> "Dataset":
+        """``soft`` attached under ``concept_names``, which must match any concept columns already here."""
         names = self.concept_names if concept_names is None else tuple(concept_names)
+        check_concepts(self, names, "dataset")
         return replace(self, soft=np.asarray(soft, dtype=np.float64), concept_names=names)
 
     def with_scores(self, scores) -> "Dataset":
         return replace(self, bb_scores=np.asarray(scores, dtype=np.float64))
+
+
+def check_concepts(dataset: Dataset, names: tuple[str, ...], what: str) -> None:
+    """A dataset with concept columns must name ``names`` in their order; one without passes."""
+    if dataset.k and dataset.concept_names != names:
+        raise DataError(f"{what} concepts {dataset.concept_names} do not match {names}")
 
 
 def concept_prevalences(dataset: Dataset) -> dict[str, float]:

@@ -181,15 +181,9 @@ class SweepData:
 
 def evaluate_params(params: model.ConceptDistilParams, test: Dataset, golden_test: Dataset) -> tuple[float, float]:
     """(fidelity on the score set, mean concept AUC on the golden set)."""
-    if test.bb_scores is None:
-        raise DataError("fidelity evaluation requires black-box scores on the test set")
-    if golden_test.golden is None:
-        raise DataError("explainability evaluation requires hard concept labels")
-    model.check_concepts(params, golden_test, "golden test set")
-    fid = metrics.fidelity(model.predict_scores(params, test.x), test.bb_scores)
-    _, mean_auc = metrics.mean_concept_auc(
-        model.predict_concepts(params, golden_test.x), golden_test.golden, golden_test.concept_names
-    )
+    fid = metrics.score_fidelity(model.predict_scores(params, test.x), test, "test set")
+    _, mean_auc = metrics.golden_auc(model.predict_concepts(params, golden_test.x), golden_test,
+                                     params.concept_names, "golden test set")
     return fid, mean_auc
 
 

@@ -1,14 +1,13 @@
 """Evaluation measures: score fidelity, ranking AUC, recall at a fixed
-false-positive rate, and Pareto dominance flags for trade-off reports."""
+false-positive rate, and Pareto dominance flags for trade-off reports.
+Surrogates and teachers alike are evaluated against a dataset through
+:func:`score_fidelity` and :func:`golden_auc`, which check what it carries."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
+from .data import Dataset, check_concepts
 from .errors import DataError
 
 
@@ -81,6 +80,22 @@ def mean_concept_auc(pred, golden, concept_names=None) -> tuple[np.ndarray, floa
     return per, float(per.mean())
 
 
+def score_fidelity(pred, score_set: Dataset, what: str) -> float:
+    """:func:`fidelity` of ``pred`` to the black-box scores ``score_set`` carries."""
+    if score_set.bb_scores is None:
+        raise DataError(f"{what} must carry bb_score for fidelity")
+    return fidelity(pred, score_set.bb_scores)
+
+
+def golden_auc(pred, golden_set: Dataset, names: tuple[str, ...], what: str) -> tuple[np.ndarray, float]:
+    """:func:`mean_concept_auc` of ``pred``, whose columns are the concepts ``names``, against the hard
+    labels ``golden_set`` carries under the same names in the same order."""
+    if golden_set.golden is None:
+        raise DataError(f"{what} must carry hard concept labels")
+    check_concepts(golden_set, names, what)
+    return mean_concept_auc(pred, golden_set.golden, golden_set.concept_names)
+
+
 def recall_at_fpr(scores, labels, fpr_level: float) -> float:
     """Recall at the lowest score threshold whose FPR stays within the level.
 
@@ -126,56 +141,5 @@ def pareto_frontier(points) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DataError("points must be an (n, 2) sequence")
-    n = pts.shape[0]
-    flags = np.ones(n, dtype=bool)
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))  # by first coord desc, then second desc
-    best_above = -np.inf  # max second coord among strictly larger first coords
-    i = 0
-    while i < n:
-        j = i
-        while j < n and pts[order[j], 0] == pts[order[i], 0]:
-            j += 1
-        group = order[i:j]
-        group_max = pts[group, 1].max()
-        for idx in group:
-            second = pts[idx, 1]
-            if best_above >= second or group_max > second:
-                flags[idx] = False
-        best_above = max(best_above, group_max)
-        i = j
-    return flags
-
-
-@dataclass
-class EvalReport:
-    """Container for one model evaluation; missing metrics stay None."""
-
-    n_eval: int
-    fidelity: float | None = None
-    per_concept_auc: np.ndarray | None = None
-    mean_auc: float | None = None
-    concept_names: tuple[str, ...] | None = None
-    recall_fpr_level: float | None = None
-    recall_at_fpr: float | None = None
-
-    def __post_init__(self):
-        if self.fidelity is not None and not 0.0 <= self.fidelity <= 1.0:
-            raise DataError("fidelity out of [0, 1]")
-        if self.per_concept_auc is not None:
-            per = np.asarray(self.per_concept_auc, dtype=np.float64)
-            if per.min() < 0.0 or per.max() > 1.0:
-                raise DataError("AUC out of [0, 1]")
-            if self.mean_auc is None or abs(self.mean_auc - per.mean()) > 1e-12:
-                raise DataError("mean_auc must equal the mean of per_concept_auc")
-
-    def to_json_dict(self) -> dict:
-        doc = {"n_eval": self.n_eval, "fidelity": self.fidelity, "mean_auc": self.mean_auc}
-        if self.per_concept_auc is not None:
-            names = self.concept_names or [f"concept_{i}" for i in range(len(self.per_concept_auc))]
-            doc["per_concept_auc"] = {n: float(a) for n, a in zip(names, self.per_concept_auc)}
-        if self.recall_at_fpr is not None:
-            doc["recall_at_fpr"] = {"fpr_level": self.recall_fpr_level, "recall": self.recall_at_fpr}
-        return doc
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    p, q = pts[:, None, :], pts[None, :, :]  # [i, j]: does point j dominate point i?
+    return ~((q >= p).all(2) & (q > p).any(2)).any(1)

@@ -303,12 +303,6 @@ def explanations_to_jsonl(explanations: Explanations, path) -> None:
             fh.writelines(line % (i, *v) for v, i in zip(values[a : a + ROW_BLOCK].tolist(), ids))
 
 
-def check_concepts(params: ConceptDistilParams, dataset, what: str) -> None:
-    """A dataset with concept columns must name the model's concepts in the model's order."""
-    if dataset.k and dataset.concept_names != params.concept_names:
-        raise DataError(f"{what} concepts {dataset.concept_names} do not match the model's {params.concept_names}")
-
-
 def predict_concepts(params: ConceptDistilParams, x) -> np.ndarray:
     return concept_forward(params, x, EVAL)[0]
 

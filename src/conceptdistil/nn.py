@@ -151,6 +151,8 @@ def pack(parts, buffer: np.ndarray | None = None) -> np.ndarray:
 
 def stack(mlps) -> MLPParams:
     """One stacked MLP from MLPs of equal specs: each array gains a leading axis."""
+    if not mlps:
+        raise DataError("no networks to stack")
     if any(list(m.specs) != list(mlps[0].specs) for m in mlps):
         raise DataError("stacked networks must share their layer specs")
     layers = [
@@ -445,14 +447,14 @@ def optimizer_step(
     return state
 
 
-def update_running_stats(params: MLPParams, trace: ForwardTrace, momentum: float = BN_MOMENTUM) -> None:
+def update_running_stats(params: MLPParams, trace: ForwardTrace) -> None:
     """Fold a train-mode trace's batch statistics into the running ones."""
     if trace.mode != TRAIN:
         return
     for spec, layer, lt in zip(params.specs, params.layers, trace.layers):
         if spec.use_batchnorm:  # in place: the statistics live in the packed buffer
-            layer.running_mean[...] = (1.0 - momentum) * layer.running_mean + momentum * lt.bn_mean
-            layer.running_var[...] = (1.0 - momentum) * layer.running_var + momentum * lt.bn_var
+            layer.running_mean[...] = (1.0 - BN_MOMENTUM) * layer.running_mean + BN_MOMENTUM * lt.bn_mean
+            layer.running_var[...] = (1.0 - BN_MOMENTUM) * layer.running_var + BN_MOMENTUM * lt.bn_var
 
 
 # -- serialization ----------------------------------------------------------

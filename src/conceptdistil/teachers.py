@@ -213,8 +213,7 @@ def teach_labels(teachers: TeacherSet, dataset: Dataset) -> np.ndarray:
 
 def evaluate_teachers(teachers: TeacherSet, golden_test: Dataset) -> tuple[np.ndarray, float]:
     """Per-concept and mean golden-set AUC of the teachers' soft labels."""
-    soft = teach_labels(teachers, golden_test)
-    return metrics.mean_concept_auc(soft, golden_test.golden, golden_test.concept_names)
+    return metrics.golden_auc(teach_labels(teachers, golden_test), golden_test, teachers.concept_names, "golden set")
 
 
 def tune_teachers(

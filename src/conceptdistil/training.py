@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics, model, nn
+from .data import check_concepts
 from .errors import DataError, NumericError
 from .nn import EVAL, TRAIN, OptimizerConfig, derive_seed
 from .schema import Checked, bounded, ge, gt, one_of, within
@@ -254,8 +255,8 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     returned. Identical (params, data, config) reproduce the history and
     the final parameters bit for bit.
     """
-    model.check_concepts(params, train_set, "training set")
-    model.check_concepts(params, valid_set, "validation set")
+    check_concepts(train_set, params.concept_names, "training set")
+    check_concepts(valid_set, params.concept_names, "validation set")
     _require(train_set.n > 0, "training set has no rows")
     _require(valid_set.n > 0, "validation set has no rows")  # its loss would be nan, and no epoch the best
     work = params.copy()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conceptdistil import blackbox, cli, data, model, schema
+from conceptdistil import blackbox, cli, data, metrics, model, schema, teachers
 
 
 def run(*argv):
@@ -73,16 +73,23 @@ class TestPipeline:
         assert ds.soft is not None and ds.bb_scores is not None
 
     def test_evaluate_model_report(self, pipeline):
-        out = pipeline / "report.json"
-        code = run("evaluate", "--model", str(pipeline / "model" / "model.json"),
-                   "--test", str(pipeline / "data" / "test_labeled.csv"),
-                   "--golden", str(pipeline / "data" / "golden_test.csv"),
-                   "--out", str(out), "--seed", "5")
+        d, model_path, out = pipeline / "data", pipeline / "model" / "model.json", pipeline / "report.json"
+        code = run("evaluate", "--model", str(model_path), "--test", str(d / "test_labeled.csv"),
+                   "--golden", str(d / "golden_test.csv"), "--recall-fpr", "0.05", "--out", str(out), "--seed", "5")
         assert code == 0
         doc = json.loads(out.read_text())
-        assert 0.0 <= doc["fidelity"] <= 1.0
-        assert 0.0 <= doc["mean_auc"] <= 1.0
-        assert len(doc["per_concept_auc"]) == 6
+        assert list(doc) == ["n_eval", "fidelity", "mean_auc", "per_concept_auc", "recall_at_fpr"]
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+        params = model.load_model(model_path)
+        test_set, golden_set = data.load_csv(d / "test_labeled.csv"), data.load_csv(d / "golden_test.csv")
+        scores = model.predict_scores(params, test_set.x)
+        per, mean = metrics.mean_concept_auc(model.predict_concepts(params, golden_set.x), golden_set.golden)
+        assert doc["n_eval"] == max(test_set.n, golden_set.n)
+        assert doc["fidelity"] == metrics.fidelity(scores, test_set.bb_scores)
+        assert doc["mean_auc"] == mean
+        assert list(doc["per_concept_auc"]) == list(params.concept_names) and len(per) == 6
+        assert doc["per_concept_auc"] == dict(zip(params.concept_names, per.tolist()))
+        assert doc["recall_at_fpr"] == {"fpr_level": 0.05, "recall": metrics.recall_at_fpr(scores, test_set.y, 0.05)}
 
     def test_evaluate_prevalence_report(self, pipeline):
         out = pipeline / "prevalences.json"
@@ -212,6 +219,10 @@ class TestExitCodes:
     def test_gen_data_writes_nothing_when_a_subset_fails(self, tmp_path, argv, code):
         assert run("gen-data", "--out", str(tmp_path / "d"), "--n", "400", *argv) == code
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_evaluate_model_without_an_eval_set_fails_before_reading(self, tmp_path, capsys):
+        assert run("evaluate", "--model", str(tmp_path / "none.json"), "--out", str(tmp_path / "r.json")) == 1
+        assert "needs --test and/or --golden" in capsys.readouterr().err
 
     def test_teach_tune_without_golden_valid_fails_before_reading(self, tmp_path, capsys):
         out = tmp_path / "t"  # golden-train does not exist: reading it would exit 2
@@ -596,12 +607,55 @@ class TestLoadErrors:
         with pytest.raises(KeyError, match="bug"):
             run("explain", "--model", "m.json", "--input", "x.csv", "--out", "o.jsonl")
 
+    def test_model_without_heads_is_data_error_naming_the_file(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "model" / "model.json").read_text())
+        doc["heads"], doc["concept_names"] = [], []
+        broken = _write_json(tmp_path / "model.json", doc)
+        assert run("explain", "--model", str(broken), "--input", str(pipeline / "data" / "golden_test.csv"),
+                   "--out", str(tmp_path / "o.jsonl")) == 2
+        assert f"{broken}: no networks to stack" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+
+def _reversed_concepts(src, dst):
+    """``src`` saved to ``dst`` with its hard concept columns, and their names, in reverse order."""
+    ds = data.load_csv(src)
+    data.save_csv(replace(ds, concept_names=ds.concept_names[::-1], golden=ds.golden[:, ::-1]), dst)
+    return ds.concept_names
+
+
+class TestConceptOrder:
+    """A set whose concept columns name other concepts, or the same in another order, exits 2 naming both."""
+
+    @staticmethod
+    def assert_names_both(capsys, names):
+        err = capsys.readouterr().err
+        assert f"{names[::-1]} do not match {names}" in err
+
     def test_evaluate_rejects_reordered_golden_concepts(self, pipeline, tmp_path, capsys):
-        golden = data.load_csv(pipeline / "data" / "golden_test.csv")
-        names = golden.concept_names
-        swapped = replace(golden, concept_names=names[::-1], golden=golden.golden[:, ::-1])
-        data.save_csv(swapped, tmp_path / "golden.csv")
+        names = _reversed_concepts(pipeline / "data" / "golden_test.csv", tmp_path / "golden.csv")
         assert run("evaluate", "--model", str(pipeline / "model" / "model.json"), "--golden", str(tmp_path / "golden.csv"),
                    "--out", str(tmp_path / "r.json")) == 2
-        err = capsys.readouterr().err
-        assert str(names) in err and str(names[::-1]) in err
+        self.assert_names_both(capsys, names)
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("tune", ["0", "1"])
+    def test_teach_rejects_reordered_golden_valid_before_fitting(self, pipeline, tmp_path, capsys, monkeypatch, tune):
+        def no_fit(*args):
+            raise AssertionError("fitted before checking --golden-valid")
+
+        monkeypatch.setattr(teachers, "fit_teachers", no_fit)
+        monkeypatch.setattr(teachers, "tune_teachers", no_fit)
+        d = pipeline / "data"
+        names = _reversed_concepts(d / "golden_valid.csv", tmp_path / "golden_valid.csv")
+        assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid",
+                   str(tmp_path / "golden_valid.csv"), "--tune", tune, "--out", str(tmp_path / "t")) == 2
+        self.assert_names_both(capsys, names)
+        assert not (tmp_path / "t" / "teachers.json").exists()
+
+    def test_label_rejects_reordered_hard_columns(self, pipeline, tmp_path, capsys):
+        names = _reversed_concepts(pipeline / "data" / "golden_test.csv", tmp_path / "golden.csv")
+        assert run("label", "--input", str(tmp_path / "golden.csv"), "--out", str(tmp_path / "l.csv"),
+                   "--teachers", str(pipeline / "teachers" / "teachers.json")) == 2
+        self.assert_names_both(capsys, names)
+        assert not (tmp_path / "l.csv").exists()

@@ -464,6 +464,15 @@ class TestDatasetInvariants:
         ds = data.load_csv(path)
         assert ds.n == 0 and getattr(ds, field).shape[0] == 0
 
+    def test_with_soft_keeps_the_concepts_in_their_order(self, small_dataset):
+        ds = small_dataset.take(np.arange(5))
+        names, soft = ds.concept_names, np.full((5, ds.k), 0.5)
+        assert ds.with_soft(soft, names).concept_names == names
+        with pytest.raises(DataError, match=re.escape(f"dataset concepts {names} do not match {names[::-1]}")):
+            ds.with_soft(soft, names[::-1])
+        unlabelled = data.Dataset(ids=ds.ids, feature_names=ds.feature_names, x=ds.x)
+        assert unlabelled.with_soft(soft, names[::-1]).concept_names == names[::-1]
+
     def test_take_and_exclude(self, small_dataset):
         subset = small_dataset.take([0, 3, 5])
         assert subset.n == 3

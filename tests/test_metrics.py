@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistil import metrics
+from conceptdistil import data, metrics
 from conceptdistil.errors import DataError
 
 from oracles import brute_force_mae, dominance_flags, pairwise_auc, recall_by_threshold_scan
@@ -189,26 +191,26 @@ class TestParetoFrontier:
         assert metrics.pareto_frontier([]).size == 0
 
 
-class TestEvalReport:
-    def test_mean_must_match_columns(self):
-        with pytest.raises(DataError):
-            metrics.EvalReport(n_eval=5, per_concept_auc=np.array([0.5, 1.0]), mean_auc=0.9)
+def scored_golden_set(**blocks):
+    """Three rows, two features, the given blocks (``concept_names``, ``golden``, ``soft``, ``bb_scores``)."""
+    return data.Dataset(ids=np.array(["a", "b", "c"]), feature_names=("f_0", "f_1"), x=np.zeros((3, 2)), **blocks)
 
-    def test_json_round_trip(self, tmp_path):
-        import json
 
-        report = metrics.EvalReport(
-            n_eval=100,
-            fidelity=0.93,
-            per_concept_auc=np.array([0.7, 0.9]),
-            mean_auc=0.8,
-            concept_names=("a", "b"),
-            recall_fpr_level=0.05,
-            recall_at_fpr=0.66,
-        )
-        path = tmp_path / "report.json"
-        report.save(path)
-        doc = json.loads(path.read_text())
-        assert doc["fidelity"] == 0.93
-        assert doc["per_concept_auc"] == {"a": 0.7, "b": 0.9}
-        assert doc["recall_at_fpr"]["recall"] == 0.66
+class TestDatasetMeasures:
+    def test_score_fidelity_requires_scores(self):
+        with pytest.raises(DataError, match="test set must carry bb_score"):
+            metrics.score_fidelity(np.full(3, 0.5), scored_golden_set(), "test set")
+        assert metrics.score_fidelity(np.full(3, 0.5), scored_golden_set(bb_scores=np.full(3, 0.25)), "t") == 0.75
+
+    def test_golden_auc_requires_hard_labels(self):
+        soft_only = scored_golden_set(concept_names=("a", "b"), soft=np.full((3, 2), 0.5))
+        with pytest.raises(DataError, match="golden set must carry hard concept labels"):
+            metrics.golden_auc(np.full((3, 2), 0.5), soft_only, ("a", "b"), "golden set")
+
+    def test_golden_auc_checks_the_concept_order(self):
+        golden = scored_golden_set(concept_names=("a", "b"), golden=np.array([[1, 0], [0, 1], [1, 1]]))
+        pred = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.6]])
+        per, mean = metrics.golden_auc(pred, golden, ("a", "b"), "golden set")
+        assert list(per) == [1.0, 1.0] and mean == 1.0
+        with pytest.raises(DataError, match=re.escape("golden set concepts ('a', 'b') do not match ('b', 'a')")):
+            metrics.golden_auc(pred[:, ::-1], golden, ("b", "a"), "golden set")

@@ -1,5 +1,7 @@
 import json
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +369,14 @@ class TestTeacherSet:
         teachers.save_teachers(tset, path)
         restored = teachers.load_teachers(path)
         np.testing.assert_array_equal(teachers.teach_labels(restored, corpus), teachers.teach_labels(tset, corpus))
+
+    def test_evaluate_teachers_rejects_reordered_concepts(self, golden):
+        g_train, g_valid = golden
+        tset = teachers.fit_teachers(g_train, teachers.ForestParams(n_trees=2, seed=5))
+        names = g_valid.concept_names
+        swapped = replace(g_valid, concept_names=names[::-1], golden=g_valid.golden[:, ::-1])
+        with pytest.raises(DataError, match=re.escape(f"golden set concepts {names[::-1]} do not match {names}")):
+            teachers.evaluate_teachers(tset, swapped)
 
     def test_tune_teachers_returns_best_of_trials(self, golden):
         g_train, g_valid = golden
