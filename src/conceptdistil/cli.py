@@ -158,6 +158,8 @@ def cmd_teach(args):
     golden_train = data.load_csv(args.golden_train)
     golden_valid = data.load_csv(args.golden_valid) if args.golden_valid else None
     if golden_valid is not None:
+        if golden_valid.golden is None:
+            raise DataError("--golden-valid must carry hard concept labels")
         data.check_concepts(golden_valid, golden_train.concept_names, "--golden-valid")
     if args.tune > 0:
         teacher_set, params, best_auc = teachers.tune_teachers(golden_train, golden_valid, args.tune, seed)

@@ -106,9 +106,11 @@ class Dataset:
         return self.take(np.flatnonzero(~np.isin(self.ids, [str(i) for i in ids])))
 
     def with_soft(self, soft, concept_names=None) -> "Dataset":
-        """``soft`` attached under ``concept_names``, which must match any concept columns already here."""
+        """``soft`` attached under ``concept_names``, which must match any hard concept columns already here;
+        soft columns are replaced along with their names."""
         names = self.concept_names if concept_names is None else tuple(concept_names)
-        check_concepts(self, names, "dataset")
+        if self.golden is not None:
+            check_concepts(self, names, "dataset")
         return replace(self, soft=np.asarray(soft, dtype=np.float64), concept_names=names)
 
     def with_scores(self, scores) -> "Dataset":

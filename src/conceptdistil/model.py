@@ -140,10 +140,8 @@ class ConceptDistilParams:
             self.buffer.copy(),
         )
 
-    def digest(self, include_running_stats: bool = True) -> str:
-        return nn.params_digest(
-            self.theta_c, *self.theta_m, self.theta_a, include_running_stats=include_running_stats
-        )
+    def digest(self) -> str:
+        return nn.params_digest(self.theta_c, *self.theta_m, self.theta_a)
 
     def concept_digest(self, include_running_stats: bool = True) -> str:
         """Digest over the concept blocks only (trunk + heads)."""

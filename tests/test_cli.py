@@ -652,6 +652,12 @@ class TestConceptOrder:
                    str(tmp_path / "golden_valid.csv"), "--tune", tune, "--out", str(tmp_path / "t")) == 2
         self.assert_names_both(capsys, names)
         assert not (tmp_path / "t" / "teachers.json").exists()
+        ds = data.load_csv(d / "golden_valid.csv")
+        data.save_csv(replace(ds, concept_names=(), golden=None), tmp_path / "no_concepts.csv")
+        assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid",
+                   str(tmp_path / "no_concepts.csv"), "--tune", tune, "--out", str(tmp_path / "t")) == 2
+        assert "--golden-valid must carry hard concept labels" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "teachers.json").exists()
 
     def test_label_rejects_reordered_hard_columns(self, pipeline, tmp_path, capsys):
         names = _reversed_concepts(pipeline / "data" / "golden_test.csv", tmp_path / "golden.csv")

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,9 @@ class TestDatasetInvariants:
             ds.with_soft(soft, names[::-1])
         unlabelled = data.Dataset(ids=ds.ids, feature_names=ds.feature_names, x=ds.x)
         assert unlabelled.with_soft(soft, names[::-1]).concept_names == names[::-1]
+        soft_only = replace(ds, golden=None, soft=np.zeros((5, ds.k)))  # soft block and names are both replaced
+        relabelled = soft_only.with_soft(soft, names[::-1])
+        assert relabelled.concept_names == names[::-1] and (relabelled.soft == 0.5).all()
 
     def test_take_and_exclude(self, small_dataset):
         subset = small_dataset.take([0, 3, 5])
