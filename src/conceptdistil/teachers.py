@@ -76,61 +76,79 @@ def _gini(pos, n):
     return 2.0 * p * (1.0 - p)
 
 
-def _best_split(x, y, features, min_leaf):
-    """Best (feature, threshold) by Gini gain over all candidate midpoints, or None.
-
-    One search over the (boundary, feature) grid; the first maximum of its
-    feature-major ravel is the tie-break (lowest feature, then lowest threshold).
-    """
-    n = y.size
-    cols = x[:, features]
-    order = np.argsort(cols, axis=0, kind="stable")
-    sv = np.take_along_axis(cols, order, axis=0)
-    pos_total = float(y.sum())
-    left_pos = np.cumsum(y[order], axis=0)[:-1]  # row b-1 holds boundary b: b rows go left
-    left_n = np.arange(1.0, n)[:, None]
-    right_n = n - left_n
-    right_pos = pos_total - left_pos
+def _best_split(base, rows, ys, features, min_leaf):
+    """Best (feature, threshold) by Gini gain over all candidate midpoints, or None. One stable sort of the
+    (k, n) block of candidate value ranks; gains only at boundaries between distinct values with ``min_leaf``
+    rows on each side, in feature-major order, whose first maximum is the tie-break (lowest feature, then
+    lowest threshold)."""
+    n = rows.size
+    ranks = base[1].take(features, 0).take(rows, 1)
+    order = np.argsort(ranks, axis=1, kind="stable")
+    sr = ranks.take(order + np.arange(0, ranks.size, n)[:, None])
+    ok = sr[:, 1:] != sr[:, :-1]  # column b holds boundary b + 1: b + 1 rows go left
+    ok[:, :min_leaf - 1] = ok[:, n - min_leaf:] = False
+    f, b = np.divmod(np.flatnonzero(ok), n - 1)
+    pos_total = float(ys.sum())
+    left_pos = np.cumsum(ys.take(order), axis=1)[f, b]
+    left_n = b + 1.0
+    right_n, right_pos = n - left_n, pos_total - left_pos
     weighted = (left_n * _gini(left_pos, left_n) + right_n * _gini(right_pos, right_n)) / n
     gains = _gini(pos_total, n) - weighted
-    gains[(sv[1:] == sv[:-1]) | (left_n < min_leaf) | (right_n < min_leaf)] = -np.inf
-    f, b = divmod(int(np.argmax(gains.T)), n - 1)
-    return (int(features[f]), float((sv[b, f] + sv[b + 1, f]) / 2.0)) if gains[b, f] > 0.0 else None
+    if f.size == 0 or gains[j := int(np.argmax(gains))] <= 0.0:
+        return None
+    lo, hi = base[0][features[f[j]]].take(rows.take(order[f[j], b[j]:b[j] + 2]))
+    return int(features[f[j]]), float((lo + hi) / 2.0)
 
 
-def fit_tree(x, y, params: ForestParams, rng: np.random.Generator) -> Tree:
-    """Grow one CART tree; deterministic given data and rng state."""
+def _base(x, y, min_leaf):
+    """Checked ``(x.T, dense value ranks of each column, y)``; ``uint16`` ranks make a stable sort a radix sort."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size == 0 or y.size == 0:
         raise DataError("cannot fit a tree on empty data")
-    if x.shape[0] != y.size:
-        raise DataError("x and y row counts differ")
-    if x.shape[0] < 2 * params.min_leaf:
-        raise DataError(f"need at least {2 * params.min_leaf} rows, got {x.shape[0]}")
-    rows: list[list] = []
-    _grow(x, y, 0, params, params.resolved_subsample(x.shape[1]), rng, rows)
-    return _tree(rows)
+    if x.ndim != 2 or x.shape[0] != y.size:
+        raise DataError(f"x must be 2-D with one row per label, got shape {x.shape} for {y.size} labels")
+    if x.shape[0] < 2 * min_leaf:
+        raise DataError(f"need at least {2 * min_leaf} rows, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise DataError("tree features must be finite")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise DataError("tree labels must be 0 or 1")
+    xt = np.ascontiguousarray(x.T)
+    ranks = [np.unique(col, return_inverse=True)[1] for col in xt]
+    return xt, np.array(ranks, dtype=np.uint16 if max(r.max() for r in ranks) < 2**16 else np.int64), y
 
 
-def _grow(x, y, depth, params, k, rng, rows) -> int:
-    """Append the subtree's nodes to ``rows`` in preorder and return its root. Every node draws its
-    candidate features from the one ``rng``, so another growth order would change the trees."""
-    i, n = len(rows), y.size
-    pos = y.sum()
+def _fit(base, rows, params, rng) -> Tree:
+    out: list[list] = []
+    _grow(base, rows, 0, params, params.resolved_subsample(len(base[0])), rng, out)
+    return _tree(out)
+
+
+def fit_tree(x, y, params: ForestParams, rng: np.random.Generator) -> Tree:
+    """Grow one CART tree; deterministic given data and rng state."""
+    base = _base(x, y, params.min_leaf)
+    return _fit(base, np.arange(base[2].size), params, rng)
+
+
+def _grow(base, rows, depth, params, k, rng, out) -> int:
+    """Append the subtree over ``base`` rows ``rows`` to ``out`` in preorder and return its root. Every
+    node draws its candidate features from the one ``rng``, so another growth order would change the trees."""
+    i, n, d = len(out), rows.size, len(base[0])
+    ys = base[2].take(rows)
+    pos = ys.sum()
     best = None
     if depth < params.max_depth and n >= 2 * params.min_leaf and 0 != pos != n:
-        features = np.sort(rng.choice(x.shape[1], size=min(k, x.shape[1]), replace=False))
-        best = _best_split(x, y, features, params.min_leaf)
+        best = _best_split(base, rows, ys, np.sort(rng.choice(d, size=k, replace=False)), params.min_leaf)
     if best is None:
-        rows.append(_leaf_row(i, float(pos) / n, n, depth))
+        out.append(_leaf_row(i, float(pos) / n, n, depth))
         return i
     feature, threshold = best
-    mask = x[:, feature] < threshold
+    mask = base[0][feature].take(rows) < threshold
     row = [feature, threshold, i, i, np.nan, n, depth]
-    rows.append(row)
-    row[2] = _grow(x[mask], y[mask], depth + 1, params, k, rng, rows)
-    row[3] = _grow(x[~mask], y[~mask], depth + 1, params, k, rng, rows)
+    out.append(row)
+    row[2] = _grow(base, rows[mask], depth + 1, params, k, rng, out)
+    row[3] = _grow(base, rows[~mask], depth + 1, params, k, rng, out)
     return i
 
 
@@ -159,19 +177,15 @@ class Forest:
 
 
 def fit_forest(x, y, params: ForestParams) -> Forest:
-    """Bootstrap-aggregated trees sharing one parameter set."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = y.size
+    """Bootstrap-aggregated trees sharing one parameter set, grown over row indices into one checked base."""
+    base = _base(x, y, params.min_leaf)
+    n = base[2].size
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(derive_seed(params.seed, _TREE_RNG, t))
-        if params.bootstrap:
-            boot = np.random.default_rng(derive_seed(params.seed, _BOOTSTRAP, t)).integers(0, n, n)
-            trees.append(fit_tree(x[boot], y[boot], params, rng))
-        else:
-            trees.append(fit_tree(x, y, params, rng))
-    return Forest(trees, params, x.shape[1])
+        boot = np.random.default_rng(derive_seed(params.seed, _BOOTSTRAP, t))
+        trees.append(_fit(base, boot.integers(0, n, n) if params.bootstrap else np.arange(n), params, rng))
+    return Forest(trees, params, base[0].shape[0])
 
 
 @dataclass

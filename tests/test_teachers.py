@@ -141,6 +141,40 @@ class TestAgainstReference:
             assert first.read_bytes() == second.read_bytes()
             assert restored.forests[0].predict_proba(x).tobytes() == forest.predict_proba(x).tobytes()
 
+    @pytest.mark.parametrize("concept", range(6))
+    def test_desk_like_forest_matches_the_reference(self, concept):
+        # about 600 golden rows of 16 continuous features and 6 binary enrichment columns, at the default
+        # depth and leaf size: long runs of distinct values and deep trees the tie-heavy property never draws
+        ds = data.generate_synthetic(data.GeneratorConfig(n_instances=600, seed=12))
+        x, y = np.hstack([ds.x, ds.teacher_x]), ds.golden[:, concept]
+        params = teachers.ForestParams(n_trees=3, seed=concept)
+        forest = teachers.fit_forest(x, y, params)
+        assert [tree_doc(t) for t in forest.trees] == ref_forest(x, y, params)
+        assert max(t.depth for t in forest.trees) >= 6
+
+    def test_column_with_more_distinct_values_than_uint16_ranks(self):
+        rng = np.random.default_rng(14)
+        x = np.column_stack([rng.permutation(70_000) / 7.0, rng.integers(0, 3, 70_000)])
+        y = (x[:, 0] + 2000.0 * x[:, 1] > 6000.0).astype(float)
+        y[rng.random(70_000) < 0.1] = 0.0
+        assert teachers._base(x, y, 1)[1].dtype == np.int64
+        assert teachers._base(x[:1000], y[:1000], 1)[1].dtype == np.uint16
+        params = teachers.ForestParams(n_trees=1, max_depth=2, feature_subsample=2, seed=1)
+        forest = teachers.fit_forest(x, y, params)
+        assert [tree_doc(t) for t in forest.trees] == ref_forest(x, y, params) and forest.trees[0].depth == 2
+
+    @pytest.mark.parametrize("layout", ["fortran", "integer", "strided"])
+    def test_any_input_layout_matches_the_reference(self, layout):
+        rng = np.random.default_rng(15)
+        ints = rng.integers(-20, 20, (300, 4))
+        y = (ints[:, 0] + ints[:, 2] + rng.integers(-8, 8, 300) > 0).astype(float)
+        x = {"fortran": np.asfortranarray(ints / 4.0), "integer": ints,
+             "strided": np.repeat(ints / 4.0, 2, axis=1)[:, ::2]}[layout]
+        assert not (x.flags.c_contiguous and x.dtype == np.float64)
+        params = teachers.ForestParams(n_trees=3, max_depth=5, min_leaf=3, seed=2)
+        expected = ref_forest(np.asarray(x, dtype=float), y, params)
+        assert [tree_doc(t) for t in teachers.fit_forest(x, y, params).trees] == expected
+
 
 class TestFitTree:
     def test_pure_labels_give_single_leaf(self):
@@ -196,6 +230,27 @@ class TestFitTree:
     def test_too_few_rows_rejected(self):
         with pytest.raises(DataError):
             teachers.fit_tree(np.zeros((5, 2)), np.zeros(5), teachers.ForestParams(min_leaf=5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "features must be finite"), ("inf", "features must be finite"), ("label", "labels must be 0 or 1"),
+        ("1-d", "2-D with one row per label"), ("rows", "2-D with one row per label"),
+    ])
+    @pytest.mark.parametrize("fit", ["tree", "forest"])
+    def test_malformed_inputs_rejected_before_any_tree_grows(self, bad, message, fit):
+        x = np.random.default_rng(16).normal(size=(40, 3))
+        y = (x[:, 0] > 0).astype(float)
+        if bad == "label":
+            y[7] = 2.0
+        elif bad in ("nan", "inf"):
+            x[7, 1] = np.nan if bad == "nan" else np.inf
+        else:
+            x = x[:, 0] if bad == "1-d" else x[:39]
+        params = teachers.ForestParams(n_trees=2, min_leaf=2)
+        with pytest.raises(DataError, match=message):
+            if fit == "tree":
+                teachers.fit_tree(x, y, params, np.random.default_rng(0))
+            else:
+                teachers.fit_forest(x, y, params)
 
 
 class TestForest:
