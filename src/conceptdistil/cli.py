@@ -96,18 +96,13 @@ def _out_dir(raw) -> Path:
     return out
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
+def _parse_list(raw: str, flag: str, cast=float) -> list:
+    """The comma-separated values of ``flag``, each read by ``cast`` (int or float)."""
     try:
-        return [int(v) for v in raw.split(",") if v.strip() != ""]
+        return [cast(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {raw!r}") from None
-
-
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {raw!r}") from None
+        kind = "integers" if cast is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {kind}, got {raw!r}") from None
 
 
 # -- commands -----------------------------------------------------------------
@@ -115,10 +110,10 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 def cmd_gen_data(args):
     cfg = _overlay(_read_config(data.GeneratorConfig, args), n_instances=args.n)
-    golden_sizes = _parse_int_list(args.golden, "--golden")
+    golden_sizes = _parse_list(args.golden, "--golden", int)
     if len(golden_sizes) != 3:
         raise UsageError("--golden expects three sizes, e.g. 1934,203,506")
-    fracs = _parse_float_list(args.split, "--split")
+    fracs = _parse_list(args.split, "--split")
     if len(fracs) != 3:
         raise UsageError("--split expects three fractions, e.g. 0.8,0.1,0.1")
     full = data.generate_synthetic(cfg)
@@ -133,7 +128,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train_blackbox(args):
-    hidden = None if args.hidden is None else tuple(_parse_int_list(args.hidden, "--hidden"))
+    hidden = None if args.hidden is None else tuple(_parse_list(args.hidden, "--hidden", int))
     cfg = blackbox.BlackBoxConfig()
     cfg = _overlay(cfg, seed=_resolve_seed(args, cfg.seed), hidden=hidden, learning_rate=args.learning_rate,
                    epochs=args.epochs, batch_size=args.batch_size, patience=args.patience)
@@ -284,7 +279,7 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 def cmd_sweep(args):
     reject = {**TRAIN_REJECT, **SWEEP_SETS[args.mode]}
     base = _overlay(_read_config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject), epochs=args.epochs)
-    lambdas = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.mode == "lambda" else None
+    lambdas = _parse_list(args.lambda_grid, "--lambda-grid") if args.mode == "lambda" else None
     bundle = hpo.SweepData(
         train=data.load_csv(args.train),
         valid=data.load_csv(args.valid),

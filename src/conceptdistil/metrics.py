@@ -20,6 +20,16 @@ def _as_vector(a, name) -> np.ndarray:
     return out
 
 
+def _binary_labels(labels, scores: np.ndarray) -> np.ndarray:
+    """``labels`` as a vector of 0/1 values, one per score."""
+    y = np.asarray(labels).ravel()
+    if scores.shape != y.shape:
+        raise DataError("scores and labels must have equal length")
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be binary 0/1")
+    return y
+
+
 def fidelity(y_kd_pred, y_kd_true) -> float:
     """1 - mean absolute error between surrogate and reference scores."""
     pred = _as_vector(y_kd_pred, "predictions")
@@ -48,11 +58,7 @@ def roc_auc(scores, labels) -> float:
     counting ties as one half.
     """
     s = _as_vector(scores, "scores")
-    y = np.asarray(labels).ravel()
-    if s.shape != y.shape:
-        raise DataError("scores and labels must have equal length")
-    if not np.isin(y, (0, 1)).all():
-        raise DataError("labels must be binary 0/1")
+    y = _binary_labels(labels, s)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -106,11 +112,9 @@ def recall_at_fpr(scores, labels, fpr_level: float) -> float:
     if not 0.0 < fpr_level < 1.0:
         raise DataError(f"fpr_level must be in (0, 1), got {fpr_level}")
     s = _as_vector(scores, "scores")
-    y = np.asarray(labels).ravel()
-    if s.shape != y.shape:
-        raise DataError("scores and labels must have equal length")
+    y = _binary_labels(labels, s)
     n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("recall_at_fpr needs both classes")
     thresholds = np.unique(s)[::-1]  # descending; predicted positive = score >= t

@@ -202,14 +202,13 @@ class ModelOutputs:
     y_kd: np.ndarray  # (n,) mimicry score, rows of y_e * alpha summed
     concept_traces: ConceptTraces
     attention_trace: nn.ForwardTrace
-    mode: str
 
 
 def forward_full(params: ConceptDistilParams, x, mode: str = EVAL, rng_seed: int = 0) -> ModelOutputs:
     y_e, ct = concept_forward(params, x, mode, rng_seed)
     alpha, at = attention_forward(params, x, mode, rng_seed)
     y_kd = (y_e * alpha).sum(axis=1)
-    return ModelOutputs(y_e, alpha, y_kd, ct, at, mode)
+    return ModelOutputs(y_e, alpha, y_kd, ct, at)
 
 
 def backward_full(

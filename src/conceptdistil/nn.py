@@ -18,6 +18,7 @@ side effect of :func:`forward`. This keeps (params, input, mode, seed)
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
@@ -34,8 +35,11 @@ BCE_EPS = 1e-7  # prediction clamp keeping the loss finite at saturation
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
+# a layer's arrays, in the order of the packed buffer's blocks, of a file's keys and of the digest's bytes
 LEARNABLE = ("weights", "bias", "gamma", "beta")
 RUNNING = ("running_mean", "running_var")
+ARRAYS = LEARNABLE + RUNNING
+BATCHNORM = ARRAYS[2:]  # held exactly when the layer's spec sets use_batchnorm
 
 
 def derive_seed(*parts: int) -> int:
@@ -71,6 +75,14 @@ class LayerSpec(Checked):
     dropout_p: float = bounded(0.0, within(0, 1, hi_open=True))
     use_batchnorm: bool = False
 
+    def arrays(self) -> tuple[str, ...]:
+        """The names of the arrays a layer of this spec holds, in declared order."""
+        return ARRAYS if self.use_batchnorm else ARRAYS[:2]
+
+    def shape(self, name: str, lead=()) -> tuple[int, ...]:
+        """The shape of this layer's array ``name``, behind the stacked axes ``lead``."""
+        return (*lead, self.out_dim, self.in_dim) if name == "weights" else (*lead, self.out_dim)
+
 
 @dataclass
 class LayerParams:
@@ -89,25 +101,23 @@ class MLPParams:
     # learnable blocks as one vector, set by pack(); None for unpacked params
     flat: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> None:
         if len(self.layers) != len(self.specs) or not self.specs:
             raise DataError("params and specs must pair one layer each, at least one layer")
         lead = self.layers[0].weights.shape[:-2]
         for i, (layer, spec) in enumerate(zip(self.layers, self.specs)):
-            if layer.weights.shape != (*lead, spec.out_dim, spec.in_dim):
-                raise DataError(f"layer {i}: weights {layer.weights.shape} do not match spec")
-            if layer.bias.shape != (*lead, spec.out_dim):
-                raise DataError(f"layer {i}: bias shape {layer.bias.shape} does not match spec")
+            for name in ARRAYS:
+                a = getattr(layer, name)
+                if (a is None) == (name in spec.arrays()):
+                    raise DataError(f"layer {i}: {name} is {'missing' if a is None else 'set without use_batchnorm'}")
+                if a is not None and a.shape != spec.shape(name, lead):
+                    raise DataError(f"layer {i}: {name} shape {a.shape} does not match spec")
             if i + 1 < len(self.specs) and spec.out_dim != self.specs[i + 1].in_dim:
                 raise DataError(f"layer {i}->{i + 1}: dims do not chain")
-            has_bn = layer.gamma is not None
-            if has_bn != spec.use_batchnorm:
-                raise DataError(f"layer {i}: batchnorm state inconsistent with spec")
             if spec.use_batchnorm and np.any(layer.running_var <= 0):
                 raise DataError(f"layer {i}: running_var must be strictly positive")
+
+    __post_init__ = validate
 
     @property
     def in_dim(self) -> int:
@@ -173,26 +183,14 @@ def unstack(obj) -> list:
 
 
 def init_mlp(specs, seed: int = 0) -> MLPParams:
-    """Fan-based uniform init: W ~ U(+-sqrt(6/(fan_in+fan_out))), zero bias."""
+    """Fan-based uniform init: W ~ U(+-sqrt(6/(fan_in+fan_out))); gamma and running_var one, the rest zero."""
     rng = np.random.default_rng(seed)
     layers = []
     for spec in specs:
+        arrays = {name: np.full(spec.shape(name), float(name in ("gamma", "running_var"))) for name in spec.arrays()}
         bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        w = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim))
-        b = np.zeros(spec.out_dim)
-        if spec.use_batchnorm:
-            layers.append(
-                LayerParams(
-                    w,
-                    b,
-                    gamma=np.ones(spec.out_dim),
-                    beta=np.zeros(spec.out_dim),
-                    running_mean=np.zeros(spec.out_dim),
-                    running_var=np.ones(spec.out_dim),
-                )
-            )
-        else:
-            layers.append(LayerParams(w, b))
+        arrays["weights"] = rng.uniform(-bound, bound, size=arrays["weights"].shape)
+        layers.append(LayerParams(**arrays))
     params = MLPParams(layers, list(specs))
     pack([params])
     return params
@@ -460,56 +458,44 @@ def update_running_stats(params: MLPParams, trace: ForwardTrace) -> None:
 # -- serialization ----------------------------------------------------------
 
 def mlp_to_doc(params: MLPParams) -> dict:
-    layers = []
-    for layer in params.layers:
-        doc = {"weights": layer.weights.ravel().tolist(), "bias": layer.bias.tolist()}
-        if layer.gamma is not None:
-            doc["batchnorm"] = {
-                "gamma": layer.gamma.tolist(),
-                "beta": layer.beta.tolist(),
-                "running_mean": layer.running_mean.tolist(),
-                "running_var": layer.running_var.tolist(),
-            }
-        else:
-            doc["batchnorm"] = None
-        layers.append(doc)
+    """Each layer's arrays as flat lists: weights and bias, then the batchnorm ones (or null) under ``batchnorm``."""
+    def lists(layer, names):
+        return {name: getattr(layer, name).ravel().tolist() for name in names}
+
+    layers = [{**lists(layer, ARRAYS[:2]), "batchnorm": lists(layer, BATCHNORM) if spec.use_batchnorm else None}
+              for spec, layer in zip(params.specs, params.layers)]
     return {"specs": [schema.write(s) for s in params.specs], "layers": layers}
 
 
 def mlp_from_doc(doc: dict) -> MLPParams:
+    """The MLPParams :func:`mlp_to_doc` wrote; an array of the wrong length fails naming its layer."""
     specs = [schema.read(LayerSpec, s, f"specs[{i}]") for i, s in enumerate(doc["specs"])]
+    if len(doc["layers"]) != len(specs):
+        raise DataError(f"{len(doc['layers'])} layers for {len(specs)} specs")
     layers = []
-    for spec, blob in zip(specs, doc["layers"]):
-        w = np.asarray(blob["weights"], dtype=np.float64).reshape(spec.out_dim, spec.in_dim)
-        b = np.asarray(blob["bias"], dtype=np.float64)
-        bn = blob.get("batchnorm")
-        if bn is None:
-            layers.append(LayerParams(w, b))
-        else:
-            layers.append(
-                LayerParams(
-                    w,
-                    b,
-                    gamma=np.asarray(bn["gamma"], dtype=np.float64),
-                    beta=np.asarray(bn["beta"], dtype=np.float64),
-                    running_mean=np.asarray(bn["running_mean"], dtype=np.float64),
-                    running_var=np.asarray(bn["running_var"], dtype=np.float64),
-                )
-            )
+    for i, (spec, blob) in enumerate(zip(specs, doc["layers"])):
+        bn = blob.get("batchnorm") or {}
+        arrays = {}
+        for name in ARRAYS:
+            values = (bn if name in BATCHNORM else blob).get(name)
+            if values is not None:  # LayerParams or MLPParams names a missing one the spec holds
+                a = np.asarray(values, dtype=np.float64)
+                if a.shape != (math.prod(spec.shape(name)),):  # checked flat, before weights take their matrix shape
+                    raise DataError(f"layer {i}: {name} shape {a.shape} does not match spec")
+                arrays[name] = a.reshape(spec.shape(name))
+        layers.append(LayerParams(**arrays))
     params = MLPParams(layers, specs)
     pack([params])
     return params
 
 
 def params_digest(*mlps: MLPParams, include_running_stats: bool = True) -> str:
-    """SHA-256 over the raw parameter bytes, for exact-equality checks."""
+    """SHA-256 over the raw parameter bytes, for exact-equality checks; a zero byte stands for an array not held."""
     h = hashlib.sha256()
     for params in mlps:
         for layer in params.layers:
-            arrays = [layer.weights, layer.bias, layer.gamma, layer.beta]
-            if include_running_stats:
-                arrays += [layer.running_mean, layer.running_var]
-            for a in arrays:
+            for name in ARRAYS if include_running_stats else LEARNABLE:
+                a = getattr(layer, name)
                 if a is None:
                     h.update(b"\x00")
                 else:

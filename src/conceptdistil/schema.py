@@ -153,8 +153,9 @@ def save_file(path, kind: str, body: dict) -> None:
 
 
 def load_file(path, kind: str, from_doc):
-    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote; its errors name
-    the file, a KeyError the key."""
+    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its errors, and a
+    ValueError or TypeError from a value of the wrong kind, become DataErrors naming the file; a KeyError
+    names the key."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
@@ -164,5 +165,5 @@ def load_file(path, kind: str, from_doc):
         return from_doc(doc)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from None
-    except DataError as exc:
+    except (DataError, ValueError, TypeError) as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -268,6 +268,16 @@ class TestExitCodes:
                    "--test", none, "--golden-test", none, "--out", str(tmp_path / "s")) == 1
         assert "--lambda-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--golden", "1,x,3"], "--golden expects comma-separated integers, got '1,x,3'"),
+        (["sweep", "--mode", "lambda", "--lambda-grid", "0.1,y", "--train", "none.csv", "--valid", "none.csv",
+          "--test", "none.csv", "--golden-test", "none.csv"], "--lambda-grid expects comma-separated numbers, got '0.1,y'"),
+    ])
+    def test_unreadable_list_flag_exits_1_naming_it(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--out", str(tmp_path / "o")) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("command, required", [
         ("gen-data", ()),

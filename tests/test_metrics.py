@@ -136,6 +136,10 @@ class TestRecallAtFpr:
         with pytest.raises(DataError, match="scores must be finite"):
             metrics.recall_at_fpr([0.1, np.nan, 0.9], [0, 0, 1], 0.5)
 
+    def test_non_binary_labels_rejected(self):  # a label of 2 used to count as neither class
+        with pytest.raises(DataError, match="labels must be binary 0/1"):
+            metrics.recall_at_fpr([0.9, 0.8, 0.1, 0.2], [1, 2, 0, 1], 0.5)
+
     def test_matches_exhaustive_threshold_scan(self):
         rng = np.random.default_rng(5)
         for trial in range(25):

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -525,8 +528,6 @@ class TestBatchnormRunningStats:
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self):
-        import json
-
         specs = [
             nn.LayerSpec(3, 5, "relu", dropout_p=0.1, use_batchnorm=True),
             nn.LayerSpec(5, 1, "sigmoid"),
@@ -541,6 +542,79 @@ class TestSerialization:
         a, _ = nn.forward(params, x, nn.EVAL)
         b, _ = nn.forward(restored, x, nn.EVAL)
         assert np.array_equal(a, b)
+
+
+def batchnorm_doc():
+    """The JSON document of a two-layer MLP whose first layer (3 -> 4) has batchnorm."""
+    specs = [nn.LayerSpec(3, 4, "relu", use_batchnorm=True), nn.LayerSpec(4, 1, "sigmoid")]
+    return json.loads(json.dumps(nn.mlp_to_doc(nn.init_mlp(specs, seed=0))))
+
+
+class TestMalformedDocs:
+    @pytest.mark.parametrize("name", nn.ARRAYS)
+    def test_array_one_value_short_fails_naming_layer_and_array(self, name):
+        doc = batchnorm_doc()
+        blob = doc["layers"][0]["batchnorm"] if name in nn.BATCHNORM else doc["layers"][0]
+        blob[name] = blob[name][:-1]
+        short = (11,) if name == "weights" else (3,)
+        with pytest.raises(DataError, match=re.escape(f"layer 0: {name} shape {short} does not match spec")):
+            nn.mlp_from_doc(doc)
+
+    @pytest.mark.parametrize("name", nn.BATCHNORM)
+    def test_missing_batchnorm_key_fails_naming_layer_and_array(self, name):
+        doc = batchnorm_doc()
+        del doc["layers"][0]["batchnorm"][name]
+        with pytest.raises(DataError, match=f"layer 0: {name} is missing"):
+            nn.mlp_from_doc(doc)
+
+    def test_batchnorm_block_on_a_plain_layer_fails_naming_it(self):
+        doc = batchnorm_doc()
+        doc["layers"][1]["batchnorm"] = {name: [1.0] for name in nn.BATCHNORM}
+        with pytest.raises(DataError, match="layer 1: gamma is set without use_batchnorm"):
+            nn.mlp_from_doc(doc)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_layer_count_other_than_the_specs_fails(self, count):
+        doc = batchnorm_doc()
+        doc["layers"] = (doc["layers"] * 2)[:count]
+        with pytest.raises(DataError, match=f"{count} layers for 2 specs"):
+            nn.mlp_from_doc(doc)
+
+    def test_nested_array_fails_although_its_length_is_right(self):
+        doc = batchnorm_doc()
+        doc["layers"][0]["bias"] = [doc["layers"][0]["bias"]]
+        with pytest.raises(DataError, match=re.escape("layer 0: bias shape (1, 4) does not match spec")):
+            nn.mlp_from_doc(doc)
+
+
+class TestParamsValidation:
+    def params_and_layers(self, stacked=False):
+        specs = [nn.LayerSpec(3, 4, "relu", use_batchnorm=True), nn.LayerSpec(4, 1, "sigmoid")]
+        nets = [nn.init_mlp(specs, seed=s) for s in range(2)]
+        params = nn.stack(nets) if stacked else nets[0]
+        return specs, [replace(l) for l in params.layers]
+
+    @pytest.mark.parametrize("name", nn.BATCHNORM)
+    def test_batchnorm_layer_without_one_array_is_rejected_naming_it(self, name):
+        specs, layers = self.params_and_layers()
+        setattr(layers[0], name, None)
+        with pytest.raises(DataError, match=f"layer 0: {name} is missing"):
+            nn.MLPParams(layers, specs)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("name", nn.ARRAYS)
+    def test_wrong_shape_is_rejected_naming_the_array(self, name, stacked):
+        specs, layers = self.params_and_layers(stacked)
+        a = getattr(layers[0], name)
+        setattr(layers[0], name, a[..., :-1])
+        with pytest.raises(DataError, match=re.escape(f"layer 0: {name} shape {a[..., :-1].shape} does not match")):
+            nn.MLPParams(layers, specs)
+
+    def test_plain_layer_with_a_batchnorm_array_is_rejected(self):
+        specs, layers = self.params_and_layers()
+        layers[1].running_mean = np.zeros(1)
+        with pytest.raises(DataError, match="layer 1: running_mean is set without use_batchnorm"):
+            nn.MLPParams(layers, specs)
 
 
 class TestLayerSpecValidation:

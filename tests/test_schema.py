@@ -267,6 +267,16 @@ def _saved_artifact(kind, path):
 KINDS = ("concept_distil", "concept_teachers", "ffnn_blackbox")
 
 
+# per kind, a value of the wrong kind that reading the document meets as a ValueError, and one it meets as a TypeError
+SPOILERS = {
+    "concept_distil": (lambda doc: doc["trunk"]["layers"][0].update(weights="abc"), lambda doc: doc.update(heads=7)),
+    "concept_teachers": (lambda doc: doc["forests"][0]["trees"][0].update(threshold="abc"),
+                         lambda doc: doc["forests"][0].update(trees=7)),
+    "ffnn_blackbox": (lambda doc: doc["network"]["layers"][0]["bias"].__setitem__(0, "abc"),
+                      lambda doc: doc["network"].update(layers=7)),
+}
+
+
 class TestArtifactEnvelope:
     @pytest.mark.parametrize("kind", KINDS)
     def test_saved_file_leads_with_version_and_kind_and_loads_back(self, tmp_path, kind):
@@ -294,6 +304,31 @@ class TestArtifactEnvelope:
         rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
         assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
         assert f"{path}: unsupported concept_distil format_version 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [0, 1], ids=["ValueError", "TypeError"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_of_the_wrong_kind_is_a_data_error_naming_the_file(self, tmp_path, kind, error):
+        path = tmp_path / "artifact.json"
+        load = _saved_artifact(kind, path)
+        doc = json.loads(path.read_text())
+        SPOILERS[kind][error](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("name", nn.BATCHNORM)
+    def test_wrong_length_batchnorm_array_exits_2_naming_file_layer_and_array(self, tmp_path, capsys, name):
+        path = tmp_path / "model.json"
+        arch = model.build_architecture(3, 2, trunk_widths=(4,), use_batchnorm=True)
+        model.save_model(model.init_model(arch, ("a", "b"), seed=0), path)
+        doc = json.loads(path.read_text())
+        bn = doc["trunk"]["layers"][0]["batchnorm"]
+        bn[name] = bn[name][:-1]
+        path.write_text(json.dumps(doc))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
+        assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
+        assert f"{path}: layer 0: {name} shape (3,) does not match spec" in capsys.readouterr().err
 
     def test_save_file_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
