@@ -20,7 +20,8 @@ from conceptdistil import pipeline
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out", default="runs/pipeline")
-    p.add_argument("--n", type=int, default=29_643, help="total rows incl. 2643 golden")
+    p.add_argument("--n", type=int, default=pipeline.REFERENCE_N,
+                   help=f"total rows incl. {sum(pipeline.REFERENCE_GOLDEN)} golden")
     p.add_argument("--seeds", type=int, nargs="+", default=[101, 202, 303])
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)

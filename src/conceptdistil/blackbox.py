@@ -103,7 +103,7 @@ def save_blackbox(adapter: FFNNBlackBox, path) -> None:
 
 def load_blackbox(path) -> FFNNBlackBox:
     return schema.load_file(path, "ffnn_blackbox", lambda doc: FFNNBlackBox(
-        nn.mlp_from_doc(doc["network"]), descriptor=str(doc.get("descriptor", "ffnn"))))
+        nn.mlp_from_doc(doc["network"], "network"), descriptor=str(doc.get("descriptor", "ffnn"))))
 
 
 # -- score files ---------------------------------------------------------------

@@ -90,6 +90,11 @@ def _write_manifest(command: str, started: float, out_dir: Path, config: dict, i
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _given(**paths) -> dict:
+    """The manifest inputs: every file among ``paths`` that was given."""
+    return {k: v for k, v in paths.items() if v}
+
+
 def _out_dir(raw) -> Path:
     out = Path(raw)
     out.mkdir(parents=True, exist_ok=True)
@@ -169,7 +174,8 @@ def cmd_teach(args):
     if report:
         outputs["report"] = out / "teach_report.json"
         Path(outputs["report"]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return out, schema.write(params), {"golden_train": args.golden_train}, outputs, seed, {"tune": args.tune}
+    inputs = _given(golden_train=args.golden_train, golden_valid=args.golden_valid, config=args.config)
+    return out, schema.write(params), inputs, outputs, seed, {"tune": args.tune}
 
 
 def cmd_label(args):
@@ -214,8 +220,9 @@ def cmd_distill(args):
     outputs = {"model": out / "model.json", "history": out / "history.csv"}
     model.save_model(result.params, outputs["model"])
     training.history_to_csv(result.history, outputs["history"])
-    return (out, schema.write(cfg, TRAIN_NAMES, omit=TRAIN_REJECT), {"train": args.train, "valid": args.valid},
-            outputs, cfg.seed, {"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
+    inputs = _given(train=args.train, valid=args.valid, config=args.config)
+    return (out, schema.write(cfg, TRAIN_NAMES, omit=TRAIN_REJECT), inputs, outputs, cfg.seed,
+            {"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
 
 
 def cmd_evaluate(args):
@@ -254,7 +261,7 @@ def cmd_evaluate(args):
     if recall is not None:
         report["recall_at_fpr"] = recall
     out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-    inputs = {k: v for k, v in (("model", args.model), ("test", args.test), ("golden", args.golden)) if v}
+    inputs = _given(model=args.model, test=args.test, golden=args.golden)
     return out_path.parent, {"recall_fpr": args.recall_fpr}, inputs, {"report": out_path}, seed
 
 
@@ -298,7 +305,8 @@ def cmd_sweep(args):
     outputs = {"csv": out / "sweep.csv", "summary": out / "sweep_summary.json"}
     report.to_csv(outputs["csv"])
     report.save_summary(outputs["summary"])
-    inputs = {"train": args.train, "valid": args.valid, "test": args.test, "golden_test": args.golden_test}
+    inputs = _given(train=args.train, valid=args.valid, test=args.test, golden_test=args.golden_test,
+                    config=args.config)
     cfg.update(jobs=args.jobs, **schema.write(base, TRAIN_NAMES, omit=reject))
     return out, cfg, inputs, outputs, base.seed
 

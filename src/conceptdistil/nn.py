@@ -467,24 +467,33 @@ def mlp_to_doc(params: MLPParams) -> dict:
     return {"specs": [schema.write(s) for s in params.specs], "layers": layers}
 
 
-def mlp_from_doc(doc: dict) -> MLPParams:
-    """The MLPParams :func:`mlp_to_doc` wrote; an array of the wrong length fails naming its layer."""
-    specs = [schema.read(LayerSpec, s, f"specs[{i}]") for i, s in enumerate(doc["specs"])]
+def mlp_from_doc(doc: dict, where: str) -> MLPParams:
+    """The MLPParams :func:`mlp_to_doc` wrote; every error names ``where`` (the network in its file), and a
+    missing, misshapen or non-finite array its layer and name, as in ``heads[2].layers[0].weights``."""
+    specs = [schema.read(LayerSpec, s, f"{where}.specs[{i}]") for i, s in enumerate(doc["specs"])]
     if len(doc["layers"]) != len(specs):
-        raise DataError(f"{len(doc['layers'])} layers for {len(specs)} specs")
+        raise DataError(f"{where}: {len(doc['layers'])} layers for {len(specs)} specs")
     layers = []
     for i, (spec, blob) in enumerate(zip(specs, doc["layers"])):
         bn = blob.get("batchnorm") or {}
         arrays = {}
         for name in ARRAYS:
-            values = (bn if name in BATCHNORM else blob).get(name)
-            if values is not None:  # LayerParams or MLPParams names a missing one the spec holds
+            at, values = f"{where}.layers[{i}].{name}", (bn if name in BATCHNORM else blob).get(name)
+            if (values is None) == (name in spec.arrays()):
+                raise DataError(f"{at} is {'missing' if values is None else 'set without use_batchnorm'}")
+            if values is not None:
                 a = np.asarray(values, dtype=np.float64)
-                if a.shape != (math.prod(spec.shape(name)),):  # checked flat, before weights take their matrix shape
-                    raise DataError(f"layer {i}: {name} shape {a.shape} does not match spec")
+                flat = (math.prod(spec.shape(name)),)  # checked flat, before weights take their matrix shape
+                if a.shape != flat:
+                    raise DataError(f"{at} has shape {a.shape}, not {flat}")
+                if not np.isfinite(a).all():
+                    raise DataError(f"{at} holds non-finite values")
                 arrays[name] = a.reshape(spec.shape(name))
         layers.append(LayerParams(**arrays))
-    params = MLPParams(layers, specs)
+    try:
+        params = MLPParams(layers, specs)
+    except DataError as exc:  # dims that do not chain, a running_var not positive
+        raise DataError(f"{where}: {exc}") from None
     pack([params])
     return params
 

@@ -3,8 +3,6 @@ black box -> soft labels and scores -> the five surrogate variants ->
 fidelity and mean concept AUC.
 """
 
-from dataclasses import replace
-
 from . import blackbox, data, hpo, model, teachers, training
 from .errors import DataError
 
@@ -32,8 +30,8 @@ def desk_data(seed: int, n: int, golden, fractions) -> tuple[hpo.SweepData, floa
 
 
 def run_desk(seed: int, n: int, epochs: int, lam: float) -> dict[str, tuple[float | None, float]]:
-    """The five variants trained from one init on :func:`desk_data`, golden sizes scaled down (to at
-    least 50 each) when ``n`` is below the reference corpus.
+    """The five variants fitted from one init by :func:`training.fit_variants` on :func:`desk_data`, golden
+    sizes scaled down (to at least 50 each) when ``n`` is below the reference corpus.
 
     Returns ``{"teachers": (None, auc), <variant>: (fidelity, mean concept AUC)}``.
     """
@@ -42,8 +40,6 @@ def run_desk(seed: int, n: int, epochs: int, lam: float) -> dict[str, tuple[floa
     tr = bundle.train
     init = model.init_model(model.build_architecture(tr.d, tr.k), tr.concept_names, seed=seed)
     base = training.TrainConfig(lam=lam, epochs=epochs, early_stop_patience=8, seed=seed)
-    results = {"teachers": (None, teachers_auc)}
-    for variant in training.VARIANTS:
-        fitted = training.train(init, tr, bundle.valid, replace(base, variant=variant)).params
-        results[variant] = hpo.evaluate_params(fitted, bundle.test, bundle.golden_test)
-    return results
+    fits = training.fit_variants(init, tr, bundle.valid, base)
+    return {"teachers": (None, teachers_auc),
+            **{v: hpo.evaluate_params(fit.params, bundle.test, bundle.golden_test) for v, fit in fits.items()}}

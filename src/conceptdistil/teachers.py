@@ -10,6 +10,7 @@ threshold), so fitting is row-order invariant given the same rng.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,12 +277,18 @@ def _tree_to_doc(t: Tree) -> dict:
 def _tree_from_doc(doc: dict, n_features: int) -> Tree:
     rows: list[list] = []
 
+    def finite(d, key):
+        value = float(d[key])
+        if not math.isfinite(value):
+            raise DataError(f"tree {key} {value} is not finite")
+        return value
+
     def visit(d, depth):
         i = len(rows)
         if "feature" not in d:
-            rows.append(_leaf_row(i, float(d["positive_fraction"]), int(d["sample_count"]), depth))
+            rows.append(_leaf_row(i, finite(d, "positive_fraction"), int(d["sample_count"]), depth))
             return i
-        row = [int(d["feature"]), float(d["threshold"]), i, i, np.nan, int(d.get("sample_count", 0)), depth]
+        row = [int(d["feature"]), finite(d, "threshold"), i, i, np.nan, int(d.get("sample_count", 0)), depth]
         if not 0 <= row[0] < n_features:
             raise DataError(f"tree feature {row[0]} is outside [0, {n_features})")
         rows.append(row)

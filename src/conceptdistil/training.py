@@ -10,14 +10,15 @@ concept labels). The variants differ only in gradient routing:
                      so trunk and heads learn from the concept term only
                      while the attention stack learns from the mimicry
                      term, simultaneously;
-* ``2-staged``       concept blocks are fitted first (lam forced to 0),
-                     frozen bit-exactly, then the attention stack is
+* ``2-staged``       a baseline-concept fit, whose concept blocks are then
+                     frozen bit-exactly while the attention stack is
                      fitted against their eval-mode predictions (lam 1);
 * ``baseline-distill``  single-task run with lam forced to 1;
 * ``baseline-concept``  single-task run with lam forced to 0.
 
 The two baselines share the joint code path, so a ``default`` run with
-the same pinned lam reproduces them step for step.
+the same pinned lam reproduces them step for step. :func:`fit_variants`
+fits all five in four fits: its 2-staged continues its baseline-concept.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ TWO_STAGED = "2-staged"
 BASELINE_DISTILL = "baseline-distill"
 BASELINE_CONCEPT = "baseline-concept"
 VARIANTS = (DEFAULT, NO_GRADIENT, TWO_STAGED, BASELINE_DISTILL, BASELINE_CONCEPT)
+# the joint variants: their lam (None: the configured one) and whether the mimicry gradient stops at the
+# concept outputs; 2-staged continues a baseline-concept fit (see _continue_two_staged)
+_JOINT = {DEFAULT: (None, False), NO_GRADIENT: (None, True),
+          BASELINE_DISTILL: (1.0, False), BASELINE_CONCEPT: (0.0, False)}
 
 METRIC_COMBINED = "combined_loss"
 METRIC_FIDELITY = "fidelity"
@@ -146,51 +151,6 @@ def _concept_targets(dataset) -> np.ndarray | None:
     return None
 
 
-def _joint_step(params, grads, xb, ye_t, kd_t, lam, stop_concept_grad, opt_cfg, state, rng_seed):
-    out = model.forward_full(params, xb, TRAIN, rng_seed)
-    breakdown, d_kd, d_ye = total_loss(out.y_e, out.y_kd, ye_t, kd_t, lam)
-    model.backward_full(params, out, d_kd, d_ye, stop_concept_grad=stop_concept_grad, grads=grads)
-    nn.optimizer_step(params.flat, grads.flat, opt_cfg, state)
-    nn.update_running_stats(params.theta_c, out.concept_traces.trunk)
-    nn.update_running_stats(params.heads, out.concept_traces.stack)
-    nn.update_running_stats(params.theta_a, out.attention_trace)
-    return breakdown
-
-
-def _attention_step(params, grads_a, xb, kd_t, opt_cfg, state, rng_seed):
-    # stage 2: concept predictions frozen at their deployment-time values
-    y_e, _ = model.concept_forward(params, xb, EVAL)
-    alpha, trace_a = model.attention_forward(params, xb, TRAIN, rng_seed)
-    y_kd = (y_e * alpha).sum(axis=1)
-    kd_component, g = nn.bce_loss(y_kd.reshape(-1, 1), kd_t.reshape(-1, 1))
-    d_kd = g[:, 0].reshape(-1, 1)
-    d_alpha = d_kd * y_e
-    d_e = nn.softmax_backward(alpha, d_alpha)
-    nn.backward(params.theta_a, trace_a, d_e, grads_a, input_grad=False)
-    nn.optimizer_step(params.theta_a.flat, grads_a.flat, opt_cfg, state)
-    nn.update_running_stats(params.theta_a, trace_a)
-    return LossBreakdown(kd_component, kd_component, 0.0)
-
-
-def _validation_record(params, valid_set, lam):
-    out = model.forward_full(params, valid_set.x, EVAL)
-    breakdown, _, _ = total_loss(out.y_e, out.y_kd, _concept_targets(valid_set), valid_set.bb_scores, lam)
-    fid = float("nan")
-    if valid_set.bb_scores is not None:
-        fid = metrics.fidelity(out.y_kd, valid_set.bb_scores)
-    return breakdown, fid
-
-
-def _metric_value(metric, breakdown, fid):
-    if metric == METRIC_COMBINED:
-        return breakdown.total
-    if metric == METRIC_CONCEPT_BCE:
-        return breakdown.concept_component
-    if math.isnan(fid):
-        raise DataError("fidelity validation metric requires black-box scores on the validation set")
-    return -fid  # maximized metric, minimized internally
-
-
 def fit_epochs(work, step, validate, *, n, epochs, batch_size, patience, opt_cfg, draws, shuffle_key, batch_key):
     """Minibatch fit of ``work`` with early stopping; returns ``(best copy, records, best epoch, stopped early)``.
 
@@ -225,22 +185,52 @@ def fit_epochs(work, step, validate, *, n, epochs, batch_size, patience, opt_cfg
     return best, history, best_epoch, stopped
 
 
-def _run_stage(params, train_set, valid_set, config, *, stage, lam, step_fn, start_epoch):
-    arch = params.config
+def _fit_stage(work, train_set, valid_set, config, step, *, stage, lam, start_epoch=0) -> TrainResult:
+    """:func:`fit_epochs` of ``work`` by ``step`` under ``config``, each epoch validated by the loss at ``lam``
+    and judged by ``config.validation_metric``; the records number epochs from ``start_epoch``."""
+    arch = work.config
+    ye_valid, kd_valid = _concept_targets(valid_set), valid_set.bb_scores
 
     def validate(e, means):
-        vb, vfid = _validation_record(params, valid_set, lam)
-        record = EpochRecord(start_epoch + e, stage, float(means[0]), float(means[1]), float(means[2]),
-                             vb.total, vb.kd_component, vb.concept_component, vfid)
-        return _metric_value(config.validation_metric, vb, vfid), record
+        out = model.forward_full(work, valid_set.x, EVAL)
+        vb, _, _ = total_loss(out.y_e, out.y_kd, ye_valid, kd_valid, lam)
+        fid = float("nan") if kd_valid is None else metrics.fidelity(out.y_kd, kd_valid)
+        value = {METRIC_COMBINED: vb.total, METRIC_CONCEPT_BCE: vb.concept_component, METRIC_FIDELITY: -fid}
+        return value[config.validation_metric], EpochRecord(start_epoch + e, stage, *map(float, means), *vb, fid)
 
     best, history, best_e, stopped = fit_epochs(
-        params, step_fn, validate, n=train_set.n, epochs=config.epochs, batch_size=config.batch_size,
+        work, step, validate, n=train_set.n, epochs=config.epochs, batch_size=config.batch_size,
         patience=config.early_stop_patience, opt_cfg=config.effective_optimizer(),
         draws=nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN),
         shuffle_key=(config.seed, _SHUFFLE, stage), batch_key=(config.seed, _BATCH, stage),
     )
-    return best, history, start_epoch + best_e, stopped
+    return TrainResult(best, history, start_epoch + best_e, stopped)
+
+
+def _continue_two_staged(stage1: TrainResult, train_set, valid_set, config: TrainConfig) -> TrainResult:
+    """2-staged from its stage 1, a baseline-concept fit under ``config``: on a copy of it, the attention
+    stack alone is fitted (lam 1) against the concept blocks' eval-mode predictions, which stay frozen."""
+    work = stage1.params.copy()
+    frozen = work.concept_digest()
+    kd_train = train_set.bb_scores
+    grads_a = nn.zero_grads(work.theta_a)  # one buffer for the stage, overwritten every step
+
+    def step(idx, opt_cfg, state, seed_b):
+        xb = train_set.x[idx]
+        y_e, _ = model.concept_forward(work, xb, EVAL)
+        alpha, trace_a = model.attention_forward(work, xb, TRAIN, seed_b)
+        breakdown, d_kd, _ = total_loss(y_e, (y_e * alpha).sum(axis=1), None, kd_train[idx], 1.0)
+        d_e = nn.softmax_backward(alpha, d_kd.reshape(-1, 1) * y_e)
+        nn.backward(work.theta_a, trace_a, d_e, grads_a, input_grad=False)
+        nn.optimizer_step(work.theta_a.flat, grads_a.flat, opt_cfg, state)
+        nn.update_running_stats(work.theta_a, trace_a)
+        return breakdown
+
+    stage2 = _fit_stage(work, train_set, valid_set, replace(config, validation_metric=METRIC_COMBINED), step,
+                        stage=2, lam=1.0, start_epoch=len(stage1.history))
+    if stage2.params.concept_digest() != frozen:
+        raise NumericError("stage 2 modified frozen concept parameters")
+    return replace(stage2, history=stage1.history + stage2.history)
 
 
 def _require(condition, message):
@@ -259,55 +249,42 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     check_concepts(valid_set, params.concept_names, "validation set")
     _require(train_set.n > 0, "training set has no rows")
     _require(valid_set.n > 0, "validation set has no rows")  # its loss would be nan, and no epoch the best
-    work = params.copy()
     variant = config.variant
-    ye_train = _concept_targets(train_set)
-    needs_concepts = variant != BASELINE_DISTILL
-    needs_scores = variant != BASELINE_CONCEPT
-    if needs_concepts:
-        _require(ye_train is not None, f"{variant} training requires concept labels")
+    if variant != BASELINE_DISTILL:
+        _require(_concept_targets(train_set) is not None, f"{variant} training requires concept labels")
         _require(_concept_targets(valid_set) is not None, f"{variant} validation requires concept labels")
-    if needs_scores:
+    if variant != BASELINE_CONCEPT:
         _require(train_set.bb_scores is not None, f"{variant} training requires black-box scores")
         _require(valid_set.bb_scores is not None, f"{variant} validation requires black-box scores")
-
+    _require(config.validation_metric != METRIC_FIDELITY or valid_set.bb_scores is not None,
+             "fidelity validation metric requires black-box scores on the validation set")
     if variant == TWO_STAGED:
-        stage1 = replace(config, variant=BASELINE_CONCEPT)
-        res1 = train(work, train_set, valid_set, stage1)
-        work = res1.params
-        frozen = work.concept_digest()
-        kd_t = train_set.bb_scores
-        grads_a = nn.zero_grads(work.theta_a)  # one buffer for the stage, overwritten every step
+        stage1 = train(params, train_set, valid_set, replace(config, variant=BASELINE_CONCEPT))
+        return _continue_two_staged(stage1, train_set, valid_set, config)
 
-        def stage2_step(idx, opt_cfg, state, seed_b):
-            return _attention_step(work, grads_a, train_set.x[idx], kd_t[idx], opt_cfg, state, seed_b)
-
-        stage2_cfg = replace(config, validation_metric=METRIC_COMBINED)
-        best, hist2, best_epoch, stopped = _run_stage(
-            work, train_set, valid_set, stage2_cfg,
-            stage=2, lam=1.0, step_fn=stage2_step, start_epoch=len(res1.history),
-        )
-        if best.concept_digest() != frozen:
-            raise NumericError("stage 2 modified frozen concept parameters")
-        return TrainResult(best, res1.history + hist2, best_epoch, stopped)
-
-    if variant in (DEFAULT, NO_GRADIENT):
-        lam = config.lam
-    elif variant == BASELINE_DISTILL:
-        lam = 1.0
-    else:
-        lam = 0.0
-    stop = variant == NO_GRADIENT
-    kd_t = train_set.bb_scores
-    x_train = train_set.x
+    lam, stop = _JOINT[variant]
+    lam = config.lam if lam is None else lam
+    work = params.copy()
+    ye_train, kd_train = _concept_targets(train_set), train_set.bb_scores
     grads = nn.zero_grads(work)  # one buffer for the stage, overwritten every step
 
-    def joint(idx, opt_cfg, state, seed_b):
-        ye_b = None if ye_train is None else ye_train[idx]
-        kd_b = None if kd_t is None else kd_t[idx]
-        return _joint_step(work, grads, x_train[idx], ye_b, kd_b, lam, stop, opt_cfg, state, seed_b)
+    def step(idx, opt_cfg, state, seed_b):
+        out = model.forward_full(work, train_set.x[idx], TRAIN, seed_b)
+        breakdown, d_kd, d_ye = total_loss(out.y_e, out.y_kd, None if ye_train is None else ye_train[idx],
+                                           None if kd_train is None else kd_train[idx], lam)
+        model.backward_full(work, out, d_kd, d_ye, stop_concept_grad=stop, grads=grads)
+        nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
+        nn.update_running_stats(work.theta_c, out.concept_traces.trunk)
+        nn.update_running_stats(work.heads, out.concept_traces.stack)
+        nn.update_running_stats(work.theta_a, out.attention_trace)
+        return breakdown
 
-    best, history, best_epoch, stopped = _run_stage(
-        work, train_set, valid_set, config, stage=1, lam=lam, step_fn=joint, start_epoch=0
-    )
-    return TrainResult(best, history, best_epoch, stopped)
+    return _fit_stage(work, train_set, valid_set, config, step, stage=1, lam=lam)
+
+
+def fit_variants(init: model.ConceptDistilParams, train_set, valid_set, base: TrainConfig) -> dict[str, TrainResult]:
+    """Every variant fitted from ``init`` under ``base``, in :data:`VARIANTS` order, each equal to
+    :func:`train` of that variant; 2-staged continues the baseline-concept fit instead of repeating it."""
+    fits = {v: train(init, train_set, valid_set, replace(base, variant=v)) for v in _JOINT}
+    fits[TWO_STAGED] = _continue_two_staged(fits[BASELINE_CONCEPT], train_set, valid_set, base)
+    return {v: fits[v] for v in VARIANTS}

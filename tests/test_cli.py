@@ -173,8 +173,8 @@ class TestExitCodes:
         f.write_text("id,f_0\n0,1.0\n")
         assert run("label", "--input", str(f), "--out", str(tmp_path / "y.csv")) == 1
 
-    def test_non_finite_model_is_numeric_error(self, pipeline, tmp_path, capsys):
-        # 1e999 parses to infinity, which the forward pass must reject
+    def test_non_finite_model_is_data_error_naming_the_array(self, pipeline, tmp_path, capsys):
+        # 1e999 parses to infinity, which reading the model rejects
         text = (pipeline / "model" / "model.json").read_text()
         broken = tmp_path / "model.json"
         first_weight = text.index('"weights": [') + len('"weights": [')
@@ -183,8 +183,8 @@ class TestExitCodes:
         code = run("explain", "--model", str(broken),
                    "--input", str(pipeline / "data" / "golden_test.csv"),
                    "--out", str(tmp_path / "o.jsonl"))
-        assert code == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert code == 2
+        assert f"{broken}: trunk.layers[0].weights holds non-finite values" in capsys.readouterr().err
 
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         bad = tmp_path / "model.json"
@@ -356,6 +356,14 @@ class TestOptionalFlags:
         manifest = json.loads((out / "manifest_teach.json").read_text())
         assert manifest["seed"] == 3 and manifest["result"] == {"tune": 2}
 
+    def test_teach_manifest_records_every_input_file(self, pipeline):
+        manifest = json.loads((pipeline / "teachers" / "manifest_teach.json").read_text())
+        d = pipeline / "data"
+        assert manifest["inputs"] == {
+            "golden_train": str(d / "golden_train.csv"), "golden_valid": str(d / "golden_valid.csv"),
+            "config": str(pipeline / "forest.json"),
+        }
+
     def test_teach_tunes_on_a_one_feature_golden_set(self, tmp_path):
         cfg = _write_json(tmp_path / "gen.json", {
             "d_features": 1, "teacher_feature_count": 0, "fraud_weights": [1.0],
@@ -449,6 +457,7 @@ class TestConfigFiles:
         assert run("distill", *sets, "--config", str(cfg), "--out", str(tmp_path / "a"), "--epochs", "1",
                    "--lambda", "0.3", "--batch-size", "128", "--variant", "no-gradient", "--seed", "9") == 0
         first = _feed_back(tmp_path / "a" / "manifest_distill.json", "distill", tmp_path / "b", *sets)
+        assert first["inputs"] == {"train": sets[1], "valid": sets[3], "config": str(cfg)}
         resolved = first["config"]
         assert (resolved["lambda"], resolved["epochs"], resolved["learning_rate"], resolved["seed"]) == (0.3, 1, 0.01, 9)
         assert resolved["architecture"]["dropout"] == 0.1 and "lr" not in resolved["optimizer"]

@@ -537,7 +537,7 @@ class TestSerialization:
         out, trace = nn.forward(params, x, nn.TRAIN, rng_seed=0)
         nn.update_running_stats(params, trace)
         doc = json.loads(json.dumps(nn.mlp_to_doc(params)))
-        restored = nn.mlp_from_doc(doc)
+        restored = nn.mlp_from_doc(doc, "net")
         assert nn.params_digest(restored) == nn.params_digest(params)
         a, _ = nn.forward(params, x, nn.EVAL)
         b, _ = nn.forward(restored, x, nn.EVAL)
@@ -557,34 +557,34 @@ class TestMalformedDocs:
         blob = doc["layers"][0]["batchnorm"] if name in nn.BATCHNORM else doc["layers"][0]
         blob[name] = blob[name][:-1]
         short = (11,) if name == "weights" else (3,)
-        with pytest.raises(DataError, match=re.escape(f"layer 0: {name} shape {short} does not match spec")):
-            nn.mlp_from_doc(doc)
+        with pytest.raises(DataError, match=re.escape(f"net.layers[0].{name} has shape {short}, not")):
+            nn.mlp_from_doc(doc, "net")
 
     @pytest.mark.parametrize("name", nn.BATCHNORM)
     def test_missing_batchnorm_key_fails_naming_layer_and_array(self, name):
         doc = batchnorm_doc()
         del doc["layers"][0]["batchnorm"][name]
-        with pytest.raises(DataError, match=f"layer 0: {name} is missing"):
-            nn.mlp_from_doc(doc)
+        with pytest.raises(DataError, match=re.escape(f"net.layers[0].{name} is missing")):
+            nn.mlp_from_doc(doc, "net")
 
     def test_batchnorm_block_on_a_plain_layer_fails_naming_it(self):
         doc = batchnorm_doc()
         doc["layers"][1]["batchnorm"] = {name: [1.0] for name in nn.BATCHNORM}
-        with pytest.raises(DataError, match="layer 1: gamma is set without use_batchnorm"):
-            nn.mlp_from_doc(doc)
+        with pytest.raises(DataError, match=re.escape("net.layers[1].gamma is set without use_batchnorm")):
+            nn.mlp_from_doc(doc, "net")
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_layer_count_other_than_the_specs_fails(self, count):
         doc = batchnorm_doc()
         doc["layers"] = (doc["layers"] * 2)[:count]
-        with pytest.raises(DataError, match=f"{count} layers for 2 specs"):
-            nn.mlp_from_doc(doc)
+        with pytest.raises(DataError, match=f"net: {count} layers for 2 specs"):
+            nn.mlp_from_doc(doc, "net")
 
     def test_nested_array_fails_although_its_length_is_right(self):
         doc = batchnorm_doc()
         doc["layers"][0]["bias"] = [doc["layers"][0]["bias"]]
-        with pytest.raises(DataError, match=re.escape("layer 0: bias shape (1, 4) does not match spec")):
-            nn.mlp_from_doc(doc)
+        with pytest.raises(DataError, match=re.escape("net.layers[0].bias has shape (1, 4), not (4,)")):
+            nn.mlp_from_doc(doc, "net")
 
 
 class TestParamsValidation:

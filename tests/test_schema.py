@@ -328,7 +328,49 @@ class TestArtifactEnvelope:
         rows = tmp_path / "rows.csv"
         rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
         assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
-        assert f"{path}: layer 0: {name} shape (3,) does not match spec" in capsys.readouterr().err
+        assert f"{path}: trunk.layers[0].{name} has shape (3,), not (4,)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc["trunk"]["layers"][0]["bias"].__setitem__(0, math.nan),
+         "trunk.layers[0].bias holds non-finite values"),
+        (lambda doc: doc["trunk"]["layers"][0]["bias"].__setitem__(0, 1e300 * 1e300),
+         "trunk.layers[0].bias holds non-finite values"),
+        (lambda doc: doc["heads"][2]["layers"][0].pop("weights"), "heads[2].layers[0].weights is missing"),
+        (lambda doc: doc["attention"]["layers"][0]["bias"].pop(), "attention.layers[0].bias has shape (3,), not (4,)"),
+    ], ids=["nan", "inf", "missing-weights", "short-bias"])
+    def test_damaged_model_exits_2_naming_file_network_layer_and_array(self, tmp_path, capsys, damage, message):
+        path = tmp_path / "model.json"
+        arch = model.build_architecture(3, 3, trunk_widths=(4,), head_widths=(4,), attention_widths=(4,))
+        model.save_model(model.init_model(arch, ("a", "b", "c"), seed=0), path)
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
+        assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_damaged_black_box_names_its_network(self, tmp_path):
+        path = tmp_path / "blackbox.json"
+        load = _saved_artifact("ffnn_blackbox", path)
+        doc = json.loads(path.read_text())
+        doc["network"]["layers"][0].pop("weights")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: network.layers[0].weights is missing")):
+            load(path)
+
+    @pytest.mark.parametrize("key", ["threshold", "positive_fraction"])
+    def test_non_finite_tree_value_is_rejected_naming_it(self, tmp_path, key):
+        path = tmp_path / "teachers.json"
+        _saved_artifact("concept_teachers", path)
+        doc = json.loads(path.read_text())
+        node = doc["forests"][0]["trees"][0]
+        while key not in node:
+            node = node["left"]
+        node[key] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: tree {key} nan is not finite")):
+            teachers.load_teachers(path)
 
     def test_save_file_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):

@@ -292,6 +292,19 @@ class TestTrainingLoop:
         fids = [r.valid_fidelity for r in result.history]
         assert result.best_epoch == int(np.argmax(fids))
 
+    def test_fidelity_metric_without_valid_scores_fails_before_any_step(self, monkeypatch):
+        train_set, _ = make_sets(n=32, seed=19)
+        _, valid_set = make_sets(n=32, seed=19, with_scores=False)
+        params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=12)
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a training stage started")
+
+        monkeypatch.setattr(training, "fit_epochs", no_stage)
+        cfg = quick_config(variant=training.BASELINE_CONCEPT, validation_metric=training.METRIC_FIDELITY)
+        with pytest.raises(DataError, match="fidelity validation metric requires black-box scores on the validation"):
+            training.train(params, train_set, valid_set, cfg)
+
     def test_two_staged_history_has_both_stages(self):
         train_set, valid_set = make_sets(n=48, seed=20)
         params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=13)
@@ -401,3 +414,28 @@ class TestOneGradientBufferPerFit:
         assert want.stopped_early
         assert got.params.digest() == want.params.digest()
         assert (got.history, got.best_epoch) == (want.history, want.best_epoch)
+
+
+class TestFitVariants:
+    @pytest.mark.parametrize("regularised", [False, True], ids=["plain", "dropout-batchnorm"])
+    def test_equals_one_train_call_per_variant_in_five_stages(self, monkeypatch, regularised):
+        train_set, valid_set = make_sets(n=48, seed=23)
+        arch = tiny_arch(dropout=0.2, batchnorm=True) if regularised else tiny_arch()
+        params = model.init_model(arch, ("c0", "c1", "c2"), seed=16)
+        cfg = quick_config(epochs=12, early_stop_patience=1, learning_rate=5e-2)
+        want = {v: training.train(params, train_set, valid_set, replace(cfg, variant=v)) for v in training.VARIANTS}
+        assert any(r.stopped_early for r in want.values())
+        stages, fit_epochs = [], training.fit_epochs
+
+        def counted(*args, **kwargs):
+            stages.append(kwargs["shuffle_key"][2])
+            return fit_epochs(*args, **kwargs)
+
+        monkeypatch.setattr(training, "fit_epochs", counted)
+        got = training.fit_variants(params, train_set, valid_set, cfg)
+        assert stages == [1, 1, 1, 1, 2]  # baseline-concept is fitted once: 2-staged runs only its stage 2
+        assert list(got) == list(training.VARIANTS)
+        for v in training.VARIANTS:  # baseline-concept's equality shows that 2-staged left its result as it was
+            g, w = got[v], want[v]
+            assert g.params.digest() == w.params.digest(), v
+            assert (g.history, g.best_epoch, g.stopped_early) == (w.history, w.best_epoch, w.stopped_early), v
