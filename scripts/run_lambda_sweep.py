@@ -13,6 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from conceptdistil import hpo, pipeline, training
+from conceptdistil.errors import ConceptDistilError
 
 
 def parse_args():
@@ -44,4 +45,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConceptDistilError as exc:  # reported as the command line reports it
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)

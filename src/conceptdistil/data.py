@@ -1,12 +1,10 @@
 """Dataset container, CSV round-tripping, splits, and a synthetic
 fraud-like generator with known latent concepts.
 
-The CSV layout is fixed: ``id`` first, then features ``f_*``, the
-optional binary task label ``y``, hard concept labels ``c_<name>``, soft
-concept labels ``c_<name>_soft``, black-box scores ``bb_score`` and
-teacher-only enrichment columns ``t_*``. Floats are written with their
-shortest round-trip representation, so save -> load -> save is
-byte-identical.
+A dataset's arrays after ``id`` are declared once, in :data:`BLOCKS`:
+their CSV columns in file order, their cell types and the rule every value
+must pass. Floats are written with their shortest round-trip
+representation, so save -> load -> save is byte-identical.
 
 Files are written and read in blocks of ``ROW_BLOCK`` rows. The csv
 module handles the header; rows are joined and split on ``,`` as plain
@@ -20,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import re
+import typing
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .nn import derive_seed
-from .schema import Checked, bounded, each, ge, nonempty, within
+from .schema import Checked, Rule, bounded, each, ge, nonempty, within
 
 SEQUENTIAL = "sequential"
 RANDOM = "random"
@@ -36,53 +35,79 @@ GOLDEN_TRAIN_DEFAULT = 1934
 GOLDEN_VALID_DEFAULT = 203
 GOLDEN_TEST_DEFAULT = 506
 
+# a cell type: the array's dtype, how save_csv writes a value, and how load_csv reads a cell (ValueError or KeyError)
+_REAL = (np.float64, repr, float)
+_BIT = (np.int64, str, {"0": 0, "1": 1}.__getitem__)
+
+
+class Block(typing.NamedTuple):
+    """One of a :class:`Dataset`'s arrays after ``ids``, as a CSV file holds it."""
+
+    field: str  # the Dataset field
+    names: str | None  # the Dataset field naming its columns, one column each; None: one column, a 1-D array
+    column: str  # the pattern a column name fully matches; in a per-name block, its group is the name
+    dtype: type  # with write and parse, a cell type (_REAL or _BIT)
+    write: typing.Callable
+    parse: typing.Callable
+    rule: Rule  # what every value must be
+
+    def columns(self, dataset) -> list[str]:
+        if self.names is None:
+            return [self.column]
+        head, tail = re.split(r"\(.*\)", self.column)  # the text around the group
+        return [head + name + tail for name in getattr(dataset, self.names)]
+
+    def check(self, a: np.ndarray) -> np.ndarray:
+        if not self.rule.test(a):
+            raise DataError(f"{self.field} must be {self.rule.text}")
+        return a
+
+
+_FINITE = Rule("finite", lambda a: np.isfinite(a).all())
+_BINARY = Rule("0/1", lambda a: ((a == 0) | (a == 1)).all())
+_UNIT = Rule("finite in [0, 1]", lambda a: ((0 <= a) & (a <= 1)).all())  # NaN fails both comparisons
+
+# In file order. A column name both ``golden`` and ``soft`` match, such as ``c_a_soft``, is soft's: the later block's.
+BLOCKS = (
+    Block("x", "feature_names", "(f_.*)", *_REAL, _FINITE),
+    Block("y", None, "y", *_BIT, _BINARY),
+    Block("golden", "concept_names", "c_(.*)", *_BIT, _BINARY),
+    Block("soft", "concept_names", "c_(.*)_soft", *_REAL, _UNIT),
+    Block("bb_scores", None, "bb_score", *_REAL, _UNIT),
+    Block("teacher_x", "teacher_feature_names", "(t_.*)", *_REAL, _FINITE),
+)
+
 
 @dataclass(frozen=True)
 class Dataset:
-    ids: np.ndarray  # unicode, unique
+    """Rows under unique ``ids``, with the arrays :data:`BLOCKS` declares; ``x`` is the one required."""
+
+    ids: np.ndarray  # unicode
     feature_names: tuple[str, ...]
-    x: np.ndarray  # (n, d) float64
-    y: np.ndarray | None = None  # (n,) int 0/1 task labels
+    x: np.ndarray
+    y: np.ndarray | None = None
     concept_names: tuple[str, ...] = ()
-    golden: np.ndarray | None = None  # (n, K) int 0/1 expert labels
-    soft: np.ndarray | None = None  # (n, K) float in [0, 1]
-    bb_scores: np.ndarray | None = None  # (n,) float in [0, 1]
+    golden: np.ndarray | None = None  # expert concept labels
+    soft: np.ndarray | None = None  # teacher concept labels
+    bb_scores: np.ndarray | None = None
     teacher_feature_names: tuple[str, ...] = ()
-    teacher_x: np.ndarray | None = None  # (n, t) enrichment, never fed to surrogates
+    teacher_x: np.ndarray | None = None  # enrichment, never fed to surrogates
 
     def __post_init__(self):
-        n = self.ids.shape[0]
-        if len(np.unique(self.ids)) != n:
-            raise DataError("instance ids must be unique")
-        if self.x.shape != (n, len(self.feature_names)):
-            raise DataError("feature matrix shape does not match ids/feature_names")
-        if not np.isfinite(self.x).all():
-            raise DataError("features must be finite")
-        k = len(self.concept_names)
-        for name, block, width in (
-            ("y", self.y, 1),
-            ("golden", self.golden, k),
-            ("soft", self.soft, k),
-            ("bb_scores", self.bb_scores, 1),
-            ("teacher_x", self.teacher_x, len(self.teacher_feature_names)),
-        ):
-            if block is None:
+        ids, n = self.ids.tolist(), self.ids.shape[0]
+        if len(set(ids)) != n:
+            duplicate = next(a for a, b in itertools.pairwise(sorted(ids)) if a == b)
+            raise DataError(f"instance ids must be unique: duplicate id {duplicate!r}")
+        for block in BLOCKS:
+            a = getattr(self, block.field)
+            if a is None:
                 continue
-            expected = (n,) if name in ("y", "bb_scores") else (n, width)
-            if block.shape != expected:
-                raise DataError(f"{name} shape {block.shape} does not match {expected}")
-        for name, block in (("soft", self.soft), ("bb_scores", self.bb_scores), ("teacher_x", self.teacher_x)):
-            if block is not None and not np.isfinite(block).all():  # NaN slips through range checks
-                raise DataError(f"{name} must be finite")
-        if (self.golden is not None or self.soft is not None) and k == 0:
+            expected = (n,) if block.names is None else (n, len(getattr(self, block.names)))
+            if a.shape != expected:
+                raise DataError(f"{block.field} shape {a.shape} does not match {expected}")
+            block.check(a)
+        if (self.golden is not None or self.soft is not None) and self.k == 0:
             raise DataError("concept labels present but concept_names is empty")
-        if self.y is not None and not np.isin(self.y, (0, 1)).all():
-            raise DataError("y must be binary 0/1")
-        if self.golden is not None and not np.isin(self.golden, (0, 1)).all():
-            raise DataError("golden concept labels must be binary 0/1")
-        for block, what in ((self.soft, "soft concept labels"), (self.bb_scores, "black-box scores")):
-            if block is not None and block.size and (block.min() < 0 or block.max() > 1):  # no rows, no range
-                raise DataError(f"{what} must lie in [0, 1]")
         if (self.teacher_x is None) != (len(self.teacher_feature_names) == 0):
             raise DataError("teacher columns and names must be present together")
 
@@ -236,9 +261,6 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
 # -- CSV ---------------------------------------------------------------------
 
 ROW_BLOCK = 2048  # rows per CSV block; bounds the per-cell Python objects alive at once
-_BINARY = {"0": 0, "1": 1}
-_CELL_TYPES = {"x": np.float64, "y": np.int64, "golden": np.int64, "soft": np.float64, "bb_scores": np.float64,
-               "teacher_x": np.float64}
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a field
 _LINE_BREAK = re.compile("\r\n|\r|\n")  # what ends a line when a file is read with newline=""
 
@@ -250,15 +272,10 @@ def _id_cell(i: str) -> str:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Floats as ``repr``, 0/1 labels as digits, formatted a column at a time and joined per row block."""
-    names = dataset.concept_names
-    headers = {
-        "x": dataset.feature_names, "y": ("y",), "golden": [f"c_{n}" for n in names],
-        "soft": [f"c_{n}_soft" for n in names], "bb_scores": ("bb_score",), "teacher_x": dataset.teacher_feature_names,
-    }
-    blocks = {field: cols for field, cols in headers.items() if getattr(dataset, field) is not None}
+    blocks = [b for b in BLOCKS if getattr(dataset, b.field) is not None]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        header = ["id", *itertools.chain(*blocks.values())]
+        header = ["id", *(column for b in blocks for column in b.columns(dataset))]
         w.writerow(header)
         for a in range(0, dataset.n, ROW_BLOCK):
             rows = slice(a, a + ROW_BLOCK)
@@ -267,10 +284,9 @@ def save_csv(dataset: Dataset, path) -> None:
                 w.writerows(zip(ids))
                 continue
             columns = [map(_id_cell, ids)]
-            for field in blocks:
-                kind = _CELL_TYPES[field]
-                part = np.asarray(getattr(dataset, field)[rows], kind)
-                columns += [map(repr if kind is np.float64 else str, col) for col in part.reshape(len(part), -1).T.tolist()]
+            for b in blocks:
+                part = np.asarray(getattr(dataset, b.field)[rows], b.dtype)
+                columns += [map(b.write, col) for col in part.reshape(len(part), -1).T.tolist()]
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
@@ -283,36 +299,30 @@ def _locate_error(path, header, rows, line_no: int, fields) -> None:
         where = f"{path}: line {line_no}"
         if len(row) != len(header):
             raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
-        for j, kind in ((j, kind) for _, idx, kind in fields for j in idx):
-            cell, column = row[j], header[j]
-            if kind is np.int64 and cell not in _BINARY:
-                raise DataError(f"{where}: expected 0/1 in column {column!r}, got {cell!r}")
+        for block, j in ((block, j) for block, idx in fields for j in idx):
             try:
-                finite = kind is np.int64 or np.isfinite(float(cell))
-            except ValueError:
-                raise DataError(f"{where}: non-numeric value {cell!r} in column {column!r}") from None
-            if not finite:
-                raise DataError(f"{where}: non-finite value {cell!r} in column {column!r}")
+                block.check(np.array([block.parse(row[j])], block.dtype))
+            except (ValueError, KeyError, DataError):
+                raise DataError(f"{where}: column {header[j]!r}: {block.field} must be {block.rule.text}, "
+                                f"got {row[j]!r}") from None
         line_no += 1 + sum(len(_LINE_BREAK.findall(cell)) for cell in row)
 
 
 def _read_block(rows, n_fields: int, fields, parts) -> tuple:
-    """Append the block's array of each field to ``parts``; return its ids. ValueError/KeyError on a bad row or cell."""
+    """Append the block's array of each field to ``parts``; return its ids. Raises on a bad row or cell."""
     if any(len(row) != n_fields for row in rows):
         raise ValueError("ragged row")
     columns, m = list(zip(*rows)), len(rows)
-    for (_, idx, kind), part in zip(fields, parts):
-        block = np.empty((m, len(idx)), kind)
+    for (block, idx), part in zip(fields, parts):
+        a = np.empty((m, len(idx)), block.dtype)
         for c, j in enumerate(idx):
-            block[:, c] = np.fromiter(map(float if kind is np.float64 else _BINARY.__getitem__, columns[j]), kind, m)
-        if kind is np.float64 and not np.isfinite(block).all():
-            raise ValueError("non-finite value")
-        part.append(block)
+            a[:, c] = block.check(np.fromiter(map(block.parse, columns[j]), block.dtype, m))
+        part.append(a)
     return columns[0]
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV a row block at a time; errors carry 1-based file line numbers."""
+    """Read a dataset CSV a row block at a time; errors name the file, and a bad row or cell its 1-based line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -325,25 +335,20 @@ def load_csv(path) -> Dataset:
             raise DataError(f"{path}: first column must be 'id'")
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names")
-        columns = {name: [] for name in _CELL_TYPES}  # Dataset field -> its column indexes
-        for j, name in enumerate(header[1:], start=1):
-            if name in ("y", "bb_score"):
-                columns["y" if name == "y" else "bb_scores"].append(j)
-            elif name.startswith("f_"):
-                columns["x"].append(j)
-            elif name.startswith("t_"):
-                columns["teacher_x"].append(j)
-            elif name.startswith("c_"):
-                columns["soft" if name.endswith("_soft") else "golden"].append(j)
-            else:
-                raise DataError(f"{path}: unrecognized column {name!r}")
-        golden_names = [header[j][2:] for j in columns["golden"]]
-        soft_names = [header[j][2:-5] for j in columns["soft"]]
-        if golden_names and soft_names and golden_names != soft_names:
-            raise DataError(f"{path}: hard and soft concept columns disagree")
-        fields = [(name, idx, _CELL_TYPES[name]) for name, idx in columns.items() if idx or name == "x"]
+        columns = {b: [] for b in BLOCKS}  # block -> the index and pattern match of each of its columns
+        for j, column in enumerate(header[1:], start=1):
+            hit = next(((b, m) for b in reversed(BLOCKS) if (m := re.fullmatch(b.column, column, re.DOTALL))), None)
+            if hit is None:
+                raise DataError(f"{path}: unrecognized column {column!r}")
+            columns[hit[0]].append((j, hit[1]))
+        names = {}  # names field -> the names its first block with columns gives
+        for b, found in columns.items():
+            got = tuple(m[1] for _, m in found) if b.names else ()
+            if got and names.setdefault(b.names, got) != got:
+                raise DataError(f"{path}: {b.field} columns {got} do not match {b.names} {names[b.names]}")
+        fields = [(b, [j for j, _ in found]) for b, found in columns.items() if found or b.field == "x"]
 
-        ids, parts = [], [[np.empty((0, len(idx)), kind)] for _, idx, kind in fields]
+        ids, parts = [], [[np.empty((0, len(idx)), b.dtype)] for b, idx in fields]
         line_no, reader = 2, None  # reader: the csv module's, over the rest of the file from the first '"' on
         while True:
             if reader is None:
@@ -360,24 +365,17 @@ def load_csv(path) -> Dataset:
                 break
             try:
                 ids += _read_block(rows, len(header), fields, parts)
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, DataError):
                 _locate_error(path, header, csv.reader(lines) if reader is None else rows, line_no, fields)
                 raise  # the scan found nothing the cast rejected
             line_no = line_no + len(rows) if reader is None else reader_start + reader.line_num
             del rows  # one block's cells alive at a time, not two
 
-    ids_arr = np.asarray(ids)
-    if len(np.unique(ids_arr)) != len(ids):
-        raise DataError(f"{path}: duplicate instance ids")
-    squeeze = lambda name, a: a[:, 0] if name in ("y", "bb_scores") else a  # one-column fields are (n,)
-    arrays = {name: squeeze(name, np.concatenate(part)) for (name, _, _), part in zip(fields, parts)}
-    return Dataset(
-        ids=ids_arr,
-        feature_names=tuple(header[j] for j in columns["x"]),
-        concept_names=tuple(golden_names or soft_names),
-        teacher_feature_names=tuple(header[j] for j in columns["teacher_x"]),
-        **arrays,
-    )
+    arrays = {b.field: a if b.names else a[:, 0] for (b, _), a in zip(fields, map(np.concatenate, parts))}
+    try:
+        return Dataset(ids=np.asarray(ids), **({b.names: () for b in BLOCKS if b.names} | names), **arrays)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- splits -------------------------------------------------------------------

@@ -22,7 +22,10 @@ def desk_data(seed: int, n: int, golden, fractions) -> tuple[hpo.SweepData, floa
     full = data.generate_synthetic(data.GeneratorConfig(n_instances=n, seed=seed))
     (g_train, _, g_test), (tr, va, te) = data.carve(full, golden, fractions, seed=seed)
     teacher_set = teachers.fit_teachers(g_train, teachers.ForestParams(seed=seed))
-    _, teachers_auc = teachers.evaluate_teachers(teacher_set, g_test)
+    try:
+        _, teachers_auc = teachers.evaluate_teachers(teacher_set, g_test)
+    except DataError as exc:  # a golden-test set too small to hold both classes of a concept
+        raise DataError(f"golden-test set of {g_test.n} rows: {exc}") from None
     bb = blackbox.train_ffnn_blackbox(tr, va, seed=seed)
     tr, va = (s.with_scores(bb.score_batch(s.x)).with_soft(teachers.teach_labels(teacher_set, s)) for s in (tr, va))
     te = te.with_scores(bb.score_batch(te.x))

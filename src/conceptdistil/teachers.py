@@ -274,13 +274,14 @@ def _tree_to_doc(t: Tree) -> dict:
     return node(0)
 
 
-def _tree_from_doc(doc: dict, n_features: int) -> Tree:
+def _tree_from_doc(doc: dict, n_features: int, where: str) -> Tree:
+    """The tree :func:`_tree_to_doc` wrote; every error names ``where``, as in ``forests[0].trees[3]``."""
     rows: list[list] = []
 
     def finite(d, key):
         value = float(d[key])
         if not math.isfinite(value):
-            raise DataError(f"tree {key} {value} is not finite")
+            raise DataError(f"{where}: {key} {value} is not finite")
         return value
 
     def visit(d, depth):
@@ -290,12 +291,17 @@ def _tree_from_doc(doc: dict, n_features: int) -> Tree:
             return i
         row = [int(d["feature"]), finite(d, "threshold"), i, i, np.nan, int(d.get("sample_count", 0)), depth]
         if not 0 <= row[0] < n_features:
-            raise DataError(f"tree feature {row[0]} is outside [0, {n_features})")
+            raise DataError(f"{where}: feature {row[0]} is outside [0, {n_features})")
         rows.append(row)
         row[2:4] = visit(d["left"], depth + 1), visit(d["right"], depth + 1)
         return i
 
-    visit(doc, 0)
+    try:
+        visit(doc, 0)
+    except KeyError as exc:
+        raise DataError(f"{where}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{where}: {exc}") from None
     return _tree(rows)
 
 
@@ -306,7 +312,8 @@ def teachers_from_doc(doc: dict) -> TeacherSet:
         n_features = int(blob["n_features"])
         if len(blob["trees"]) != params.n_trees:
             raise DataError(f"forests[{i}].trees: holds {len(blob['trees'])} trees, params.n_trees is {params.n_trees}")
-        forests.append(Forest([_tree_from_doc(t, n_features) for t in blob["trees"]], params, n_features))
+        trees = [_tree_from_doc(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(blob["trees"])]
+        forests.append(Forest(trees, params, n_features))
     return TeacherSet(forests, tuple(doc["concept_names"]), tuple(doc["feature_names"]))
 
 

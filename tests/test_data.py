@@ -260,13 +260,13 @@ class TestCsvColumnar:
 
     @pytest.mark.parametrize("row", [0, data.ROW_BLOCK + 6, 2 * data.ROW_BLOCK])
     @pytest.mark.parametrize("column, cell, message", [
-        ("f_1", "abc", "non-numeric value 'abc' in column 'f_1'"),
-        ("y", "2", "expected 0/1 in column 'y', got '2'"),
-        ("c_a", "1.0", "expected 0/1 in column 'c_a', got '1.0'"),
-        ("f_0", "inf", "non-finite value 'inf' in column 'f_0'"),
-        ("c_a_soft", "nan", "non-finite value 'nan' in column 'c_a_soft'"),
-        ("bb_score", "-inf", "non-finite value '-inf' in column 'bb_score'"),
-        ("t_0", "1e999", "non-finite value '1e999' in column 't_0'"),
+        ("f_1", "abc", "column 'f_1': x must be finite, got 'abc'"),
+        ("y", "2", "column 'y': y must be 0/1, got '2'"),
+        ("c_a", "1.0", "column 'c_a': golden must be 0/1, got '1.0'"),
+        ("f_0", "inf", "column 'f_0': x must be finite, got 'inf'"),
+        ("c_a_soft", "nan", "column 'c_a_soft': soft must be finite in [0, 1], got 'nan'"),
+        ("bb_score", "-inf", "column 'bb_score': bb_scores must be finite in [0, 1], got '-inf'"),
+        ("t_0", "1e999", "column 't_0': teacher_x must be finite, got '1e999'"),
         (None, None, "expected 8 fields, got 7"),  # a ragged row
     ])
     def test_bad_cell_names_its_line_and_column(self, good_lines, tmp_path, row, column, cell, message):
@@ -348,7 +348,7 @@ class TestCsvText:
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("plain_rows", [0, 1])
     @pytest.mark.parametrize("last_row, message", [
-        ("c,xyz", "non-numeric value 'xyz' in column 'f_0'"),
+        ("c,xyz", "column 'f_0': x must be finite, got 'xyz'"),
         ("c", "expected 2 fields, got 1"),
     ])
     def test_line_numbers_count_line_breaks_in_quoted_cells(self, tmp_path, monkeypatch, block, plain_rows, last_row,
@@ -488,3 +488,82 @@ class TestDatasetInvariants:
         rest = small_dataset.exclude_ids(small_dataset.ids)
         assert rest.n == 0 and rest.x.shape == (0, small_dataset.d) and rest.golden.shape == (0, small_dataset.k)
         assert small_dataset.exclude_ids([]).ids.tolist() == small_dataset.ids.tolist()
+
+
+def every_block(n=4):
+    """Dataset arguments for ``n`` valid rows with every block present."""
+    rng = np.random.default_rng(11)
+    return dict(
+        ids=np.array([f"r{i}" for i in range(n)]), feature_names=("f_0", "f_1"), x=rng.normal(size=(n, 2)),
+        y=rng.integers(0, 2, n), concept_names=("a", "b"), golden=rng.integers(0, 2, (n, 2)),
+        soft=rng.random((n, 2)), bb_scores=rng.random(n), teacher_feature_names=("t_0",),
+        teacher_x=rng.normal(size=(n, 1)),
+    )
+
+
+# a block, its first CSV column, a cell that breaks the block's rule, and the rule
+BROKEN_RULES = {
+    "x-non-finite": ("x", "f_0", "inf", "finite"),
+    "y-not-0/1": ("y", "y", "2", "0/1"),
+    "golden-not-0/1": ("golden", "c_a", "-1", "0/1"),
+    "soft-non-finite": ("soft", "c_a_soft", "nan", "finite in [0, 1]"),
+    "soft-outside-0-1": ("soft", "c_a_soft", "1.5", "finite in [0, 1]"),
+    "bb_scores-non-finite": ("bb_scores", "bb_score", "-inf", "finite in [0, 1]"),
+    "bb_scores-outside-0-1": ("bb_scores", "bb_score", "-0.5", "finite in [0, 1]"),
+    "teacher_x-non-finite": ("teacher_x", "t_0", "nan", "finite"),
+}
+FIELDS = ("x", "y", "golden", "soft", "bb_scores", "teacher_x")
+
+
+class TestBlockRules:
+    """Each block's shape and value rule, broken in turn, through ``Dataset`` and through ``load_csv``."""
+
+    @pytest.mark.parametrize("field, column, cell, rule", BROKEN_RULES.values(), ids=BROKEN_RULES)
+    def test_broken_rule_through_the_dataset(self, field, column, cell, rule):
+        blocks = every_block()
+        a = blocks[field].copy()
+        a.reshape(len(a), -1)[1, 0] = float(cell)
+        with pytest.raises(DataError, match=re.escape(f"{field} must be {rule}")):
+            data.Dataset(**{**blocks, field: a})
+
+    @pytest.mark.parametrize("field, column, cell, rule", BROKEN_RULES.values(), ids=BROKEN_RULES)
+    def test_broken_rule_through_load_csv_names_file_line_column_and_block(self, tmp_path, field, column, cell, rule):
+        path = tmp_path / "broken.csv"
+        data.save_csv(data.Dataset(**every_block()), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        path.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+        message = f"{path}: line 3: column {column!r}: {field} must be {rule}, got {cell!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_wrong_shape_through_the_dataset(self, field):
+        blocks = every_block()
+        short = blocks[field][:-1]
+        expected = (4, *short.shape[1:])
+        with pytest.raises(DataError, match=re.escape(f"{field} shape {short.shape} does not match {expected}")):
+            data.Dataset(**{**blocks, field: short})
+
+    @pytest.mark.parametrize("column, message", [
+        ("c_b", "soft columns ('a', 'b') do not match concept_names ('a',)"),
+        ("c_b_soft", "soft columns ('a',) do not match concept_names ('a', 'b')"),
+    ])
+    def test_concept_columns_that_disagree_through_load_csv(self, tmp_path, column, message):
+        path = tmp_path / "short.csv"
+        data.save_csv(data.Dataset(**every_block()), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        j = rows[0].index(column)
+        path.write_text("".join(",".join(row[:j] + row[j + 1:]) + "\n" for row in rows))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            data.load_csv(path)
+
+    def test_a_duplicate_id_is_named_through_the_dataset_and_load_csv(self, tmp_path):
+        message = "instance ids must be unique: duplicate id 'b'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            data.Dataset(ids=np.array(["a", "b", "c", "b"]), feature_names=("f_0",), x=np.zeros((4, 1)))
+        path = tmp_path / "ids.csv"
+        path.write_text("id,f_0\na,1.0\nb,2.0\nc,3.0\nb,4.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            data.load_csv(path)

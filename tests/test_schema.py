@@ -369,7 +369,23 @@ class TestArtifactEnvelope:
             node = node["left"]
         node[key] = math.nan
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=re.escape(f"{path}: tree {key} nan is not finite")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: forests[0].trees[0]: {key} nan is not finite")):
+            teachers.load_teachers(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda node: node.update(threshold=math.inf), "threshold inf is not finite"),
+        (lambda node: node.update(feature=22), "feature 22 is outside [0, 22)"),
+        (lambda node: node.update(threshold="abc"), "could not convert string to float: 'abc'"),
+        (lambda node: node.pop("left"), "missing key 'left'"),
+    ], ids=["inf", "feature", "text", "missing-left"])
+    def test_damaged_tree_names_its_forest_and_tree(self, tmp_path, damage, message):
+        path = tmp_path / "teachers.json"
+        _saved_artifact("concept_teachers", path)
+        doc = json.loads(path.read_text())
+        assert doc["forests"][4]["n_features"] == 22
+        damage(doc["forests"][4]["trees"][1])  # the root, a split node
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: forests[4].trees[1]: {message}")):
             teachers.load_teachers(path)
 
     def test_save_file_refuses_non_finite_values(self, tmp_path):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conceptdistil import hpo, pipeline, training
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -41,3 +43,15 @@ def test_run_lambda_sweep_writes_the_desk_data_sweep(tmp_path):
                        "dropout", "l2", "batchnorm", "fidelity", "mean_auc", "on_frontier", "status"]
     assert rows == read_csv(tmp_path / "library.csv")
     assert [(r[1], r[-1]) for r in rows[1:]] == [("0.0", "completed"), ("1.0", "completed")]
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("run_pipeline.py", ["--n", "3000", "--seeds", "101", "--epochs", "5"],
+     "error: golden-test set of 51 rows: AUC undefined for concept 'high_speed_ordering'"),
+    ("run_lambda_sweep.py", ["--n", "100"], "error: requested 2050 golden rows but only 100 are available"),
+])
+def test_data_error_exits_2_with_its_message_and_no_traceback(tmp_path, name, argv, message):
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), "--out", str(tmp_path), *argv],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 2
+    assert done.stderr.startswith(message) and "Traceback" not in done.stderr

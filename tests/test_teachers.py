@@ -89,7 +89,7 @@ def tree_doc(tree):
 
 def leaf_tree(p, n):
     """A one-leaf tree, read from its v1 document."""
-    return teachers._tree_from_doc({"positive_fraction": p, "sample_count": n}, 1)
+    return teachers._tree_from_doc({"positive_fraction": p, "sample_count": n}, 1, "tree")
 
 
 @st.composite
