@@ -12,8 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from conceptdistil import hpo, pipeline, training
-from conceptdistil.errors import ConceptDistilError
+from conceptdistil import cli, hpo, pipeline, training
 
 
 def parse_args():
@@ -45,8 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except ConceptDistilError as exc:  # reported as the command line reports it
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(exc.exit_code)
+    sys.exit(cli.exit_status(main))

@@ -14,8 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from conceptdistil import pipeline
-from conceptdistil.errors import ConceptDistilError
+from conceptdistil import cli, pipeline
 
 
 def parse_args():
@@ -31,23 +30,18 @@ def parse_args():
 
 def main():
     args = parse_args()
+    rows = []  # the table is written once every seed's fits have returned, so a failed run leaves none
+    for seed in args.seeds:
+        for variant, (fid, auc) in pipeline.run_desk(seed, args.n, args.epochs, args.lam).items():
+            rows.append([seed, variant, "" if fid is None else f"{fid:.6f}", f"{auc:.6f}"])
+            print(f"seed {seed} {variant:18s} fidelity {rows[-1][2] or '-':8s}  mean AUC {rows[-1][3]}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "variant_table.csv"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "variant", "fidelity", "mean_golden_auc"])
-        for seed in args.seeds:
-            for variant, (fid, auc) in pipeline.run_desk(seed, args.n, args.epochs, args.lam).items():
-                row = [seed, variant, "" if fid is None else f"{fid:.6f}", f"{auc:.6f}"]
-                w.writerow(row)
-                print(f"seed {seed} {variant:18s} fidelity {row[2] or '-':8s}  mean AUC {row[3]}")
+        csv.writer(fh).writerows([["seed", "variant", "fidelity", "mean_golden_auc"], *rows])
     print(f"\nwrote {path}")
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except ConceptDistilError as exc:  # reported as the command line reports it
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(exc.exit_code)
+    sys.exit(cli.exit_status(main))

@@ -68,6 +68,7 @@ _BINARY = Rule("0/1", lambda a: ((a == 0) | (a == 1)).all())
 _UNIT = Rule("finite in [0, 1]", lambda a: ((0 <= a) & (a <= 1)).all())  # NaN fails both comparisons
 
 # In file order. A column name both ``golden`` and ``soft`` match, such as ``c_a_soft``, is soft's: the later block's.
+# A Dataset's names are held to that reading (_check_names), so every dataset reads back as it was saved.
 BLOCKS = (
     Block("x", "feature_names", "(f_.*)", *_REAL, _FINITE),
     Block("y", None, "y", *_BIT, _BINARY),
@@ -76,6 +77,26 @@ BLOCKS = (
     Block("bb_scores", None, "bb_score", *_REAL, _UNIT),
     Block("teacher_x", "teacher_feature_names", "(t_.*)", *_REAL, _FINITE),
 )
+
+
+def _block_of(column: str) -> tuple[Block, str | None] | None:
+    """The block a CSV column is read into and the name the column gives (None in a one-column block), or
+    None when no block's pattern matches it."""
+    for block in reversed(BLOCKS):  # a column two blocks match is the later one's
+        if m := re.fullmatch(block.column, column, re.DOTALL):
+            return block, m[1] if block.names else None
+    return None
+
+
+def _check_names(block: Block, names: tuple[str, ...], columns: list[str]) -> None:
+    """Each of ``block``'s ``names`` must come back from its column to this block, under itself, and once."""
+    if len(set(names)) != len(names):
+        duplicate = next(a for a, b in itertools.pairwise(sorted(names)) if a == b)
+        raise DataError(f"{block.names} name {duplicate!r} twice")
+    for name, column in zip(names, columns):
+        if _block_of(column) != (block, name):
+            raise DataError(f"{block.names} entry {name!r}: its column {column!r} does not read back as "
+                            f"{block.field} {name!r}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +127,8 @@ class Dataset:
             if a.shape != expected:
                 raise DataError(f"{block.field} shape {a.shape} does not match {expected}")
             block.check(a)
+            if block.names is not None:
+                _check_names(block, getattr(self, block.names), block.columns(self))
         if (self.golden is not None or self.soft is not None) and self.k == 0:
             raise DataError("concept labels present but concept_names is empty")
         if (self.teacher_x is None) != (len(self.teacher_feature_names) == 0):
@@ -335,15 +358,15 @@ def load_csv(path) -> Dataset:
             raise DataError(f"{path}: first column must be 'id'")
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names")
-        columns = {b: [] for b in BLOCKS}  # block -> the index and pattern match of each of its columns
+        columns = {b: [] for b in BLOCKS}  # block -> the index and name of each of its columns
         for j, column in enumerate(header[1:], start=1):
-            hit = next(((b, m) for b in reversed(BLOCKS) if (m := re.fullmatch(b.column, column, re.DOTALL))), None)
+            hit = _block_of(column)
             if hit is None:
                 raise DataError(f"{path}: unrecognized column {column!r}")
             columns[hit[0]].append((j, hit[1]))
         names = {}  # names field -> the names its first block with columns gives
         for b, found in columns.items():
-            got = tuple(m[1] for _, m in found) if b.names else ()
+            got = tuple(name for _, name in found) if b.names else ()
             if got and names.setdefault(b.names, got) != got:
                 raise DataError(f"{path}: {b.field} columns {got} do not match {b.names} {names[b.names]}")
         fields = [(b, [j for j, _ in found]) for b, found in columns.items() if found or b.field == "x"]

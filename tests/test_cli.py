@@ -1,11 +1,13 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conceptdistil import blackbox, cli, data, metrics, model, schema, teachers
+from conceptdistil.errors import DataError, NumericError, UsageError
 
 
 def run(*argv):
@@ -224,6 +226,44 @@ class TestExitCodes:
         assert run("evaluate", "--model", str(tmp_path / "none.json"), "--out", str(tmp_path / "r.json")) == 1
         assert "needs --test and/or --golden" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--model", "m.json", "--test", "t.csv", "--data", "d.csv"), "--model and --data are mutually exclusive"),
+        (("--data", "d.csv", "--golden", "g.csv"), "--test and --golden require --model"),
+        (("--model", "m.json", "--golden", "g.csv", "--recall-fpr", "0.05"), "--recall-fpr requires --test"),
+        (("--data", "d.csv", "--recall-fpr", "0.05"), "--recall-fpr requires --test"),
+    ])
+    def test_evaluate_rejects_a_flag_it_would_ignore_before_reading(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "report" / "r.json"  # none of the files exists: reading one would exit 2
+        argv = [a if a.startswith("-") or a[0].isdigit() else str(tmp_path / a) for a in argv]
+        assert run("evaluate", *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_gen_data_rejects_a_concept_its_file_would_rename(self, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "gen.json", {
+            "d_features": 2, "teacher_feature_count": 0, "fraud_weights": [1.0, 1.0],
+            "concepts": [{"name": n, "feature_indices": [i], "weights": [1.0], "prevalence": 0.3}
+                         for i, n in enumerate(("x", "x_soft"))],
+        })
+        assert run("gen-data", "--config", str(cfg), "--n", "400", "--golden", "0,0,0", "--out", str(tmp_path / "d")) == 2
+        assert "concept_names entry 'x_soft': its column 'c_x_soft' does not read back" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("error, code, message", [
+        (UsageError("bad flag"), 1, "error: bad flag"),
+        (DataError("bad file"), 2, "error: bad file"),
+        (NumericError("diverged"), 3, "error: diverged"),
+        (FileNotFoundError("gone"), 2, "error: gone"),
+        (FloatingPointError("overflow"), 3, "error: numeric failure: overflow"),
+    ])
+    def test_exit_status_prints_the_error_and_returns_its_code(self, capsys, error, code, message):
+        def body():
+            raise error
+
+        assert cli.exit_status(body) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert cli.exit_status(lambda: None) == 0
+
     def test_teach_tune_without_golden_valid_fails_before_reading(self, tmp_path, capsys):
         out = tmp_path / "t"  # golden-train does not exist: reading it would exit 2
         assert run("teach", "--golden-train", str(tmp_path / "none.csv"), "--tune", "2", "--out", str(out)) == 1
@@ -272,6 +312,11 @@ class TestExitCodes:
         (["gen-data", "--golden", "1,x,3"], "--golden expects comma-separated integers, got '1,x,3'"),
         (["sweep", "--mode", "lambda", "--lambda-grid", "0.1,y", "--train", "none.csv", "--valid", "none.csv",
           "--test", "none.csv", "--golden-test", "none.csv"], "--lambda-grid expects comma-separated numbers, got '0.1,y'"),
+        (["train-blackbox", "--hidden", "8,x", "--train", "none.csv", "--valid", "none.csv"],
+         "--hidden expects comma-separated integers, got '8,x'"),
+        (["gen-data", "--split", "0.8,x"], "--split expects comma-separated numbers, got '0.8,x'"),
+        (["sweep", "--lambda-grid", "0.1,y", "--train", "none.csv", "--valid", "none.csv", "--test", "none.csv",
+          "--golden-test", "none.csv"], "--lambda-grid expects comma-separated numbers, got '0.1,y'"),  # search mode
     ])
     def test_unreadable_list_flag_exits_1_naming_it(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", str(tmp_path / "o")) == 1
@@ -310,6 +355,87 @@ class TestExitCodes:
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestManifestInputs:
+    """A manifest's ``inputs`` are the input-file flags given, under their dests, in the parser's order."""
+
+    @pytest.fixture(scope="class")
+    def files(self, pipeline):
+        d = pipeline / "data"
+        return {
+            "gen": _write_json(pipeline / "inputs_gen.json", {"n_instances": 300}),
+            "forest": _write_json(pipeline / "inputs_forest.json", {"n_trees": 1}),
+            "train_cfg": _write_json(pipeline / "inputs_train.json", {"epochs": 1, "architecture": TINY_ARCH}),
+            "teachers": pipeline / "teachers" / "teachers.json", "blackbox": pipeline / "bb" / "blackbox.json",
+            "model": pipeline / "model" / "model.json",
+            **{name: d / f"{name}.csv" for name in ("train", "valid", "test", "golden_train", "golden_valid",
+                                                    "golden_test", "train_labeled", "valid_labeled", "test_labeled")},
+        }
+
+    # the command, its other flags, its input flags in an order unlike the parser's, and the inputs in the parser's
+    CASES = {
+        "gen-data": ("gen-data", ("--golden", "0,0,0"), ("--config", "gen"), {"config": "gen"}),
+        "gen-data-builtin": ("gen-data", ("--golden", "0,0,0", "--n", "300"), (), {}),
+        "train-blackbox": ("train-blackbox", ("--epochs", "1"), ("--valid", "valid", "--train", "train"),
+                           {"train": "train", "valid": "valid"}),
+        "teach": ("teach", (), ("--config", "forest", "--golden-valid", "golden_valid", "--golden-train", "golden_train"),
+                  {"golden_train": "golden_train", "golden_valid": "golden_valid", "config": "forest"}),
+        "label": ("label", (), ("--blackbox", "blackbox", "--teachers", "teachers", "--input", "test"),
+                  {"input": "test", "teachers": "teachers", "blackbox": "blackbox"}),
+        "distill": ("distill", (), ("--config", "train_cfg", "--valid", "valid_labeled", "--train", "train_labeled"),
+                    {"train": "train_labeled", "valid": "valid_labeled", "config": "train_cfg"}),
+        "evaluate": ("evaluate", (), ("--golden", "golden_test", "--test", "test_labeled", "--model", "model"),
+                     {"model": "model", "test": "test_labeled", "golden": "golden_test"}),
+        "evaluate-data": ("evaluate", (), ("--data", "golden_test"), {"data": "golden_test"}),
+        "explain": ("explain", (), ("--input", "golden_test", "--model", "model"),
+                    {"model": "model", "input": "golden_test"}),
+        "sweep": ("sweep", ("--mode", "lambda", "--lambda-grid", "0.5", "--repeats", "1"),
+                  ("--config", "train_cfg", "--golden-test", "golden_test", "--test", "test_labeled",
+                   "--valid", "valid_labeled", "--train", "train_labeled"),
+                  {"train": "train_labeled", "valid": "valid_labeled", "test": "test_labeled",
+                   "golden_test": "golden_test", "config": "train_cfg"}),
+    }
+
+    @pytest.mark.parametrize("command, flags, given, expected", CASES.values(), ids=CASES)
+    def test_inputs_are_exactly_the_input_flags_given(self, files, tmp_path, command, flags, given, expected):
+        given = [a if a.startswith("--") else str(files[a]) for a in given]
+        target = tmp_path / "out.file" if command in ("label", "evaluate", "explain") else tmp_path
+        assert run(command, *flags, *given, "--out", str(target)) == 0
+        manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+        assert list(manifest["inputs"].items()) == [(k, str(files[v])) for k, v in expected.items()]
+
+
+# every flag of each command, in the order the parser declares them
+FLAGS = {
+    "gen-data": ("--seed", "--out", "--config", "--n", "--split", "--split-mode", "--golden"),
+    "train-blackbox": ("--seed", "--out", "--train", "--valid", "--hidden", "--learning-rate", "--epochs",
+                       "--batch-size", "--patience"),
+    "teach": ("--seed", "--out", "--golden-train", "--golden-valid", "--config", "--tune"),
+    "label": ("--seed", "--out", "--input", "--teachers", "--blackbox", "--score-file", "--uncertainty-fraction"),
+    "distill": ("--seed", "--out", "--variant", "--train", "--valid", "--config", "--lambda", "--epochs",
+                "--learning-rate", "--batch-size"),
+    "evaluate": ("--seed", "--out", "--model", "--test", "--golden", "--data", "--recall-fpr"),
+    "explain": ("--seed", "--out", "--model", "--input"),
+    "sweep": ("--seed", "--out", "--mode", "--train", "--valid", "--test", "--golden-test", "--trials",
+              "--lambda-grid", "--repeats", "--epochs", "--jobs", "--config"),
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_help_exits_0_naming_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            run(command, "--help")
+        assert done.value.code == 0
+        named = re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)
+        assert set(named) == {"--help", *FLAGS[command]}
+
+    def test_the_commands_are_the_eight(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            run("--help")
+        assert done.value.code == 0
+        assert "{" + ",".join(FLAGS) + "}" in capsys.readouterr().out
 
 
 class TestInputPreservation:

@@ -567,3 +567,38 @@ class TestBlockRules:
         path.write_text("id,f_0\na,1.0\nb,2.0\nc,3.0\nb,4.0\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             data.load_csv(path)
+
+
+# names a Dataset may not hold, because the file save_csv writes would not read back to them
+UNSAVEABLE_NAMES = {
+    "feature-without-f_": ({"feature_names": ("f_0", "age")}, "feature_names entry 'age': its column 'age' does "
+                                                              "not read back as x 'age'"),
+    "teacher-without-t_": ({"teacher_feature_names": ("z",)}, "teacher_feature_names entry 'z': its column 'z'"),
+    "feature-named-like-a-teacher": ({"feature_names": ("f_0", "t_1")}, "feature_names entry 't_1'"),
+    "golden-concept-ending-_soft": ({"concept_names": ("a", "b_soft"), "soft": None},
+                                    "concept_names entry 'b_soft': its column 'c_b_soft' does not read back as "
+                                    "golden 'b_soft'"),
+    "repeated-feature": ({"feature_names": ("f_0", "f_0")}, "feature_names name 'f_0' twice"),
+    "repeated-concept": ({"concept_names": ("a", "a")}, "concept_names name 'a' twice"),
+    "repeated-teacher": ({"teacher_feature_names": ("t_0", "t_0"), "teacher_x": np.zeros((4, 2))},
+                         "teacher_feature_names name 't_0' twice"),
+}
+
+
+class TestNamesSurviveTheFile:
+    """A Dataset's names are the ones load_csv reads back from the file save_csv writes of it."""
+
+    @pytest.mark.parametrize("changes, message", UNSAVEABLE_NAMES.values(), ids=UNSAVEABLE_NAMES)
+    def test_a_name_the_file_would_change_is_rejected(self, changes, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            data.Dataset(**{**every_block(), **changes})
+
+    @pytest.mark.parametrize("changes", [
+        {"concept_names": ("a_soft", "c_b"), "golden": None},  # a soft column's name may end in _soft
+        {"feature_names": ("f_", "f_a,b\nc")},
+        {"concept_names": ("", "x y")},
+    ], ids=["soft-only-_soft", "odd-feature-names", "odd-concept-names"])
+    def test_an_accepted_name_reads_back(self, tmp_path, changes):
+        ds = data.Dataset(**{**every_block(), **changes})
+        data.save_csv(ds, tmp_path / "d.csv")
+        assert_bit_equal(data.load_csv(tmp_path / "d.csv"), ds)

@@ -55,3 +55,4 @@ def test_data_error_exits_2_with_its_message_and_no_traceback(tmp_path, name, ar
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 2
     assert done.stderr.startswith(message) and "Traceback" not in done.stderr
+    assert not list(tmp_path.rglob("*.csv"))  # no table of a run that did not finish
