@@ -17,6 +17,8 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, blackbox, data, hpo, metrics, model, schema, teachers, training
 from .errors import ConceptDistilError, DataError, UsageError
 
@@ -92,6 +94,20 @@ def _write_manifest(command: str, started: float, inputs: dict, out_dir: Path, c
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _load_disjoint(args, *dests) -> list:
+    """The datasets of the input-file flags ``dests`` (None for one not given); two that share an instance id
+    are a data error naming both flags, the overlap count and the first shared id."""
+    sets = {f"--{dest.replace('_', '-')}": data.load_csv(path) if (path := getattr(args, dest)) else None
+            for dest in dests}
+    given = [(flag, ds) for flag, ds in sets.items() if ds is not None]
+    for i, (flag_a, a) in enumerate(given):
+        for flag_b, b in given[i + 1:]:
+            shared = a.ids[np.isin(a.ids, b.ids)]
+            if shared.size:
+                raise DataError(f"{flag_a} and {flag_b} share {shared.size} instance ids, first {shared[0]!r}")
+    return list(sets.values())
+
+
 def _out_dir(raw) -> Path:
     out = Path(raw)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,8 +133,7 @@ def cmd_gen_data(args):
 
 def cmd_train_blackbox(args):
     cfg = _config(blackbox.BlackBoxConfig, args)
-    train_set = data.load_csv(args.train)
-    valid_set = data.load_csv(args.valid)
+    train_set, valid_set = _load_disjoint(args, "train", "valid")
     adapter = blackbox.train_ffnn_blackbox(train_set, valid_set, **asdict(cfg))
     out = _out_dir(args.out)
     outputs = {"model": out / "blackbox.json"}
@@ -135,8 +150,7 @@ def cmd_teach(args):
         raise UsageError("--tune requires --golden-valid")
     params = _config(teachers.ForestParams, args)
     seed = params.seed  # tuning replaces params, seed included
-    golden_train = data.load_csv(args.golden_train)
-    golden_valid = data.load_csv(args.golden_valid) if args.golden_valid else None
+    golden_train, golden_valid = _load_disjoint(args, "golden_train", "golden_valid")
     if golden_valid is not None:
         if golden_valid.golden is None:
             raise DataError("--golden-valid must carry hard concept labels")
@@ -184,8 +198,7 @@ def cmd_label(args):
 
 def cmd_distill(args):
     cfg = _config(TrainingFile, args, names=TRAIN_NAMES, reject=TRAIN_REJECT)
-    train_set = data.load_csv(args.train)
-    valid_set = data.load_csv(args.valid)
+    train_set, valid_set = _load_disjoint(args, "train", "valid")
     arch = model.build_architecture(train_set.d, train_set.k, **asdict(cfg.architecture))
     params = model.init_model(arch, train_set.concept_names, cfg.seed)
     result = training.train(params, train_set, valid_set, cfg)
@@ -209,15 +222,24 @@ def cmd_evaluate(args):
         raise UsageError("evaluate with --model needs --test and/or --golden")
     if args.recall_fpr is not None and not args.test:
         raise UsageError("--recall-fpr requires --test")
+    report = _prevalence_report(args.data) if args.model is None else _model_report(args)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if args.model is None:
-        dataset = data.load_csv(args.data)
-        report = {"n": dataset.n, "concept_prevalences": data.concept_prevalences(dataset)}
-        if dataset.y is not None:
-            report["positive_rate"] = float(dataset.y.mean())
-        out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        return out_path.parent, {}, {"report": out_path}, seed
+    out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    return out_path.parent, {} if args.model is None else {"recall_fpr": args.recall_fpr}, {"report": out_path}, seed
+
+
+def _prevalence_report(path) -> dict:
+    dataset = data.load_csv(path)
+    if dataset.n == 0 or dataset.golden is None:
+        raise DataError(f"--data file {path} has " + ("no rows" if dataset.n == 0 else "no hard concept labels"))
+    report = {"n": dataset.n, "concept_prevalences": data.concept_prevalences(dataset)}
+    if dataset.y is not None:
+        report["positive_rate"] = float(dataset.y.mean())
+    return report
+
+
+def _model_report(args) -> dict:
     params = model.load_model(args.model)
     report = {"n_eval": 0, "fidelity": None, "mean_auc": None}
     recall = None
@@ -238,8 +260,7 @@ def cmd_evaluate(args):
         report["per_concept_auc"] = dict(zip(params.concept_names, per.tolist()))
     if recall is not None:
         report["recall_at_fpr"] = recall
-    out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-    return out_path.parent, {"recall_fpr": args.recall_fpr}, {"report": out_path}, seed
+    return report
 
 
 def cmd_explain(args):
@@ -263,12 +284,7 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 def cmd_sweep(args):
     reject = {**TRAIN_REJECT, **SWEEP_SETS[args.mode]}
     base = _config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject)
-    bundle = hpo.SweepData(
-        train=data.load_csv(args.train),
-        valid=data.load_csv(args.valid),
-        test=data.load_csv(args.test),
-        golden_test=data.load_csv(args.golden_test),
-    )
+    bundle = hpo.SweepData(*_load_disjoint(args, "train", "valid", "test", "golden_test"))
     if args.mode == "search":
         report = hpo.run_search(hpo.SearchSpace(), args.trials, bundle, base=base, master_seed=base.seed, jobs=args.jobs)
         cfg = {"mode": "search", "trials": args.trials}

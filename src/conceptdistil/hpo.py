@@ -9,13 +9,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics, model, training
+from . import metrics, model, pool, training
 from .data import Dataset
 from .errors import ConceptDistilError, DataError
 from .nn import derive_seed
@@ -187,9 +186,9 @@ def evaluate_params(params: model.ConceptDistilParams, test: Dataset, golden_tes
     return fid, mean_auc
 
 
-def _run_trial(index: int, arch: model.ArchitectureConfig, cfg: training.TrainConfig,
-               data: SweepData | None = None) -> Trial:
-    data = data or _worker_data
+def _run_trial(data: SweepData, item: tuple[int, model.ArchitectureConfig, training.TrainConfig]) -> Trial:
+    """Trial ``index`` of one ``(index, arch, cfg)`` item, trained on ``data``."""
+    index, arch, cfg = item
     trial = Trial(
         index=index,
         seed=cfg.seed,
@@ -243,12 +242,12 @@ def run_search(
     if n_trials < 1:
         raise DataError("n_trials must be >= 1")
     base = base or training.TrainConfig()
-    pairs = []
+    items = []
     for i in range(n_trials):
         seed = derive_seed(master_seed, _TRIAL, i)
         arch, cfg = sample_config(space, np.random.default_rng(seed), len(data.train.feature_names), data.train.k, base)
-        pairs.append((arch, replace(cfg, seed=seed)))
-    return _assemble(_execute(pairs, data, jobs))
+        items.append((i, arch, replace(cfg, seed=seed)))
+    return _assemble(pool.ordered_map(_run_trial, data, items, jobs))
 
 
 def lambda_sweep(
@@ -273,24 +272,6 @@ def lambda_sweep(
         raise DataError("n_repeats must be >= 1")
     base = base or training.TrainConfig()
     arch = arch or model.build_architecture(len(data.train.feature_names), data.train.k)
-    pairs = [(arch, replace(base, lam=v, seed=derive_seed(master_seed, _REPEAT, r)))
-             for v in lambdas for r in range(n_repeats)]
-    return _assemble(_execute(pairs, data, jobs))
-
-
-_worker_data: SweepData | None = None  # a pool worker's copy, set once by _init_worker
-
-
-def _init_worker(data: SweepData) -> None:
-    global _worker_data
-    _worker_data = data
-
-
-def _execute(pairs, data: SweepData, jobs: int) -> list[Trial]:
-    """One trial per ``(arch, cfg)`` pair, in order; with ``jobs > 1`` in a process pool given ``data`` once per worker."""
-    if jobs < 1:
-        raise DataError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return [_run_trial(i, arch, cfg, data) for i, (arch, cfg) in enumerate(pairs)]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
-        return list(pool.map(_run_trial, range(len(pairs)), *zip(*pairs)))
+    configs = [replace(base, lam=v, seed=derive_seed(master_seed, _REPEAT, r))
+               for v in lambdas for r in range(n_repeats)]
+    return _assemble(pool.ordered_map(_run_trial, data, [(i, arch, cfg) for i, cfg in enumerate(configs)], jobs))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import metrics, schema
+from . import metrics, pool, schema
 from .data import Dataset
 from .errors import DataError
 from .nn import derive_seed
@@ -203,15 +203,20 @@ def _teacher_features(dataset: Dataset) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.hstack([dataset.x, dataset.teacher_x]), names
 
 
+def _fit_concept(shared, item: tuple[int, ForestParams]) -> Forest:
+    features, golden = shared
+    i, params = item
+    return fit_forest(features, golden[:, i], params)
+
+
 def fit_teachers(golden_train: Dataset, params: ForestParams) -> TeacherSet:
-    """One forest per concept, fitted on the expert-labelled rows."""
+    """One forest per concept, fitted on the expert-labelled rows, in parallel on the CPUs this process may
+    use. Each forest draws only from its own derived seeds, so the forests do not depend on the CPU count."""
     if golden_train.golden is None:
         raise DataError("teacher training requires hard concept labels")
     features, names = _teacher_features(golden_train)
-    forests = []
-    for i in range(golden_train.k):
-        per_concept = replace(params, seed=derive_seed(params.seed, _CONCEPT, i))
-        forests.append(fit_forest(features, golden_train.golden[:, i], per_concept))
+    items = [(i, replace(params, seed=derive_seed(params.seed, _CONCEPT, i))) for i in range(golden_train.k)]
+    forests = pool.ordered_map(_fit_concept, (features, golden_train.golden), items, pool.usable_cpus())
     return TeacherSet(forests, golden_train.concept_names, names)
 
 

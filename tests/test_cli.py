@@ -239,6 +239,29 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ("no_concepts", "has no hard concept labels"),
+        ("no_rows", "has no rows"),
+    ])
+    def test_failed_evaluate_data_names_the_file_and_leaves_no_directory(self, pipeline, tmp_path, capsys, change,
+                                                                         message):
+        ds = data.load_csv(pipeline / "data" / "valid.csv")
+        ds = replace(ds, concept_names=(), golden=None) if change == "no_concepts" else ds.take(np.arange(0))
+        data.save_csv(ds, tmp_path / "d.csv")
+        out = tmp_path / "report" / "p.json"
+        assert run("evaluate", "--data", str(tmp_path / "d.csv"), "--out", str(out)) == 2
+        assert f"error: --data file {tmp_path / 'd.csv'} {message}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_failed_model_evaluation_leaves_no_directory(self, pipeline, tmp_path, capsys):
+        d = pipeline / "data"
+        data.save_csv(replace(data.load_csv(d / "test_labeled.csv"), y=None), tmp_path / "t.csv")
+        out = tmp_path / "report" / "r.json"
+        assert run("evaluate", "--model", str(pipeline / "model" / "model.json"), "--test", str(tmp_path / "t.csv"),
+                   "--golden", str(d / "golden_test.csv"), "--recall-fpr", "0.05", "--out", str(out)) == 2
+        assert "--recall-fpr needs task labels on the --test file" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_gen_data_rejects_a_concept_its_file_would_rename(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "gen.json", {
             "d_features": 2, "teacher_feature_count": 0, "fraud_weights": [1.0, 1.0],
@@ -355,6 +378,39 @@ class TestExitCodes:
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestDisjointInputs:
+    """Two datasets given to one command may not share an instance id."""
+
+    SWEEP = ("sweep", ("--mode", "lambda", "--lambda-grid", "0.5", "--repeats", "1"),
+             {"--train": "train_labeled", "--valid": "valid_labeled", "--test": "test_labeled",
+              "--golden-test": "golden_test"})
+    # the command, its other flags, its dataset flags and files in the parser's order, and the two that overlap
+    CASES = {
+        "train-blackbox": ("train-blackbox", ("--epochs", "1"), {"--train": "train", "--valid": "valid"},
+                           ("--train", "--valid")),
+        "distill": ("distill", ("--epochs", "1"), {"--train": "train_labeled", "--valid": "valid_labeled"},
+                    ("--train", "--valid")),
+        "teach": ("teach", (), {"--golden-train": "golden_train", "--golden-valid": "golden_valid"},
+                  ("--golden-train", "--golden-valid")),
+        "sweep-train-test": (*SWEEP, ("--train", "--test")),
+        "sweep-valid-golden-test": (*SWEEP, ("--valid", "--golden-test")),
+    }
+
+    @pytest.mark.parametrize("command, flags, files, overlap", CASES.values(), ids=CASES)
+    def test_a_shared_id_exits_2_naming_both_flags_the_count_and_a_first_id(self, pipeline, tmp_path, capsys,
+                                                                             command, flags, files, overlap):
+        first, second = overlap
+        paths = {flag: pipeline / "data" / f"{name}.csv" for flag, name in files.items()}
+        source = data.load_csv(paths[first])
+        data.save_csv(source.take(np.array([7, 3])), tmp_path / "overlap.csv")
+        paths[second] = tmp_path / "overlap.csv"
+        out = tmp_path / "out"
+        assert run(command, *flags, *(str(a) for kv in paths.items() for a in kv), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {first} and {second} share 2 instance ids, first {source.ids[3]!r}" in err
+        assert not out.exists()
 
 
 class TestManifestInputs:

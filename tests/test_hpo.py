@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conceptdistil import data, hpo, model, training
+from conceptdistil import data, hpo, model, pool, training
 from conceptdistil.errors import DataError
 
 from oracles import dominance_flags
@@ -175,12 +175,12 @@ class TestLambdaSweep:
             hpo.lambda_sweep([0.5, 1.2], 1, bundle)
 
     def test_empty_grid_rejected_by_name_before_any_trial(self, bundle, monkeypatch):
-        monkeypatch.setattr(hpo, "_execute", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(pool, "ordered_map", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(DataError, match="the lambda grid is empty"):
             hpo.lambda_sweep([], 1, bundle)
 
     def test_out_of_range_lambda_fails_before_any_trial(self, bundle, monkeypatch):
-        monkeypatch.setattr(hpo, "_execute", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(pool, "ordered_map", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(DataError, match=r"lam must be in \[0, 1\], got 1.5"):
             hpo.lambda_sweep([0.5, 1.5], 1, bundle)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistil import data, metrics, teachers
+from conceptdistil import cli, data, metrics, pool, teachers
 from conceptdistil.errors import DataError
 from conceptdistil.nn import derive_seed
 
@@ -440,3 +440,51 @@ class TestTeacherSet:
         )
         _, recomputed = teachers.evaluate_teachers(tset, g_valid.take(np.arange(200)))
         assert best_auc == recomputed
+
+
+class TestCpuCount:
+    """The forests fit on as many processes as the CPUs this process may use, and the count changes nothing."""
+
+    @staticmethod
+    def set_cpus(monkeypatch, n):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: n)
+
+    def test_teachers_file_is_byte_identical(self, golden, monkeypatch, tmp_path):
+        g_train, _ = golden
+        for cpus in (1, 2):
+            self.set_cpus(monkeypatch, cpus)
+            tset = teachers.fit_teachers(g_train, teachers.ForestParams(n_trees=4, seed=8))
+            teachers.save_teachers(tset, tmp_path / f"teachers_{cpus}.json")
+        assert (tmp_path / "teachers_1.json").read_bytes() == (tmp_path / "teachers_2.json").read_bytes()
+
+    def test_tuning_picks_the_same_params_and_auc(self, golden, monkeypatch):
+        g_train, g_valid = golden
+        tuned = []
+        for cpus in (1, 2):
+            self.set_cpus(monkeypatch, cpus)
+            _, params, auc = teachers.tune_teachers(g_train.take(np.arange(150)), g_valid.take(np.arange(200)),
+                                                    n_trials=2, seed=1)
+            tuned.append((params, auc))
+        assert tuned[0] == tuned[1]
+
+    def test_one_cpu_or_one_concept_starts_no_process(self, golden, monkeypatch):
+        g_train, _ = golden
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("a pool started"))
+        params = teachers.ForestParams(n_trees=2, seed=8)
+        self.set_cpus(monkeypatch, 1)
+        assert len(teachers.fit_teachers(g_train, params).forests) == g_train.k
+        self.set_cpus(monkeypatch, 2)
+        one = replace(g_train, concept_names=g_train.concept_names[:1], golden=g_train.golden[:, :1])
+        assert len(teachers.fit_teachers(one, params).forests) == 1
+
+    def test_a_worker_error_reaches_the_caller_and_teach_exits_2(self, golden, monkeypatch, tmp_path, capsys):
+        g_train, _ = golden
+        self.set_cpus(monkeypatch, 2)
+        message = f"need at least 1600 rows, got {g_train.n}"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            teachers.fit_teachers(g_train, teachers.ForestParams(min_leaf=800))
+        data.save_csv(g_train, tmp_path / "golden_train.csv")
+        (tmp_path / "forest.json").write_text(json.dumps({"min_leaf": 800}))
+        assert cli.main(["teach", "--golden-train", str(tmp_path / "golden_train.csv"), "--config",
+                         str(tmp_path / "forest.json"), "--out", str(tmp_path / "t")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
