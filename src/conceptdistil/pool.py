@@ -1,22 +1,24 @@
 """One ordered map, serial or over a process pool that gets its shared data once per worker.
 
-The pool forks where the platform offers ``fork``: a forked worker starts
-with the parent's modules and data in memory, so it imports nothing and
-unpickles no shared data. Elsewhere it uses the platform's default. A
-fork copies only the calling thread, which is safe because the package
-starts no threads of its own.
+The pool forks where the platform offers ``fork`` and this process runs no thread but its main one: a
+forked worker starts with the parent's modules and data in memory, so it imports nothing and unpickles
+no shared data. A fork copies only the calling thread, so a lock held by another thread would stay
+locked in the child for good; a process with other threads running, and a platform without ``fork``,
+gets a ``spawn`` pool, whose workers import the package and unpickle the shared data first.
 
-A pool with one worker per CPU the process may use pins each worker to a
-CPU of its own. Left to itself, the scheduler may keep two new workers on
-one CPU for hundreds of milliseconds, each at half speed, while another
-CPU idles: on a 2-vCPU virtual machine it did so whenever the parent ran
-on the second CPU.
+Where the platform has an affinity mask, the n-th worker to start pins itself to the n-th CPU of the
+mask, cycling when there are more workers than CPUs. Left to itself, the scheduler may keep two new
+workers on one CPU for hundreds of milliseconds, each at half speed, while another CPU idles: on a
+2-vCPU virtual machine it did so whenever the parent ran on the second CPU. Two processes that run
+pools at the same time pin their workers to the same first CPUs of their masks; give them disjoint
+masks (``taskset -c``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DataError
@@ -32,14 +34,22 @@ def usable_cpus() -> int:
     return len(_affinity()) or os.cpu_count() or 1
 
 
+def forks() -> bool:
+    """Whether a pool started now forks its workers: the platform offers ``fork`` and no other thread runs."""
+    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+
+
 _worker: tuple | None = None  # a pool worker's (fn, shared), set once by _init_worker
 
 
-def _init_worker(fn, shared, cpus) -> None:
+def _init_worker(fn, shared, cpus, started) -> None:
     global _worker
     _worker = (fn, shared)
-    if cpus:  # one worker per CPU; a pool's workers are numbered consecutively, so each takes another CPU
-        os.sched_setaffinity(0, {cpus[multiprocessing.current_process()._identity[0] % len(cpus)]})
+    if cpus:
+        with started.get_lock():  # the pool's workers count themselves as they start: the n-th takes cpus[n]
+            n = started.value
+            started.value += 1
+        os.sched_setaffinity(0, {cpus[n % len(cpus)]})
 
 
 def _call(item):
@@ -56,9 +66,9 @@ def ordered_map(fn, shared, items, jobs: int) -> list:
     items = list(items)
     if jobs == 1 or len(items) < 2:
         return [fn(shared, item) for item in items]
-    workers = min(jobs, len(items))
+    context = multiprocessing.get_context("fork" if forks() else "spawn")
     cpus = _affinity()
-    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker,
-                             initargs=(fn, shared, cpus if len(cpus) == workers else [])) as pool:
+    started = context.Value("i", 0) if cpus else None
+    with ProcessPoolExecutor(min(jobs, len(items)), mp_context=context, initializer=_init_worker,
+                             initargs=(fn, shared, cpus, started)) as pool:
         return list(pool.map(_call, items))

@@ -211,12 +211,15 @@ def _fit_concept(shared, item: tuple[int, ForestParams]) -> Forest:
 
 def fit_teachers(golden_train: Dataset, params: ForestParams) -> TeacherSet:
     """One forest per concept, fitted on the expert-labelled rows, in parallel on the CPUs this process may
-    use. Each forest draws only from its own derived seeds, so the forests do not depend on the CPU count."""
+    use where the pool can fork, else serially: a spawned worker imports numpy and the package first, which
+    costs about what the fit saves. Each forest draws only from its own derived seeds, so the forests do not
+    depend on the process count."""
     if golden_train.golden is None:
         raise DataError("teacher training requires hard concept labels")
     features, names = _teacher_features(golden_train)
     items = [(i, replace(params, seed=derive_seed(params.seed, _CONCEPT, i))) for i in range(golden_train.k)]
-    forests = pool.ordered_map(_fit_concept, (features, golden_train.golden), items, pool.usable_cpus())
+    jobs = pool.usable_cpus() if pool.forks() else 1
+    forests = pool.ordered_map(_fit_concept, (features, golden_train.golden), items, jobs)
     return TeacherSet(forests, golden_train.concept_names, names)
 
 

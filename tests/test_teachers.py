@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -476,6 +477,23 @@ class TestCpuCount:
         self.set_cpus(monkeypatch, 2)
         one = replace(g_train, concept_names=g_train.concept_names[:1], golden=g_train.golden[:, :1])
         assert len(teachers.fit_teachers(one, params).forests) == 1
+
+    def test_a_process_with_another_thread_fits_serially(self, golden, monkeypatch, tmp_path):
+        g_train, _ = golden
+        params = teachers.ForestParams(n_trees=2, seed=8)
+        teachers.save_teachers(teachers.fit_teachers(g_train, params), tmp_path / "unthreaded.json")
+        self.set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("a pool started"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            teachers.save_teachers(teachers.fit_teachers(g_train, params), tmp_path / "threaded.json")
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert (tmp_path / "threaded.json").read_bytes() == (tmp_path / "unthreaded.json").read_bytes()
 
     def test_a_worker_error_reaches_the_caller_and_teach_exits_2(self, golden, monkeypatch, tmp_path, capsys):
         g_train, _ = golden
