@@ -74,13 +74,11 @@ def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FF
     work = nn.init_mlp(default_blackbox_specs(train_set.d, cfg.hidden), derive_seed(cfg.seed, 50))
     x, t = train_set.x, train_set.y.astype(np.float64).reshape(-1, 1)
     tv = valid_set.y.astype(np.float64).reshape(-1, 1)
-    grads = nn.zero_grads(work)  # one buffer for the fit, overwritten every step
 
-    def step(idx, opt_cfg, state, seed_b):
+    def step(idx, grads, seed_b):
         out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
         loss, grad = nn.bce_loss(out, t[idx])
         nn.backward(work, trace, grad, grads, input_grad=False)
-        nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
         nn.update_running_stats(work, trace)
         return (loss,)
 
@@ -89,8 +87,8 @@ def train_ffnn_blackbox(train_set: Dataset, valid_set: Dataset, **options) -> FF
         return v_loss, None
 
     fitted, _, _, _ = training.fit_epochs(
-        work, step, validate, n=train_set.n, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        patience=cfg.patience, opt_cfg=OptimizerConfig(lr=cfg.learning_rate),
+        work, step, validate, trained=work, n=train_set.n, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        patience=cfg.patience, lr=cfg.learning_rate, optimizer=OptimizerConfig(),
         draws=nn.draws_masks(work.specs, TRAIN), shuffle_key=(cfg.seed, _SHUFFLE), batch_key=(cfg.seed, _BATCH),
     )
     return FFNNBlackBox(fitted, descriptor="ffnn trained on task labels")

@@ -32,9 +32,8 @@ class TrainingFile(training.TrainConfig):
     architecture: model.ArchitectureOptions = field(default_factory=model.ArchitectureOptions)
 
 
-# training-file keys that differ from the field names, and keys a training file may not set
+# training-file keys that differ from the field names
 TRAIN_NAMES = {"lam": "lambda", "early_stop_patience": "patience", "dropout_p": "dropout", "use_batchnorm": "batchnorm"}
-TRAIN_REJECT = {"optimizer.lr": "is not read: 'learning_rate' sets the rate"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,8 +56,8 @@ def _comma_list(flag: str, cast=float, three: str = ""):
     """The argparse type of ``flag``'s comma-separated values, each read by ``cast`` (int or float). A flag that
     takes exactly three values gives ``three``: what they are, with an example."""
     def parse(raw: str) -> tuple:
-        try:
-            values = tuple(cast(v) for v in raw.split(",") if v.strip() != "")
+        try:  # an empty value is the empty list; an empty item is unreadable
+            values = tuple(map(cast, raw.split(","))) if raw.strip() else ()
         except ValueError:
             kind = "integers" if cast is int else "numbers"
             raise UsageError(f"{flag} expects comma-separated {kind}, got {raw!r}") from None
@@ -197,7 +196,7 @@ def cmd_label(args):
 
 
 def cmd_distill(args):
-    cfg = _config(TrainingFile, args, names=TRAIN_NAMES, reject=TRAIN_REJECT)
+    cfg = _config(TrainingFile, args, names=TRAIN_NAMES)
     train_set, valid_set = _load_disjoint(args, "train", "valid")
     arch = model.build_architecture(train_set.d, train_set.k, **asdict(cfg.architecture))
     params = model.init_model(arch, train_set.concept_names, cfg.seed)
@@ -206,7 +205,7 @@ def cmd_distill(args):
     outputs = {"model": out / "model.json", "history": out / "history.csv"}
     model.save_model(result.params, outputs["model"])
     training.history_to_csv(result.history, outputs["history"])
-    return (out, schema.write(cfg, TRAIN_NAMES, omit=TRAIN_REJECT), outputs, cfg.seed,
+    return (out, schema.write(cfg, TRAIN_NAMES), outputs, cfg.seed,
             {"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
 
 
@@ -282,7 +281,7 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 
 
 def cmd_sweep(args):
-    reject = {**TRAIN_REJECT, **SWEEP_SETS[args.mode]}
+    reject = SWEEP_SETS[args.mode]
     base = _config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject)
     bundle = hpo.SweepData(*_load_disjoint(args, "train", "valid", "test", "golden_test"))
     if args.mode == "search":

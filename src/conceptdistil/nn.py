@@ -389,7 +389,6 @@ def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class OptimizerConfig(Checked):
     algorithm: str = bounded("adam", one_of(("sgd", "adam")))
-    lr: float = bounded(1e-3, ge(0))
     l2_penalty: float = bounded(0.0, ge(0))
     # a beta of 1 turns every parameter NaN
     adam_beta1: float = bounded(0.9, within(0, 1, hi_open=True))
@@ -404,13 +403,9 @@ class OptimizerState:
     v: np.ndarray | None = None
 
 
-def optimizer_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    state: OptimizerState | None = None,
-) -> OptimizerState:
-    """One SGD or Adam update of the flat parameters ``theta``, in place.
+def optimizer_step(theta: np.ndarray, grad: np.ndarray, lr: float, config: OptimizerConfig,
+                   state: OptimizerState | None = None) -> OptimizerState:
+    """One SGD or Adam update of the flat parameters ``theta`` at rate ``lr``, in place.
 
     ``theta`` and ``grad`` are packed learnable vectors (``.flat``), so
     every block (weights, bias, batchnorm gamma/beta) moves in one
@@ -424,7 +419,7 @@ def optimizer_step(
     t = state.step
     gg = grad + config.l2_penalty * theta if config.l2_penalty else grad
     if config.algorithm == "sgd":
-        theta -= config.lr * gg
+        theta -= lr * gg
         return state
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     if state.m is None:
@@ -439,7 +434,7 @@ def optimizer_step(
     np.sqrt(den, out=den)
     den += eps
     step = m / (1.0 - b1**t)
-    step *= config.lr
+    step *= lr
     step /= den
     theta -= step
     return state

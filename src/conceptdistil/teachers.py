@@ -226,8 +226,16 @@ def fit_teachers(golden_train: Dataset, params: ForestParams) -> TeacherSet:
 def teach_labels(teachers: TeacherSet, dataset: Dataset) -> np.ndarray:
     """Probabilistic concept labels for every row of ``dataset``."""
     features, names = _teacher_features(dataset)
-    if names != teachers.feature_names:
-        raise DataError("dataset feature schema does not match the teachers")
+    expected = teachers.feature_names
+    if names != expected:
+        i = next((i for i, (found, want) in enumerate(zip(names, expected)) if found != want), None)
+        if i is not None:
+            detail = f"column {i} is {names[i]!r}, the teachers expect {expected[i]!r}"
+        elif len(names) < len(expected):
+            detail = f"{len(expected) - len(names)} columns missing, first {expected[len(names)]!r}"
+        else:
+            detail = f"{len(names) - len(expected)} extra columns, first {names[len(expected)]!r}"
+        raise DataError(f"dataset feature schema does not match the teachers: {detail}")
     out = np.empty((dataset.n, len(teachers.forests)))
     for i, forest in enumerate(teachers.forests):
         out[:, i] = forest.predict_proba(features)
@@ -314,15 +322,20 @@ def _tree_from_doc(doc: dict, n_features: int, where: str) -> Tree:
 
 
 def teachers_from_doc(doc: dict) -> TeacherSet:
+    concept_names, feature_names = tuple(doc["concept_names"]), tuple(doc["feature_names"])
+    if len(doc["forests"]) != len(concept_names):
+        raise DataError(f"forests: holds {len(doc['forests'])} forests, concept_names has {len(concept_names)}")
     forests = []
     for i, blob in enumerate(doc["forests"]):
         params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
         n_features = int(blob["n_features"])
+        if n_features != len(feature_names):
+            raise DataError(f"forests[{i}].n_features: is {n_features}, feature_names has {len(feature_names)}")
         if len(blob["trees"]) != params.n_trees:
             raise DataError(f"forests[{i}].trees: holds {len(blob['trees'])} trees, params.n_trees is {params.n_trees}")
         trees = [_tree_from_doc(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(blob["trees"])]
         forests.append(Forest(trees, params, n_features))
-    return TeacherSet(forests, tuple(doc["concept_names"]), tuple(doc["feature_names"]))
+    return TeacherSet(forests, concept_names, feature_names)
 
 
 def save_teachers(teachers: TeacherSet, path) -> None:

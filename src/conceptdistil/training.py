@@ -69,9 +69,6 @@ class TrainConfig(Checked):
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     validation_metric: str = bounded(METRIC_COMBINED, one_of(VALIDATION_METRICS))
 
-    def effective_optimizer(self) -> OptimizerConfig:
-        return replace(self.optimizer, lr=self.learning_rate)
-
 
 class LossBreakdown(NamedTuple):
     total: float
@@ -151,17 +148,20 @@ def _concept_targets(dataset) -> np.ndarray | None:
     return None
 
 
-def fit_epochs(work, step, validate, *, n, epochs, batch_size, patience, opt_cfg, draws, shuffle_key, batch_key):
-    """Minibatch fit of ``work`` with early stopping; returns ``(best copy, records, best epoch, stopped early)``.
+def fit_epochs(work, step, validate, *, trained, n, epochs, batch_size, patience, lr, optimizer, draws, shuffle_key,
+               batch_key):
+    """Minibatch fit of ``trained``, a part of ``work`` or all of it, with early stopping; returns ``(best copy
+    of work, records, best epoch, stopped early)``.
 
     Epoch ``e`` visits the ``n`` rows in the order drawn from ``derive_seed(*shuffle_key, e)``.
-    ``step(idx, opt_cfg, state, seed)`` updates ``work`` on the rows ``idx`` and returns its loss
-    terms, total first; ``seed`` is ``derive_seed(*batch_key, e, b)`` when the model ``draws``
-    dropout masks, else 0. ``validate(e, train_means)`` turns the row-weighted means of the terms
-    into ``(value, record)``. The copy of ``work`` with the lowest value is kept, and the fit
-    stops after ``patience`` epochs without a lower one.
+    ``step(idx, grads, seed)`` runs forward, loss, backward into ``grads`` (the fit's one
+    ``nn.zero_grads(trained)`` buffer) and the running-statistics fold on the rows ``idx``, and returns
+    its loss terms, total first; ``seed`` is ``derive_seed(*batch_key, e, b)`` when the model ``draws``
+    dropout masks, else 0. A finite total is followed by the fit's one ``optimizer`` update at rate ``lr``.
+    ``validate(e, train_means)`` turns the row-weighted means of the terms into ``(value, record)``. The
+    copy with the lowest value is kept, and the fit stops after ``patience`` epochs without a lower one.
     """
-    state = nn.OptimizerState()
+    grads, state = nn.zero_grads(trained), nn.OptimizerState()
     history = []
     best_value, best, best_epoch, bad, stopped = math.inf, work.copy(), 0, 0, False
     for e in range(epochs):
@@ -169,9 +169,10 @@ def fit_epochs(work, step, validate, *, n, epochs, batch_size, patience, opt_cfg
         sums = 0.0
         for b, lo in enumerate(range(0, n, batch_size)):
             idx = order[lo : lo + batch_size]
-            terms = step(idx, opt_cfg, state, derive_seed(*batch_key, e, b) if draws else 0)
+            terms = step(idx, grads, derive_seed(*batch_key, e, b) if draws else 0)
             if not math.isfinite(terms[0]):
                 raise NumericError(f"non-finite training loss at epoch {e}, batch {b}")
+            nn.optimizer_step(trained.flat, grads.flat, lr, optimizer, state)
             sums = sums + len(idx) * np.array(terms)
         value, record = validate(e, sums / n)
         history.append(record)
@@ -185,9 +186,9 @@ def fit_epochs(work, step, validate, *, n, epochs, batch_size, patience, opt_cfg
     return best, history, best_epoch, stopped
 
 
-def _fit_stage(work, train_set, valid_set, config, step, *, stage, lam, start_epoch=0) -> TrainResult:
-    """:func:`fit_epochs` of ``work`` by ``step`` under ``config``, each epoch validated by the loss at ``lam``
-    and judged by ``config.validation_metric``; the records number epochs from ``start_epoch``."""
+def _fit_stage(work, train_set, valid_set, config, step, *, trained, stage, lam, start_epoch=0) -> TrainResult:
+    """:func:`fit_epochs` of ``trained`` in ``work`` by ``step`` under ``config``, each epoch validated by the
+    loss at ``lam`` and judged by ``config.validation_metric``; the records number epochs from ``start_epoch``."""
     arch = work.config
     ye_valid, kd_valid = _concept_targets(valid_set), valid_set.bb_scores
 
@@ -199,8 +200,8 @@ def _fit_stage(work, train_set, valid_set, config, step, *, stage, lam, start_ep
         return value[config.validation_metric], EpochRecord(start_epoch + e, stage, *map(float, means), *vb, fid)
 
     best, history, best_e, stopped = fit_epochs(
-        work, step, validate, n=train_set.n, epochs=config.epochs, batch_size=config.batch_size,
-        patience=config.early_stop_patience, opt_cfg=config.effective_optimizer(),
+        work, step, validate, trained=trained, n=train_set.n, epochs=config.epochs, batch_size=config.batch_size,
+        patience=config.early_stop_patience, lr=config.learning_rate, optimizer=config.optimizer,
         draws=nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN),
         shuffle_key=(config.seed, _SHUFFLE, stage), batch_key=(config.seed, _BATCH, stage),
     )
@@ -213,21 +214,19 @@ def _continue_two_staged(stage1: TrainResult, train_set, valid_set, config: Trai
     work = stage1.params.copy()
     frozen = work.concept_digest()
     kd_train = train_set.bb_scores
-    grads_a = nn.zero_grads(work.theta_a)  # one buffer for the stage, overwritten every step
 
-    def step(idx, opt_cfg, state, seed_b):
+    def step(idx, grads_a, seed_b):
         xb = train_set.x[idx]
         y_e, _ = model.concept_forward(work, xb, EVAL)
         alpha, trace_a = model.attention_forward(work, xb, TRAIN, seed_b)
         breakdown, d_kd, _ = total_loss(y_e, (y_e * alpha).sum(axis=1), None, kd_train[idx], 1.0)
         d_e = nn.softmax_backward(alpha, d_kd.reshape(-1, 1) * y_e)
         nn.backward(work.theta_a, trace_a, d_e, grads_a, input_grad=False)
-        nn.optimizer_step(work.theta_a.flat, grads_a.flat, opt_cfg, state)
         nn.update_running_stats(work.theta_a, trace_a)
         return breakdown
 
     stage2 = _fit_stage(work, train_set, valid_set, replace(config, validation_metric=METRIC_COMBINED), step,
-                        stage=2, lam=1.0, start_epoch=len(stage1.history))
+                        trained=work.theta_a, stage=2, lam=1.0, start_epoch=len(stage1.history))
     if stage2.params.concept_digest() != frozen:
         raise NumericError("stage 2 modified frozen concept parameters")
     return replace(stage2, history=stage1.history + stage2.history)
@@ -266,20 +265,18 @@ def train(params: model.ConceptDistilParams, train_set, valid_set, config: Train
     lam = config.lam if lam is None else lam
     work = params.copy()
     ye_train, kd_train = _concept_targets(train_set), train_set.bb_scores
-    grads = nn.zero_grads(work)  # one buffer for the stage, overwritten every step
 
-    def step(idx, opt_cfg, state, seed_b):
+    def step(idx, grads, seed_b):
         out = model.forward_full(work, train_set.x[idx], TRAIN, seed_b)
         breakdown, d_kd, d_ye = total_loss(out.y_e, out.y_kd, None if ye_train is None else ye_train[idx],
                                            None if kd_train is None else kd_train[idx], lam)
         model.backward_full(work, out, d_kd, d_ye, stop_concept_grad=stop, grads=grads)
-        nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
         nn.update_running_stats(work.theta_c, out.concept_traces.trunk)
         nn.update_running_stats(work.heads, out.concept_traces.stack)
         nn.update_running_stats(work.theta_a, out.attention_trace)
         return breakdown
 
-    return _fit_stage(work, train_set, valid_set, config, step, stage=1, lam=lam)
+    return _fit_stage(work, train_set, valid_set, config, step, trained=work, stage=1, lam=lam)
 
 
 def fit_variants(init: model.ConceptDistilParams, train_set, valid_set, base: TrainConfig) -> dict[str, TrainResult]:

@@ -15,7 +15,7 @@ import nn_reference as ref
 # reference kernels and a fresh gradient buffer every step
 
 def ref_fit_mlp(params, x, targets, x_valid, targets_valid, *, learning_rate, epochs, batch_size, patience, seed):
-    opt_cfg = nn.OptimizerConfig(lr=learning_rate)
+    opt_cfg = nn.OptimizerConfig()
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     tv = np.asarray(targets_valid, dtype=np.float64).reshape(-1, 1)
     work = params.copy()
@@ -35,7 +35,7 @@ def ref_fit_mlp(params, x, targets, x_valid, targets_valid, *, learning_rate, ep
             out, trace = nn.forward(work, x[idx], TRAIN, seed_b)
             loss, grad = ref.bce_loss(out, t[idx])
             grads, _ = ref.backward(work, trace, grad)
-            nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
+            nn.optimizer_step(work.flat, grads.flat, learning_rate, opt_cfg, state)
             nn.update_running_stats(work, trace)
             running += loss * len(idx)
         v_out, _ = nn.forward(work, x_valid, EVAL)
@@ -144,11 +144,10 @@ class TestSharedLoop:
         work = init.copy()
         t, tv = train.y.astype(np.float64).reshape(-1, 1), valid.y.astype(np.float64).reshape(-1, 1)
 
-        def step(idx, opt_cfg, state, seed_b):
+        def step(idx, grads, seed_b):
             out, trace = nn.forward(work, train.x[idx], TRAIN, seed_b)
             loss, grad = nn.bce_loss(out, t[idx])
-            grads, _ = nn.backward(work, trace, grad)
-            nn.optimizer_step(work.flat, grads.flat, opt_cfg, state)
+            nn.backward(work, trace, grad, grads)
             nn.update_running_stats(work, trace)
             return (loss,)
 
@@ -157,8 +156,8 @@ class TestSharedLoop:
             return v_loss, (float(means[0]), v_loss)
 
         best, history, _, _ = training.fit_epochs(
-            work, step, validate, n=train.n, epochs=12, batch_size=64, patience=3,
-            opt_cfg=nn.OptimizerConfig(lr=3e-3), draws=True, shuffle_key=(7, 51), batch_key=(7, 52))
+            work, step, validate, trained=work, n=train.n, epochs=12, batch_size=64, patience=3,
+            lr=3e-3, optimizer=nn.OptimizerConfig(), draws=True, shuffle_key=(7, 51), batch_key=(7, 52))
         assert history == ref_history
         assert nn.params_digest(best) == nn.params_digest(expected)
 

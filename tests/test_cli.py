@@ -340,6 +340,12 @@ class TestExitCodes:
         (["gen-data", "--split", "0.8,x"], "--split expects comma-separated numbers, got '0.8,x'"),
         (["sweep", "--lambda-grid", "0.1,y", "--train", "none.csv", "--valid", "none.csv", "--test", "none.csv",
           "--golden-test", "none.csv"], "--lambda-grid expects comma-separated numbers, got '0.1,y'"),  # search mode
+        (["gen-data", "--golden", "10,,10,10"], "--golden expects comma-separated integers, got '10,,10,10'"),
+        (["train-blackbox", "--hidden", "32,,16,", "--train", "none.csv", "--valid", "none.csv"],
+         "--hidden expects comma-separated integers, got '32,,16,'"),
+        (["gen-data", "--split", "0.8,0.1,"], "--split expects comma-separated numbers, got '0.8,0.1,'"),
+        (["sweep", "--mode", "lambda", "--lambda-grid", ",", "--train", "none.csv", "--valid", "none.csv",
+          "--test", "none.csv", "--golden-test", "none.csv"], "--lambda-grid expects comma-separated numbers, got ','"),
     ])
     def test_unreadable_list_flag_exits_1_naming_it(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", str(tmp_path / "o")) == 1

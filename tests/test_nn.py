@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptdistil import nn
+from conceptdistil import nn, training
 from conceptdistil.errors import DataError, NumericError
 
 import nn_reference as ref
@@ -398,14 +398,14 @@ class TestOptimizer:
 
     def test_sgd_single_step(self):
         params = self.scalar_params(1.0)
-        cfg = nn.OptimizerConfig(algorithm="sgd", lr=0.1)
-        nn.optimizer_step(params.flat, self.scalar_grads(0.5), cfg)
+        cfg = nn.OptimizerConfig(algorithm="sgd")
+        nn.optimizer_step(params.flat, self.scalar_grads(0.5), 0.1, cfg)
         assert params.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_sgd_pure_decay(self):
         params = self.scalar_params(1.0)
-        cfg = nn.OptimizerConfig(algorithm="sgd", lr=0.1, l2_penalty=0.1)
-        nn.optimizer_step(params.flat, self.scalar_grads(0.0), cfg)
+        cfg = nn.OptimizerConfig(algorithm="sgd", l2_penalty=0.1)
+        nn.optimizer_step(params.flat, self.scalar_grads(0.0), 0.1, cfg)
         assert params.layers[0].weights[0, 0] == pytest.approx(0.99, abs=1e-15)
 
     def test_adam_first_step_matches_scalar_recursion(self):
@@ -416,8 +416,8 @@ class TestOptimizer:
         v_hat = v / (1 - b2)
         expected = 1.0 - lr * m_hat / (math.sqrt(v_hat) + eps)
         params = self.scalar_params(1.0)
-        cfg = nn.OptimizerConfig(algorithm="adam", lr=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps)
-        nn.optimizer_step(params.flat, self.scalar_grads(g), cfg)
+        cfg = nn.OptimizerConfig(algorithm="adam", adam_beta1=b1, adam_beta2=b2, adam_eps=eps)
+        nn.optimizer_step(params.flat, self.scalar_grads(g), lr, cfg)
         assert params.layers[0].weights[0, 0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(1.0 - 0.001, abs=1e-5)
 
@@ -430,20 +430,22 @@ class TestOptimizer:
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         params = self.scalar_params(1.0)
-        cfg = nn.OptimizerConfig(algorithm="adam", lr=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps)
+        cfg = nn.OptimizerConfig(algorithm="adam", adam_beta1=b1, adam_beta2=b2, adam_eps=eps)
         state = None
         for g in gs:
-            state = nn.optimizer_step(params.flat, self.scalar_grads(g), cfg, state)
+            state = nn.optimizer_step(params.flat, self.scalar_grads(g), lr, cfg, state)
         assert params.layers[0].weights[0, 0] == pytest.approx(theta, abs=1e-14)
 
     def test_negative_lr_rejected(self):
         with pytest.raises(DataError):
-            nn.OptimizerConfig(lr=-0.1)
+            training.TrainConfig(learning_rate=-0.1)  # the one rate; the optimizer config holds none
 
-    @pytest.mark.parametrize("option", ["lr", "l2_penalty"])
-    def test_nan_rate_rejected(self, option):
+    @pytest.mark.parametrize("config, option", [
+        (training.TrainConfig, "learning_rate"), (nn.OptimizerConfig, "l2_penalty"),
+    ], ids=["lr", "l2_penalty"])
+    def test_nan_rate_rejected(self, config, option):
         with pytest.raises(DataError):
-            nn.OptimizerConfig(**{option: float("nan")})
+            config(**{option: float("nan")})
 
     @pytest.mark.parametrize("option, value", [
         ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta1", float("nan")),
@@ -462,14 +464,14 @@ class TestOptimizer:
         for algorithm in ("sgd", "adam"):
             params = nn.init_mlp(specs, seed=1)
             before = nn.params_digest(params)
-            cfg = nn.OptimizerConfig(algorithm=algorithm, lr=0.01)
+            cfg = nn.OptimizerConfig(algorithm=algorithm)
             state = None
             for _ in range(3):
-                state = nn.optimizer_step(params.flat, np.zeros_like(params.flat), cfg, state)
+                state = nn.optimizer_step(params.flat, np.zeros_like(params.flat), 0.01, cfg, state)
             assert nn.params_digest(params) == before
 
     @staticmethod
-    def block_by_block_step(params, grads, cfg, state):
+    def block_by_block_step(params, grads, lr, cfg, state):
         """Reference update: each block on its own, Adam moments keyed by (layer, block)."""
         state["t"] = t = state.get("t", 0) + 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -480,27 +482,27 @@ class TestOptimizer:
                     continue
                 gg = grad + cfg.l2_penalty * theta
                 if cfg.algorithm == "sgd":
-                    theta -= cfg.lr * gg
+                    theta -= lr * gg
                     continue
                 m = b1 * state.get(("m", i, name), 0.0) + (1.0 - b1) * gg
                 v = b2 * state.get(("v", i, name), 0.0) + (1.0 - b2) * (gg * gg)
                 state["m", i, name], state["v", i, name] = m, v
-                theta -= cfg.lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
+                theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
 
     @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
     def test_flat_update_equals_block_by_block_reference(self, algorithm):
         specs = [nn.LayerSpec(3, 5, "relu", use_batchnorm=True), nn.LayerSpec(5, 1, "sigmoid")]
         params = nn.init_mlp(specs, seed=2)
         reference = params.copy()
-        cfg = nn.OptimizerConfig(algorithm=algorithm, lr=0.05, l2_penalty=0.1)
+        cfg = nn.OptimizerConfig(algorithm=algorithm, l2_penalty=0.1)
         rng = np.random.default_rng(3)
         state, ref_state = None, {}
         for _ in range(4):
             out, trace = nn.forward(params, rng.normal(size=(8, 3)), nn.TRAIN)
             grads, _ = nn.backward(params, trace, rng.normal(size=out.shape))
             assert grads.layers[0].gamma.any() and grads.layers[0].beta.any()
-            state = nn.optimizer_step(params.flat, grads.flat, cfg, state)
-            self.block_by_block_step(reference, grads, cfg, ref_state)
+            state = nn.optimizer_step(params.flat, grads.flat, 0.05, cfg, state)
+            self.block_by_block_step(reference, grads, 0.05, cfg, ref_state)
             assert nn.params_digest(params) == nn.params_digest(reference)
 
 

@@ -29,7 +29,7 @@ forest_params = st.builds(
 )
 betas = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 optimizer_configs = st.builds(
-    nn.OptimizerConfig, st.sampled_from(("sgd", "adam")), unit, unit, betas, betas,
+    nn.OptimizerConfig, st.sampled_from(("sgd", "adam")), unit, betas, betas,
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
 train_configs = st.builds(
@@ -95,9 +95,9 @@ class TestRejections:
             schema.read(training.TrainConfig, {"lam": 2.0}, "where")
 
     def test_rejected_path_gives_the_reason(self):
-        with pytest.raises(DataError, match="'optimizer.lr' is set elsewhere"):
-            schema.read(training.TrainConfig, {"optimizer": {"lr": 0.1}}, "where",
-                        reject={"optimizer.lr": "is set elsewhere"})
+        with pytest.raises(DataError, match="'optimizer.l2_penalty' is set elsewhere"):
+            schema.read(training.TrainConfig, {"optimizer": {"l2_penalty": 0.1}}, "where",
+                        reject={"optimizer.l2_penalty": "is set elsewhere"})
 
 
 class TestConfigFiles:
@@ -119,7 +119,7 @@ class TestConfigFiles:
         assert _restrict(written, doc) == doc
 
     def test_training_file_keys(self):
-        written = schema.write(cli.TrainingFile(), cli.TRAIN_NAMES, omit=cli.TRAIN_REJECT)
+        written = schema.write(cli.TrainingFile(), cli.TRAIN_NAMES)
         assert {"lambda", "patience", "architecture"} <= set(written)
         assert {"dropout", "batchnorm"} <= set(written["architecture"])
         assert "lr" not in written["optimizer"]
@@ -372,20 +372,25 @@ class TestArtifactEnvelope:
         with pytest.raises(DataError, match=re.escape(f"{path}: forests[0].trees[0]: {key} nan is not finite")):
             teachers.load_teachers(path)
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda node: node.update(threshold=math.inf), "threshold inf is not finite"),
-        (lambda node: node.update(feature=22), "feature 22 is outside [0, 22)"),
-        (lambda node: node.update(threshold="abc"), "could not convert string to float: 'abc'"),
-        (lambda node: node.pop("left"), "missing key 'left'"),
-    ], ids=["inf", "feature", "text", "missing-left"])
+    @pytest.mark.parametrize("damage, message", [  # a tree's damage is to its root, a split node
+        (lambda doc: doc["forests"][4]["trees"][1].update(threshold=math.inf),
+         "forests[4].trees[1]: threshold inf is not finite"),
+        (lambda doc: doc["forests"][4]["trees"][1].update(feature=22),
+         "forests[4].trees[1]: feature 22 is outside [0, 22)"),
+        (lambda doc: doc["forests"][4]["trees"][1].update(threshold="abc"),
+         "forests[4].trees[1]: could not convert string to float: 'abc'"),
+        (lambda doc: doc["forests"][4]["trees"][1].pop("left"), "forests[4].trees[1]: missing key 'left'"),
+        (lambda doc: doc["forests"].pop(), "forests: holds 5 forests, concept_names has 6"),
+        (lambda doc: doc["forests"][4].update(n_features=21), "forests[4].n_features: is 21, feature_names has 22"),
+    ], ids=["inf", "feature", "text", "missing-left", "forest-count", "n-features"])
     def test_damaged_tree_names_its_forest_and_tree(self, tmp_path, damage, message):
         path = tmp_path / "teachers.json"
         _saved_artifact("concept_teachers", path)
         doc = json.loads(path.read_text())
-        assert doc["forests"][4]["n_features"] == 22
-        damage(doc["forests"][4]["trees"][1])  # the root, a split node
+        assert (len(doc["concept_names"]), len(doc["feature_names"]), doc["forests"][4]["n_features"]) == (6, 22, 22)
+        damage(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=re.escape(f"{path}: forests[4].trees[1]: {message}")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             teachers.load_teachers(path)
 
     def test_save_file_refuses_non_finite_values(self, tmp_path):

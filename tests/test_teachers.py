@@ -415,8 +415,23 @@ class TestTeacherSet:
             ids=corpus.ids, feature_names=corpus.feature_names, x=corpus.x,
             concept_names=corpus.concept_names, golden=corpus.golden,
         )
-        with pytest.raises(DataError, match="schema"):
+        with pytest.raises(DataError, match="schema does not match the teachers: 6 columns missing, first 't_0'"):
             teachers.teach_labels(tset, stripped)
+
+    @pytest.mark.parametrize("case, detail", [
+        ("reordered", "column 0 is 'f_1', the teachers expect 'f_0'"),
+        ("extra", "1 extra columns, first 't_5'"),
+    ])
+    def test_schema_mismatch_names_the_first_difference(self, golden, case, detail):
+        g_train, corpus = golden
+        tset = teachers.fit_teachers(g_train, teachers.ForestParams(n_trees=1, seed=5))
+        names = corpus.feature_names
+        if case == "reordered":
+            corpus = replace(corpus, feature_names=(names[1], names[0], *names[2:]))
+        else:
+            tset = replace(tset, feature_names=tset.feature_names[:-1])
+        with pytest.raises(DataError, match=re.escape(f"feature schema does not match the teachers: {detail}")):
+            teachers.teach_labels(tset, corpus)
 
     def test_json_round_trip_preserves_predictions(self, golden, tmp_path):
         g_train, corpus = golden

@@ -1,11 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conceptdistil import data, metrics, model, nn, training
-from conceptdistil.errors import DataError
+from conceptdistil.errors import DataError, NumericError
 from conceptdistil.nn import EVAL, TRAIN, derive_seed
 
 import nn_reference as ref
@@ -213,7 +214,7 @@ class TestTrainingLoop:
     def test_loss_is_effectively_non_increasing_with_tiny_sgd(self):
         train_set, valid_set = make_sets(n=40, seed=14)
         params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=7)
-        opt = nn.OptimizerConfig(algorithm="sgd", lr=1e-4)
+        opt = nn.OptimizerConfig(algorithm="sgd")
         cfg = training.TrainConfig(
             lam=0.5, learning_rate=1e-4, epochs=12, batch_size=8,
             early_stop_patience=12, seed=1, optimizer=opt,
@@ -284,6 +285,27 @@ class TestTrainingLoop:
         assert lines[0].startswith("epoch,stage,total,kd_component")
         assert len(lines) == 3
 
+    def test_non_finite_loss_stops_the_fit_before_its_update(self):
+        work = nn.init_mlp([nn.LayerSpec(2, 1, "sigmoid")], seed=3)
+        x, t = np.random.default_rng(4).normal(size=(8, 2)), np.ones((8, 1))
+        batch_grads = []
+
+        def step(idx, grads, seed):  # batch 1 of epoch 0 turns the loss NaN
+            out, trace = nn.forward(work, x[idx], TRAIN)
+            loss, grad = nn.bce_loss(out, t[idx])
+            nn.backward(work, trace, grad, grads, input_grad=False)
+            batch_grads.append(grads.flat.copy())
+            return (loss if len(batch_grads) == 1 else math.nan,)
+
+        expected = work.copy()
+        with pytest.raises(NumericError, match=re.escape("non-finite training loss at epoch 0, batch 1")):
+            training.fit_epochs(work, step, lambda e, means: (0.0, None), trained=work, n=8, epochs=2, batch_size=4,
+                                patience=2, lr=0.1, optimizer=nn.OptimizerConfig(), draws=False, shuffle_key=(0,),
+                                batch_key=(1,))
+        nn.optimizer_step(expected.flat, batch_grads[0], 0.1, nn.OptimizerConfig())  # batch 0's update alone
+        assert len(batch_grads) == 2
+        assert np.array_equal(work.flat, expected.flat) and not np.array_equal(work.flat, nn.init_mlp(work.specs, 3).flat)
+
     def test_fidelity_validation_metric(self):
         train_set, valid_set = make_sets(n=48, seed=19)
         params = model.init_model(tiny_arch(), ("c0", "c1", "c2"), seed=12)
@@ -331,7 +353,7 @@ def ref_total_loss(y_e, y_kd, ye_t, kd_t, lam):
 
 def ref_fit(work, step, train_set, valid_set, config, *, stage, lam, start):
     arch = work.config
-    opt = config.effective_optimizer()
+    lr, opt = config.learning_rate, config.optimizer
     state = nn.OptimizerState()
     draws = nn.draws_masks(arch.trunk + arch.head_template + arch.attention, TRAIN)
     n = train_set.n
@@ -342,7 +364,7 @@ def ref_fit(work, step, train_set, valid_set, config, *, stage, lam, start):
         for b, lo in enumerate(range(0, n, config.batch_size)):
             idx = order[lo : lo + config.batch_size]
             seed = derive_seed(config.seed, 102, stage, e, b) if draws else 0
-            sums += len(idx) * np.array(step(idx, opt, state, seed))
+            sums += len(idx) * np.array(step(idx, lr, opt, state, seed))
         out = model.forward_full(work, valid_set.x, EVAL)
         (total, kd, concept), _, _ = ref_total_loss(out.y_e, out.y_kd, valid_set.soft, valid_set.bb_scores, lam)
         fid = metrics.fidelity(out.y_kd, valid_set.bb_scores)
@@ -366,12 +388,12 @@ def ref_train(params, train_set, valid_set, config):
         first = ref_train(work, train_set, valid_set, replace(config, variant=training.BASELINE_CONCEPT))
         work = first.params
 
-        def stage2(idx, opt, state, seed):
+        def stage2(idx, lr, opt, state, seed):
             y_e, _ = model.concept_forward(work, train_set.x[idx], EVAL)
             alpha, trace_a = model.attention_forward(work, train_set.x[idx], TRAIN, seed)
             kd, g = ref.bce_loss((y_e * alpha).sum(axis=1).reshape(-1, 1), kd_t[idx].reshape(-1, 1))
             grads, _ = ref.backward(work.theta_a, trace_a, nn.softmax_backward(alpha, g[:, 0].reshape(-1, 1) * y_e))
-            nn.optimizer_step(work.theta_a.flat, grads.flat, opt, state)
+            nn.optimizer_step(work.theta_a.flat, grads.flat, lr, opt, state)
             nn.update_running_stats(work.theta_a, trace_a)
             return kd, kd, 0.0
 
@@ -380,11 +402,11 @@ def ref_train(params, train_set, valid_set, config):
         return replace(second, history=first.history + second.history)
     lam = {training.BASELINE_DISTILL: 1.0, training.BASELINE_CONCEPT: 0.0}.get(config.variant, config.lam)
 
-    def joint(idx, opt, state, seed):
+    def joint(idx, lr, opt, state, seed):
         out = model.forward_full(work, train_set.x[idx], TRAIN, seed)
         terms, d_kd, d_ye = ref_total_loss(out.y_e, out.y_kd, ye_t[idx], kd_t[idx], lam)
         grads = ref.backward_full(work, out, d_kd, d_ye, config.variant == training.NO_GRADIENT)
-        nn.optimizer_step(work.flat, grads.flat, opt, state)
+        nn.optimizer_step(work.flat, grads.flat, lr, opt, state)
         nn.update_running_stats(work.theta_c, out.concept_traces.trunk)
         nn.update_running_stats(work.heads, out.concept_traces.stack)
         nn.update_running_stats(work.theta_a, out.attention_trace)
