@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -107,6 +108,15 @@ def _load_disjoint(args, *dests) -> list:
     return list(sets.values())
 
 
+@contextmanager
+def _naming(flag, path):
+    """A DataError raised inside, prefixed with the input-file flag and its path."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{flag} {path}: {exc}") from None
+
+
 def _out_dir(raw) -> Path:
     out = Path(raw)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,13 +164,17 @@ def cmd_teach(args):
         if golden_valid.golden is None:
             raise DataError("--golden-valid must carry hard concept labels")
         data.check_concepts(golden_valid, golden_train.concept_names, "--golden-valid")
+        with _naming("--golden-valid", args.golden_valid):
+            teachers.check_features(golden_valid, golden_train.feature_names + golden_train.teacher_feature_names)
     if args.tune > 0:
         teacher_set, params, best_auc = teachers.tune_teachers(golden_train, golden_valid, args.tune, seed)
         report = {"tuned_valid_mean_auc": best_auc}
     else:
         teacher_set = teachers.fit_teachers(golden_train, params)
-        report = {} if golden_valid is None else {
-            "valid_mean_auc": teachers.evaluate_teachers(teacher_set, golden_valid)[1]}
+        report = {}
+        if golden_valid is not None:
+            with _naming("--golden-valid", args.golden_valid):
+                report["valid_mean_auc"] = teachers.evaluate_teachers(teacher_set, golden_valid)[1]
     out = _out_dir(args.out)
     outputs = {"teachers": out / "teachers.json"}
     teachers.save_teachers(teacher_set, outputs["teachers"])
@@ -181,7 +195,8 @@ def cmd_label(args):
     dataset = data.load_csv(args.input)
     if args.teachers:
         teacher_set = teachers.load_teachers(args.teachers)
-        soft = teachers.teach_labels(teacher_set, dataset)
+        with _naming("--input", args.input):
+            soft = teachers.teach_labels(teacher_set, dataset)
         dataset = dataset.with_soft(soft, teacher_set.concept_names)
     if args.blackbox:
         dataset = dataset.with_scores(blackbox.load_blackbox(args.blackbox).score_batch(dataset.x))

@@ -133,7 +133,8 @@ def write(obj, names: dict | None = None, omit=(), prefix: str = ""):
 
 
 def load_json(path) -> dict:
-    """The JSON object stored at ``path``."""
+    """The JSON object stored at ``path``; a DataError naming the file if it is none, or nested too deeply
+    to parse."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -141,6 +142,8 @@ def load_json(path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DataError(f"{path}: nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -153,9 +156,9 @@ def save_file(path, kind: str, body: dict) -> None:
 
 
 def load_file(path, kind: str, from_doc):
-    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its errors, and a
-    ValueError or TypeError from a value of the wrong kind, become DataErrors naming the file; a KeyError
-    names the key."""
+    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its errors, a
+    ValueError or TypeError from a value of the wrong kind and a RecursionError from a document nested too
+    deeply become DataErrors naming the file; a KeyError names the key."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
@@ -167,3 +170,5 @@ def load_file(path, kind: str, from_doc):
         raise DataError(f"{path}: missing key {exc}") from None
     except (DataError, ValueError, TypeError) as exc:
         raise DataError(f"{path}: {exc}") from None
+    except RecursionError:  # json's nesting limit is not Python's from 3.12 on, so a document may pass the decoder
+        raise DataError(f"{path}: nested too deeply to read") from None

@@ -27,6 +27,8 @@ _BOOTSTRAP = 12
 _CONCEPT = 21
 _TUNE = 31
 
+_BLOCK = 512  # rows per block of the forest walk
+
 
 @dataclass
 class Tree:
@@ -160,21 +162,49 @@ class Forest:
     n_features: int
 
     def predict_proba(self, x) -> np.ndarray:
-        """Mean leaf fraction over the trees; every tree walks all rows down one level per step."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise DataError(f"expected {self.n_features} feature columns, got shape {x.shape}")
-        xf = x.ravel()
-        base = np.arange(x.shape[0]) * x.shape[1]
-        acc = np.zeros(x.shape[0])
-        for t in self.trees:
-            child = np.column_stack((t.right, t.left)).ravel()  # node i goes to child[2 * i + (x < threshold)]
-            col = np.maximum(t.feature, 0)
-            node = np.zeros(x.shape[0], dtype=np.intp)
-            for _ in range(t.depth):
-                node = child.take(2 * node + (xf.take(base + col.take(node)) < t.threshold.take(node)))
-            acc += t.value.take(node)
-        return acc / len(self.trees)
+        """Mean leaf fraction over the trees."""
+        return _walk([self], x)[:, 0]
+
+
+def _walk(forests: list[Forest], x) -> np.ndarray:
+    """``(rows, forests)`` mean leaf fractions, from one walk of every tree of every forest.
+
+    The trees' node arrays are laid end to end, child indices offset by each tree's start. Each block of
+    ``_BLOCK`` rows moves every (tree, row) pair down one level per step, as many steps as the deepest tree
+    has levels (a leaf is its own child, so a pair that reaches one stays put); the block bounds the
+    ``(trees, rows)`` temporaries. A forest's leaf fractions are then summed tree after tree from zero, as a
+    per-row walk sums them (``np.add.reduce`` would sum a one-row block's trees pairwise), and divided by its
+    tree count.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    for f in forests:
+        if x.ndim != 2 or x.shape[1] != f.n_features:
+            raise DataError(f"expected {f.n_features} feature columns, got shape {x.shape}")
+    trees = [t for f in forests for t in f.trees]
+    if not trees:  # no forest, or none holding a tree: the mean over no trees is 0 / 0
+        return np.full((x.shape[0], len(forests)), np.nan)
+    starts = np.cumsum([0] + [t.feature.size for t in trees[:-1]], dtype=np.intp)
+    # node i goes to child[2 * i + (x < threshold)]
+    child = np.concatenate([np.column_stack((t.right, t.left)).ravel() + s for t, s in zip(trees, starts)])
+    col = np.maximum(np.concatenate([t.feature for t in trees]), 0)
+    threshold = np.concatenate([t.threshold for t in trees])
+    value = np.concatenate([t.value for t in trees])
+    depth = max(t.depth for t in trees)
+    bounds = np.cumsum([0] + [len(f.trees) for f in forests])
+    out = np.empty((x.shape[0], len(forests)))
+    for lo in range(0, x.shape[0], _BLOCK):
+        xb = x[lo:lo + _BLOCK]
+        xf, base = xb.ravel(), np.arange(xb.shape[0]) * xb.shape[1]
+        node = np.repeat(starts[:, None], xb.shape[0], axis=1)
+        for _ in range(depth):
+            node = child.take(2 * node + (xf.take(base + col.take(node)) < threshold.take(node)))
+        leaf = value.take(node)
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            acc = np.zeros(xb.shape[0])
+            for row in leaf[a:b]:
+                acc += row
+            out[lo:lo + _BLOCK, i] = acc / (b - a)
+    return out
 
 
 def fit_forest(x, y, params: ForestParams) -> Forest:
@@ -223,10 +253,10 @@ def fit_teachers(golden_train: Dataset, params: ForestParams) -> TeacherSet:
     return TeacherSet(forests, golden_train.concept_names, names)
 
 
-def teach_labels(teachers: TeacherSet, dataset: Dataset) -> np.ndarray:
-    """Probabilistic concept labels for every row of ``dataset``."""
+def check_features(dataset: Dataset, expected: tuple[str, ...]) -> np.ndarray:
+    """The columns the teachers read from ``dataset``, whose names must be ``expected``: the surrogate
+    features, then the enrichment columns."""
     features, names = _teacher_features(dataset)
-    expected = teachers.feature_names
     if names != expected:
         i = next((i for i, (found, want) in enumerate(zip(names, expected)) if found != want), None)
         if i is not None:
@@ -236,10 +266,12 @@ def teach_labels(teachers: TeacherSet, dataset: Dataset) -> np.ndarray:
         else:
             detail = f"{len(names) - len(expected)} extra columns, first {names[len(expected)]!r}"
         raise DataError(f"dataset feature schema does not match the teachers: {detail}")
-    out = np.empty((dataset.n, len(teachers.forests)))
-    for i, forest in enumerate(teachers.forests):
-        out[:, i] = forest.predict_proba(features)
-    return out
+    return features
+
+
+def teach_labels(teachers: TeacherSet, dataset: Dataset) -> np.ndarray:
+    """Probabilistic concept labels for every row of ``dataset``."""
+    return _walk(teachers.forests, check_features(dataset, teachers.feature_names))
 
 
 def evaluate_teachers(teachers: TeacherSet, golden_test: Dataset) -> tuple[np.ndarray, float]:

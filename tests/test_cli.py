@@ -872,3 +872,46 @@ class TestConceptOrder:
                    "--teachers", str(pipeline / "teachers" / "teachers.json")) == 2
         self.assert_names_both(capsys, names)
         assert not (tmp_path / "l.csv").exists()
+
+
+class TestTeacherInputNamed:
+    """A DataError from labelling or evaluating with the teachers names the input flag and its file."""
+
+    @staticmethod
+    def without_teacher_columns(src, dst):
+        ds = data.load_csv(src)
+        data.save_csv(replace(ds, teacher_feature_names=(), teacher_x=None), dst)
+        return dst
+
+    def test_label_names_the_input_whose_columns_do_not_match(self, pipeline, tmp_path, capsys):
+        path = self.without_teacher_columns(pipeline / "data" / "test.csv", tmp_path / "test.csv")
+        assert run("label", "--input", str(path), "--out", str(tmp_path / "l.csv"),
+                   "--teachers", str(pipeline / "teachers" / "teachers.json")) == 2
+        assert f"--input {path}: dataset feature schema does not match the teachers: " in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("tune", ["0", "1"])
+    def test_teach_names_a_golden_valid_whose_columns_do_not_match_before_fitting(self, pipeline, tmp_path, capsys,
+                                                                                   monkeypatch, tune):
+        def no_fit(*args):
+            raise AssertionError("fitted before checking --golden-valid")
+
+        monkeypatch.setattr(teachers, "fit_teachers", no_fit)
+        monkeypatch.setattr(teachers, "tune_teachers", no_fit)
+        d = pipeline / "data"
+        path = self.without_teacher_columns(d / "golden_valid.csv", tmp_path / "golden_valid.csv")
+        assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid", str(path),
+                   "--tune", tune, "--out", str(tmp_path / "t")) == 2
+        assert f"--golden-valid {path}: dataset feature schema does not match the teachers: " in capsys.readouterr().err
+
+    def test_teach_names_the_golden_valid_it_cannot_evaluate_on(self, pipeline, tmp_path, capsys):
+        d = pipeline / "data"
+        ds = data.load_csv(d / "golden_valid.csv")
+        golden = ds.golden.copy()
+        golden[:, 0] = 0
+        path = tmp_path / "golden_valid.csv"
+        data.save_csv(replace(ds, golden=golden), path)
+        assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid", str(path),
+                   "--config", str(_forest_cfg(tmp_path)), "--out", str(tmp_path / "t")) == 2
+        assert f"--golden-valid {path}: AUC undefined for concept " in capsys.readouterr().err
+        assert not (tmp_path / "t" / "teachers.json").exists()

@@ -396,3 +396,43 @@ class TestArtifactEnvelope:
     def test_save_file_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
             schema.save_file(tmp_path / "x.json", "k", {"value": math.nan})
+
+
+class TestDeeplyNested:
+    """A document nested deeper than Python recurses is a DataError naming the file (exit 2). Up to 3.11 the
+    json decoder meets the recursion limit; from 3.12 on its nesting limit is its own, so a 3,000-deep tree may
+    decode and overflow only in the tree reader. Either way it must exit 2."""
+
+    DEPTH = 3000
+
+    def test_label_with_a_3000_deep_teachers_file_exits_2_naming_it(self, tmp_path, capsys):
+        split = ('{"feature": 0, "threshold": 0.5, "sample_count": 2, '
+                 '"right": {"positive_fraction": 1.0, "sample_count": 1}, "left": ')
+        tree = split * self.DEPTH + '{"positive_fraction": 0.0, "sample_count": 1}' + "}" * self.DEPTH
+        path = tmp_path / "teachers.json"
+        path.write_text('{"format_version": 1, "kind": "concept_teachers", "concept_names": ["a"], '
+                        '"feature_names": ["f_0"], "forests": [{"params": {"n_trees": 1}, "n_features": 1, '
+                        f'"trees": [{tree}]}}]}}')
+        rows = tmp_path / "rows.csv"
+        rows.write_text("id,f_0\nr0,0.1\n")
+        assert cli.main(["label", "--input", str(rows), "--teachers", str(path), "--out", str(tmp_path / "l.csv")]) == 2
+        assert f"{path}: nested too deeply to read" in capsys.readouterr().err
+
+    def test_a_3000_deep_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "forest.json"
+        path.write_text('{"n_trees": ' + "[" * self.DEPTH + "]" * self.DEPTH + "}")
+        rows = tmp_path / "golden.csv"
+        rows.write_text("id,f_0\nr0,0.1\n")
+        argv = ["teach", "--golden-train", str(rows), "--config", str(path), "--out", str(tmp_path / "t")]
+        assert cli.main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_recursion_in_the_reader_names_the_file(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        schema.save_file(path, "k", {})
+
+        def endless(doc):
+            return endless(doc)
+
+        with pytest.raises(DataError, match=re.escape(f"{path}: nested too deeply to read")):
+            schema.load_file(path, "k", endless)

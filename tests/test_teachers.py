@@ -370,6 +370,45 @@ class TestV1Document:
             teachers.load_teachers(path)
 
 
+B = teachers._BLOCK
+
+
+@st.composite
+def teacher_sets(draw):
+    """TeacherSets on two features whose forests differ in tree count and depth: fitted forests with
+    single-leaf trees mixed in, all-leaf forests and the hand-written v1 forest."""
+    forests = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fit", "leaves", "v1"]))
+        if kind == "v1":
+            forests.append(teachers.teachers_from_doc(V1_DOC).forests[0])
+            continue
+        n_trees = draw(st.integers(1, 12))
+        leaves = [leaf_tree(draw(st.floats(0.0, 1.0)), 1) for _ in range(n_trees)]
+        if kind == "fit":
+            n = draw(st.integers(4, 30))
+            x = np.array(draw(st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)), dtype=float).reshape(n, 2)
+            y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+            params = teachers.ForestParams(n_trees=n_trees, max_depth=draw(st.integers(1, 6)), min_leaf=1,
+                                           seed=draw(st.integers(0, 2**32 - 1)))
+            fitted = teachers.fit_forest(x, y, params).trees
+            leaves = [draw(st.sampled_from([f, v])) for f, v in zip(fitted, leaves)]
+        forests.append(teachers.Forest(leaves, teachers.ForestParams(n_trees=n_trees), 2))
+    return teachers.TeacherSet(forests, tuple(f"c{i}" for i in range(len(forests))), ("f_0", "f_1"))
+
+
+class TestForestWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(teacher_sets(), st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]), st.integers(0, 2**32 - 1))
+    def test_teach_labels_is_each_forests_per_row_walk_byte_for_byte(self, tset, n, seed):
+        x = np.random.default_rng(seed).integers(-4, 8, size=(n, 2)) / 2.0  # hits the thresholds exactly
+        dataset = data.Dataset(ids=np.array([f"r{i}" for i in range(n)]), feature_names=("f_0", "f_1"), x=x)
+        expected = np.column_stack([ref_predict([tree_doc(t) for t in f.trees], x) for f in tset.forests])
+        got = teachers.teach_labels(tset, dataset)
+        assert got.shape == expected.shape == (n, len(tset.forests))
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.fixture(scope="module")
 def golden():
     ds = data.generate_synthetic(data.GeneratorConfig(n_instances=1200, seed=10))
