@@ -161,10 +161,9 @@ def cmd_teach(args):
     seed = params.seed  # tuning replaces params, seed included
     golden_train, golden_valid = _load_disjoint(args, "golden_train", "golden_valid")
     if golden_valid is not None:
-        if golden_valid.golden is None:
-            raise DataError("--golden-valid must carry hard concept labels")
-        data.check_concepts(golden_valid, golden_train.concept_names, "--golden-valid")
         with _naming("--golden-valid", args.golden_valid):
+            # the evaluation's checks before any fit, the labels as scores: hard labels, the concepts, both classes
+            metrics.golden_auc(golden_valid.golden, golden_valid, golden_train.concept_names, "golden set")
             teachers.check_features(golden_valid, golden_train.feature_names + golden_train.teacher_feature_names)
     if args.tune > 0:
         teacher_set, params, best_auc = teachers.tune_teachers(golden_train, golden_valid, args.tune, seed)
@@ -173,8 +172,7 @@ def cmd_teach(args):
         teacher_set = teachers.fit_teachers(golden_train, params)
         report = {}
         if golden_valid is not None:
-            with _naming("--golden-valid", args.golden_valid):
-                report["valid_mean_auc"] = teachers.evaluate_teachers(teacher_set, golden_valid)[1]
+            report["valid_mean_auc"] = teachers.evaluate_teachers(teacher_set, golden_valid)[1]
     out = _out_dir(args.out)
     outputs = {"teachers": out / "teachers.json"}
     teachers.save_teachers(teacher_set, outputs["teachers"])

@@ -314,7 +314,7 @@ def model_from_doc(doc: dict) -> ConceptDistilParams:
     theta_c = nn.mlp_from_doc(doc["trunk"], "trunk")
     heads = nn.stack([nn.mlp_from_doc(h, f"heads[{i}]") for i, h in enumerate(doc["heads"])])
     return ConceptDistilParams(theta_c, heads, nn.mlp_from_doc(doc["attention"], "attention"),
-                               tuple(doc["concept_names"]))
+                               schema.names(doc, "concept_names"))
 
 
 def save_model(params: ConceptDistilParams, path) -> None:

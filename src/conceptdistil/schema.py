@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import DataError
 
 RULES = "rules"  # the metadata key of a field's rules
-FORMAT_VERSION = 1  # of every artifact file (save_file)
+FORMAT_VERSIONS = {"concept_distil": 1, "concept_teachers": 2, "ffnn_blackbox": 1}  # of each artifact kind
 
 
 class Rule(typing.NamedTuple):
@@ -132,6 +132,13 @@ def write(obj, names: dict | None = None, omit=(), prefix: str = ""):
     return {k: write(getattr(obj, n), names, omit, f"{prefix}{k}.") for n, k in keys.items() if prefix + k not in omit}
 
 
+def names(doc: dict, key: str) -> tuple[str, ...]:
+    """``doc[key]``, a JSON list of strings, as a tuple; anything else is a DataError naming ``key``."""
+    if isinstance(value := doc[key], list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise DataError(f"{key}: must be a list of strings")
+
+
 def load_json(path) -> dict:
     """The JSON object stored at ``path``; a DataError naming the file if it is none, or nested too deeply
     to parse."""
@@ -150,25 +157,25 @@ def load_json(path) -> dict:
 
 
 def save_file(path, kind: str, body: dict) -> None:
-    """Write ``body`` as a ``kind`` artifact: one JSON object led by ``format_version`` and ``kind``."""
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, **body}
+    """Write ``body`` as a ``kind`` artifact: one JSON object led by the kind's ``format_version`` and ``kind``."""
+    doc = {"format_version": FORMAT_VERSIONS[kind], "kind": kind, **body}
     Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
 
 
 def load_file(path, kind: str, from_doc):
     """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its errors, a
-    ValueError or TypeError from a value of the wrong kind and a RecursionError from a document nested too
-    deeply become DataErrors naming the file; a KeyError names the key."""
+    ValueError, TypeError or OverflowError from a value of the wrong kind and a RecursionError from a document
+    nested too deeply become DataErrors naming the file; a KeyError names the key."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported {kind} format_version {doc.get('format_version')!r}")
+    if type(version := doc.get("format_version")) is not int or version != FORMAT_VERSIONS[kind]:
+        raise DataError(f"{path}: unsupported {kind} format_version {version!r}")
     try:
         return from_doc(doc)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from None
-    except (DataError, ValueError, TypeError) as exc:
+    except (DataError, ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
     except RecursionError:  # json's nesting limit is not Python's from 3.12 on, so a document may pass the decoder
         raise DataError(f"{path}: nested too deeply to read") from None

@@ -10,7 +10,6 @@ threshold), so fitting is row-order invariant given the same rng.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,16 +46,6 @@ class Tree:
     value: np.ndarray
     count: np.ndarray
     depth: int
-
-
-def _tree(rows) -> Tree:
-    """Tree from one ``[feature, threshold, left, right, value, count, depth]`` row per node, in preorder."""
-    *arrays, depth = (np.array(c) for c in zip(*rows))
-    return Tree(*arrays, int(depth.max()))
-
-
-def _leaf_row(i, fraction, count, depth) -> list:
-    return [-1, np.nan, i, i, fraction, count, depth]
 
 
 @dataclass(frozen=True)
@@ -123,9 +112,10 @@ def _base(x, y, min_leaf):
 
 
 def _fit(base, rows, params, rng) -> Tree:
-    out: list[list] = []
+    out: list[list] = []  # one [feature, threshold, left, right, value, count, depth] row per node, in preorder
     _grow(base, rows, 0, params, params.resolved_subsample(len(base[0])), rng, out)
-    return _tree(out)
+    *arrays, depth = (np.array(c) for c in zip(*out))
+    return Tree(*arrays, int(depth.max()))
 
 
 def fit_tree(x, y, params: ForestParams, rng: np.random.Generator) -> Tree:
@@ -144,7 +134,7 @@ def _grow(base, rows, depth, params, k, rng, out) -> int:
     if depth < params.max_depth and n >= 2 * params.min_leaf and 0 != pos != n:
         best = _best_split(base, rows, ys, np.sort(rng.choice(d, size=k, replace=False)), params.min_leaf)
     if best is None:
-        out.append(_leaf_row(i, float(pos) / n, n, depth))
+        out.append([-1, np.nan, i, i, float(pos) / n, n, depth])
         return i
     feature, threshold = best
     mask = base[0][feature].take(rows) < threshold
@@ -309,63 +299,66 @@ def tune_teachers(
 
 # -- serialization ------------------------------------------------------------
 
-def _tree_to_doc(t: Tree) -> dict:
-    feature, threshold, left, right, value, count = (
-        a.tolist() for a in (t.feature, t.threshold, t.left, t.right, t.value, t.count))
-
-    def node(i):
-        if left[i] == i:
-            return {"positive_fraction": value[i], "sample_count": count[i]}
-        return {"feature": feature[i], "threshold": threshold[i], "sample_count": count[i],
-                "left": node(left[i]), "right": node(right[i])}
-
-    return node(0)
+# a tree's node arrays as teachers.json stores them, one list each, with null for NaN
+_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "value": float, "count": int}
 
 
-def _tree_from_doc(doc: dict, n_features: int, where: str) -> Tree:
-    """The tree :func:`_tree_to_doc` wrote; every error names ``where``, as in ``forests[0].trees[3]``."""
-    rows: list[list] = []
-
-    def finite(d, key):
-        value = float(d[key])
-        if not math.isfinite(value):
-            raise DataError(f"{where}: {key} {value} is not finite")
-        return value
-
-    def visit(d, depth):
-        i = len(rows)
-        if "feature" not in d:
-            rows.append(_leaf_row(i, finite(d, "positive_fraction"), int(d["sample_count"]), depth))
-            return i
-        row = [int(d["feature"]), finite(d, "threshold"), i, i, np.nan, int(d.get("sample_count", 0)), depth]
-        if not 0 <= row[0] < n_features:
-            raise DataError(f"{where}: feature {row[0]} is outside [0, {n_features})")
-        rows.append(row)
-        row[2:4] = visit(d["left"], depth + 1), visit(d["right"], depth + 1)
-        return i
-
-    try:
-        visit(doc, 0)
-    except KeyError as exc:
-        raise DataError(f"{where}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{where}: {exc}") from None
-    return _tree(rows)
+def _read_tree(doc, n_features: int, where: str) -> Tree:
+    """The tree :func:`save_teachers` wrote as its node arrays, checked array-wide: a split's children are the
+    next node and a later one, a leaf is its own children, and every node but the root has one parent, so every
+    walk ends at a leaf. Every error names ``where``, as in ``forests[0].trees[3]``, and the node."""
+    if not isinstance(doc, dict) or sorted(doc) != sorted(_ARRAYS):
+        raise DataError(f"{where}: expects an object of the node arrays {list(_ARRAYS)}")
+    for key, dtype in _ARRAYS.items():  # feature first: the others must have its length
+        values, kinds = doc[key], (int, float, type(None)) if dtype is float else (int,)
+        if not isinstance(values, list) or not values or len(values) != len(doc["feature"]):
+            raise DataError(f"{where}: the node arrays must be lists of one length >= 1, and {key} is not")
+        if not set(map(type, values)).issubset(kinds):  # bool is not int here
+            k = next(k for k, v in enumerate(values) if type(v) not in kinds)
+            raise DataError(f"{where}: node {k}: {key} is a {type(values[k]).__name__}, not "
+                            f"{'a number or null' if dtype is float else 'an integer'}")
+    try:  # null -> NaN
+        arrays = {key: np.array(doc[key], dtype=dtype) for key, dtype in _ARRAYS.items()}
+    except OverflowError:
+        raise DataError(f"{where}: a node array holds a number out of range") from None
+    feature, threshold, left, right, value, count = arrays.values()
+    node, split = np.arange(n := feature.size), feature >= 0
+    children = np.concatenate([left[split], right[split]])
+    arrays["parents"] = parents = np.bincount(children[(children >= 0) & (children < n)], minlength=n)
+    for key, bad, text in (
+        ("feature", (feature < -1) | (feature >= n_features), f"is outside [-1, {n_features})"),
+        ("left", left != np.where(split, node + 1, node), "is not the next node at a split, the node at a leaf"),
+        ("right", np.where(split, (right <= node + 1) | (right >= n), right != node),
+         f"is not past the left child and below {n} at a split, the node at a leaf"),
+        ("threshold", np.where(split, ~np.isfinite(threshold), ~np.isnan(threshold)),
+         "is not finite at a split, null at a leaf"),
+        ("value", np.where(split, ~np.isnan(value), ~((value >= 0) & (value <= 1))),
+         "is not null at a split, in [0, 1] at a leaf"),
+        ("count", count < 1, "is below 1"),
+        ("parents", parents != (node > 0), "is not 1: every node but the root has one parent"),
+    ):
+        if bad.any():
+            v = arrays[key][k := int(np.argmax(bad))].item()
+            raise DataError(f"{where}: node {k}: {key} {'null' if v != v else v} {text}")
+    depth = [0] * n
+    for k, a, b in zip(np.flatnonzero(split).tolist(), left[split].tolist(), right[split].tolist()):
+        depth[a] = depth[b] = depth[k] + 1  # one pass in preorder: a parent comes before its children
+    return Tree(feature, threshold, left, right, value, count, max(depth))
 
 
 def teachers_from_doc(doc: dict) -> TeacherSet:
-    concept_names, feature_names = tuple(doc["concept_names"]), tuple(doc["feature_names"])
+    concept_names, feature_names = schema.names(doc, "concept_names"), schema.names(doc, "feature_names")
     if len(doc["forests"]) != len(concept_names):
         raise DataError(f"forests: holds {len(doc['forests'])} forests, concept_names has {len(concept_names)}")
     forests = []
     for i, blob in enumerate(doc["forests"]):
         params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
-        n_features = int(blob["n_features"])
-        if n_features != len(feature_names):
-            raise DataError(f"forests[{i}].n_features: is {n_features}, feature_names has {len(feature_names)}")
+        n_features = blob["n_features"]
+        if type(n_features) is not int or n_features != len(feature_names):  # 22.0 and true are not 22 or 1
+            raise DataError(f"forests[{i}].n_features: is {n_features!r}, feature_names has {len(feature_names)}")
         if len(blob["trees"]) != params.n_trees:
             raise DataError(f"forests[{i}].trees: holds {len(blob['trees'])} trees, params.n_trees is {params.n_trees}")
-        trees = [_tree_from_doc(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(blob["trees"])]
+        trees = [_read_tree(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(blob["trees"])]
         forests.append(Forest(trees, params, n_features))
     return TeacherSet(forests, concept_names, feature_names)
 
@@ -375,7 +368,8 @@ def save_teachers(teachers: TeacherSet, path) -> None:
         "concept_names": list(teachers.concept_names),
         "feature_names": list(teachers.feature_names),
         "forests": [
-            {"params": schema.write(f.params), "n_features": f.n_features, "trees": [_tree_to_doc(t) for t in f.trees]}
+            {"params": schema.write(f.params), "n_features": f.n_features,
+             "trees": [{k: [None if v != v else v for v in getattr(t, k).tolist()] for k in _ARRAYS} for t in f.trees]}
             for f in teachers.forests
         ],
     })

@@ -863,7 +863,8 @@ class TestConceptOrder:
         data.save_csv(replace(ds, concept_names=(), golden=None), tmp_path / "no_concepts.csv")
         assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid",
                    str(tmp_path / "no_concepts.csv"), "--tune", tune, "--out", str(tmp_path / "t")) == 2
-        assert "--golden-valid must carry hard concept labels" in capsys.readouterr().err
+        assert f"--golden-valid {tmp_path / 'no_concepts.csv'}: golden set must carry hard concept labels" in \
+            capsys.readouterr().err
         assert not (tmp_path / "t" / "teachers.json").exists()
 
     def test_label_rejects_reordered_hard_columns(self, pipeline, tmp_path, capsys):
@@ -904,7 +905,13 @@ class TestTeacherInputNamed:
                    "--tune", tune, "--out", str(tmp_path / "t")) == 2
         assert f"--golden-valid {path}: dataset feature schema does not match the teachers: " in capsys.readouterr().err
 
-    def test_teach_names_the_golden_valid_it_cannot_evaluate_on(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("tune", [[], ["--tune", "1"]], ids=["fit", "tune"])
+    def test_teach_names_the_golden_valid_it_cannot_evaluate_on_before_fitting(self, pipeline, tmp_path, capsys,
+                                                                               monkeypatch, tune):
+        def no_fit(*args):
+            raise AssertionError("fitted before checking --golden-valid")
+
+        monkeypatch.setattr(teachers, "fit_forest", no_fit)
         d = pipeline / "data"
         ds = data.load_csv(d / "golden_valid.csv")
         golden = ds.golden.copy()
@@ -912,6 +919,6 @@ class TestTeacherInputNamed:
         path = tmp_path / "golden_valid.csv"
         data.save_csv(replace(ds, golden=golden), path)
         assert run("teach", "--golden-train", str(d / "golden_train.csv"), "--golden-valid", str(path),
-                   "--config", str(_forest_cfg(tmp_path)), "--out", str(tmp_path / "t")) == 2
-        assert f"--golden-valid {path}: AUC undefined for concept " in capsys.readouterr().err
+                   *tune, "--out", str(tmp_path / "t")) == 2
+        assert f"--golden-valid {path}: AUC undefined for concept {ds.concept_names[0]!r}: " in capsys.readouterr().err
         assert not (tmp_path / "t" / "teachers.json").exists()

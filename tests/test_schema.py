@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import types
 import typing
 from dataclasses import fields, is_dataclass, replace
@@ -264,13 +265,15 @@ def _saved_artifact(kind, path):
     return blackbox.load_blackbox
 
 
-KINDS = ("concept_distil", "concept_teachers", "ffnn_blackbox")
+VERSIONS = {"concept_distil": 1, "concept_teachers": 2, "ffnn_blackbox": 1}
+KINDS = tuple(VERSIONS)
 
 
-# per kind, a value of the wrong kind that reading the document meets as a ValueError, and one it meets as a TypeError
+# per kind, two values of the wrong kind: for a model and a black box one that reading the document meets as a
+# ValueError and one it meets as a TypeError; the teachers' tree reader checks its values' types itself
 SPOILERS = {
     "concept_distil": (lambda doc: doc["trunk"]["layers"][0].update(weights="abc"), lambda doc: doc.update(heads=7)),
-    "concept_teachers": (lambda doc: doc["forests"][0]["trees"][0].update(threshold="abc"),
+    "concept_teachers": (lambda doc: doc["forests"][0]["trees"][0]["threshold"].__setitem__(0, "abc"),
                          lambda doc: doc["forests"][0].update(trees=7)),
     "ffnn_blackbox": (lambda doc: doc["network"]["layers"][0]["bias"].__setitem__(0, "abc"),
                       lambda doc: doc["network"].update(layers=7)),
@@ -282,10 +285,10 @@ class TestArtifactEnvelope:
     def test_saved_file_leads_with_version_and_kind_and_loads_back(self, tmp_path, kind):
         path = tmp_path / "artifact.json"
         load = _saved_artifact(kind, path)
-        assert list(json.loads(path.read_text()).items())[:2] == [("format_version", 1), ("kind", kind)]
+        assert list(json.loads(path.read_text()).items())[:2] == [("format_version", VERSIONS[kind]), ("kind", kind)]
         load(path)
 
-    @pytest.mark.parametrize("version", [99, "1", None])
+    @pytest.mark.parametrize("version", [99, "1", None, True, 1.0])
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_rejects_another_format_version_naming_the_file(self, tmp_path, kind, version):
         path = tmp_path / "artifact.json"
@@ -312,6 +315,20 @@ class TestArtifactEnvelope:
         load = _saved_artifact(kind, path)
         doc = json.loads(path.read_text())
         SPOILERS[kind][error](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("kind, damage", [
+        ("concept_distil", lambda doc: doc["trunk"]["layers"][0]["bias"].__setitem__(0, 10**400)),
+        ("concept_teachers", lambda doc: doc["forests"][0]["trees"][0]["threshold"].__setitem__(0, 10**400)),
+        ("ffnn_blackbox", lambda doc: doc["network"]["layers"][0]["bias"].__setitem__(0, 10**400)),
+    ])
+    def test_integer_too_large_for_a_float_is_a_data_error_naming_the_file(self, tmp_path, kind, damage):
+        path = tmp_path / "artifact.json"
+        load = _saved_artifact(kind, path)
+        doc = json.loads(path.read_text())
+        damage(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(f"{path}: ")):
             load(path)
@@ -359,27 +376,26 @@ class TestArtifactEnvelope:
         with pytest.raises(DataError, match=re.escape(f"{path}: network.layers[0].weights is missing")):
             load(path)
 
-    @pytest.mark.parametrize("key", ["threshold", "positive_fraction"])
+    @pytest.mark.parametrize("key", ["threshold", "value"])
     def test_non_finite_tree_value_is_rejected_naming_it(self, tmp_path, key):
         path = tmp_path / "teachers.json"
         _saved_artifact("concept_teachers", path)
         doc = json.loads(path.read_text())
-        node = doc["forests"][0]["trees"][0]
-        while key not in node:
-            node = node["left"]
-        node[key] = math.nan
+        tree = doc["forests"][0]["trees"][0]
+        node = tree["feature"].index(-1) if key == "value" else 0  # a leaf's value, the root split's threshold
+        tree[key][node] = math.inf
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=re.escape(f"{path}: forests[0].trees[0]: {key} nan is not finite")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: forests[0].trees[0]: node {node}: {key} inf is not")):
             teachers.load_teachers(path)
 
     @pytest.mark.parametrize("damage, message", [  # a tree's damage is to its root, a split node
-        (lambda doc: doc["forests"][4]["trees"][1].update(threshold=math.inf),
-         "forests[4].trees[1]: threshold inf is not finite"),
-        (lambda doc: doc["forests"][4]["trees"][1].update(feature=22),
-         "forests[4].trees[1]: feature 22 is outside [0, 22)"),
-        (lambda doc: doc["forests"][4]["trees"][1].update(threshold="abc"),
-         "forests[4].trees[1]: could not convert string to float: 'abc'"),
-        (lambda doc: doc["forests"][4]["trees"][1].pop("left"), "forests[4].trees[1]: missing key 'left'"),
+        (lambda doc: doc["forests"][4]["trees"][1]["threshold"].__setitem__(0, math.inf),
+         "forests[4].trees[1]: node 0: threshold inf is not finite at a split, null at a leaf"),
+        (lambda doc: doc["forests"][4]["trees"][1]["feature"].__setitem__(0, 22),
+         "forests[4].trees[1]: node 0: feature 22 is outside [-1, 22)"),
+        (lambda doc: doc["forests"][4]["trees"][1]["threshold"].__setitem__(0, "abc"),
+         "forests[4].trees[1]: node 0: threshold is a str, not a number or null"),
+        (lambda doc: doc["forests"][4]["trees"][1].pop("left"), "forests[4].trees[1]: expects an object of the node arrays"),
         (lambda doc: doc["forests"].pop(), "forests: holds 5 forests, concept_names has 6"),
         (lambda doc: doc["forests"][4].update(n_features=21), "forests[4].n_features: is 21, feature_names has 22"),
     ], ids=["inf", "feature", "text", "missing-left", "forest-count", "n-features"])
@@ -393,30 +409,54 @@ class TestArtifactEnvelope:
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             teachers.load_teachers(path)
 
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("concept_distil", "concept_names", [1, 2, 3], "concept_names: must be a list of strings"),
+        ("concept_distil", "concept_names", "xyz", "concept_names: must be a list of strings"),
+        ("concept_teachers", "concept_names", "abcdef", "concept_names: must be a list of strings"),
+        ("concept_teachers", "feature_names", None, "feature_names: must be a list of strings"),
+        ("concept_teachers", "n_features", 22.9, "forests[0].n_features: is 22.9, feature_names has 22"),
+        ("concept_teachers", "n_features", 22.0, "forests[0].n_features: is 22.0, feature_names has 22"),
+    ])
+    def test_header_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, kind, key, value, message):
+        path = tmp_path / "artifact.json"
+        load = _saved_artifact(kind, path)
+        doc = json.loads(path.read_text())
+        (doc["forests"][0] if key == "n_features" else doc)[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load(path)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
+        flag = "--model" if kind == "concept_distil" else "--teachers"
+        command = "explain" if kind == "concept_distil" else "label"
+        assert cli.main([command, flag, str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_save_file_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            schema.save_file(tmp_path / "x.json", "k", {"value": math.nan})
+            schema.save_file(tmp_path / "x.json", "concept_distil", {"value": math.nan})
 
 
 class TestDeeplyNested:
     """A document nested deeper than Python recurses is a DataError naming the file (exit 2). Up to 3.11 the
-    json decoder meets the recursion limit; from 3.12 on its nesting limit is its own, so a 3,000-deep tree may
-    decode and overflow only in the tree reader. Either way it must exit 2."""
+    json decoder meets the recursion limit; from 3.12 on its nesting limit is its own, so a 3,000-deep
+    document may decode, and then its reader refuses the value. No reader recurses on a document's nesting."""
 
     DEPTH = 3000
 
     def test_label_with_a_3000_deep_teachers_file_exits_2_naming_it(self, tmp_path, capsys):
-        split = ('{"feature": 0, "threshold": 0.5, "sample_count": 2, '
-                 '"right": {"positive_fraction": 1.0, "sample_count": 1}, "left": ')
-        tree = split * self.DEPTH + '{"positive_fraction": 0.0, "sample_count": 1}' + "}" * self.DEPTH
+        tree = ('{"feature": [' + "[" * self.DEPTH + "]" * self.DEPTH + '], "threshold": [null], "left": [0], '
+                '"right": [0], "value": [0.5], "count": [1]}')
         path = tmp_path / "teachers.json"
-        path.write_text('{"format_version": 1, "kind": "concept_teachers", "concept_names": ["a"], '
+        path.write_text('{"format_version": 2, "kind": "concept_teachers", "concept_names": ["a"], '
                         '"feature_names": ["f_0"], "forests": [{"params": {"n_trees": 1}, "n_features": 1, '
                         f'"trees": [{tree}]}}]}}')
         rows = tmp_path / "rows.csv"
         rows.write_text("id,f_0\nr0,0.1\n")
         assert cli.main(["label", "--input", str(rows), "--teachers", str(path), "--out", str(tmp_path / "l.csv")]) == 2
-        assert f"{path}: nested too deeply to read" in capsys.readouterr().err
+        expected = ("nested too deeply to read" if sys.version_info < (3, 12)
+                    else "forests[0].trees[0]: node 0: feature is a list, not an integer")
+        assert f"{path}: {expected}" in capsys.readouterr().err
 
     def test_a_3000_deep_config_exits_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "forest.json"
@@ -429,10 +469,10 @@ class TestDeeplyNested:
 
     def test_recursion_in_the_reader_names_the_file(self, tmp_path):
         path = tmp_path / "artifact.json"
-        schema.save_file(path, "k", {})
+        schema.save_file(path, "concept_distil", {})
 
         def endless(doc):
             return endless(doc)
 
         with pytest.raises(DataError, match=re.escape(f"{path}: nested too deeply to read")):
-            schema.load_file(path, "k", endless)
+            schema.load_file(path, "concept_distil", endless)

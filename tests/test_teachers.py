@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 import threading
@@ -16,7 +17,7 @@ from conceptdistil.nn import derive_seed
 
 
 # -- reference CART: the recursive per-feature search the array trees replaced,
-# -- growing the nested teachers.json document directly
+# -- growing each tree as nested per-node objects, which tree_doc renders a fitted tree as
 
 def gini(pos, n):
     p = pos / n
@@ -85,12 +86,20 @@ def ref_predict(docs, x):
 
 
 def tree_doc(tree):
-    return teachers._tree_to_doc(tree)
+    """The reference's nested form of a fitted tree: one object per node, a split holding its two children."""
+    def node(i):
+        if tree.left[i] == i:
+            return {"positive_fraction": float(tree.value[i]), "sample_count": int(tree.count[i])}
+        return {"feature": int(tree.feature[i]), "threshold": float(tree.threshold[i]),
+                "sample_count": int(tree.count[i]), "left": node(tree.left[i]), "right": node(tree.right[i])}
+
+    return node(0)
 
 
 def leaf_tree(p, n):
-    """A one-leaf tree, read from its v1 document."""
-    return teachers._tree_from_doc({"positive_fraction": p, "sample_count": n}, 1, "tree")
+    """A one-leaf tree, read from its node arrays."""
+    return teachers._read_tree({"feature": [-1], "threshold": [None], "left": [0], "right": [0], "value": [p],
+                                "count": [n]}, 1, "tree")
 
 
 @st.composite
@@ -316,51 +325,122 @@ class TestForestParams:
             teachers.ForestParams(feature_subsample=k)
 
 
-V1_DOC = {
-    "format_version": 1, "kind": "concept_teachers", "concept_names": ["c"], "feature_names": ["a", "b"],
+V2_DOC = {
+    "format_version": 2, "kind": "concept_teachers", "concept_names": ["c"], "feature_names": ["f_0", "f_1"],
     "forests": [{
         "params": {"n_trees": 1, "max_depth": 8, "min_leaf": 5, "feature_subsample": None, "bootstrap": True,
                    "seed": 0},
         "n_features": 2,
-        "trees": [{
-            "feature": 1, "threshold": 0.5, "sample_count": 10,
-            "left": {"positive_fraction": 0.25, "sample_count": 4},
-            "right": {"feature": 0, "threshold": -1.0, "sample_count": 6,
-                      "left": {"positive_fraction": 0.0, "sample_count": 2},
-                      "right": {"positive_fraction": 1.0, "sample_count": 4}},
+        "trees": [{  # split on f_1 < 0.5 into a leaf and a split on f_0 < -1.0 into two leaves
+            "feature": [1, -1, 0, -1, -1],
+            "threshold": [0.5, None, -1.0, None, None],
+            "left": [1, 1, 3, 3, 4],
+            "right": [2, 1, 4, 3, 4],
+            "value": [None, 0.25, None, 0.0, 1.0],
+            "count": [10, 4, 6, 2, 4],
         }],
     }],
 }
 
 
-class TestV1Document:
-    def test_hand_written_document_loads_into_preorder_arrays(self, tmp_path):
+def node_set(key, i, v):
+    """A tree with node ``i`` of array ``key`` set to ``v``."""
+    return lambda t: {**t, key: t[key][:i] + [v] + t[key][i + 1:]}
+
+
+def label_exit(tmp_path, capsys, doc):
+    """``label``'s exit code with the teachers file ``doc`` (written with JSON's NaN and Infinity) and its
+    stderr, and the file's path."""
+    path = tmp_path / "teachers.json"
+    path.write_text(json.dumps(doc))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("id,f_0,f_1\nr0,0.1,0.2\n")
+    code = cli.main(["label", "--input", str(rows), "--teachers", str(path), "--out", str(tmp_path / "l.csv")])
+    return code, capsys.readouterr().err, path
+
+
+ARRAYS = "['feature', 'threshold', 'left', 'right', 'value', 'count']"
+LENGTHS = "the node arrays must be lists of one length >= 1, and"
+SPLIT_RIGHT = "is not past the left child and below 5 at a split, the node at a leaf"
+TWO_PARENTS = {"feature": [0, 0, -1, -1, -1], "threshold": [0.5, 0.2, None, None, None], "left": [1, 2, 2, 3, 4],
+               "right": [3, 3, 2, 3, 4], "value": [None, None, 0.1, 0.2, 0.3], "count": [1, 1, 1, 1, 1]}
+
+
+class TestV2Document:
+    def test_hand_written_document_loads_into_its_arrays(self, tmp_path):
         path = tmp_path / "teachers.json"
-        path.write_text(json.dumps(V1_DOC))
+        path.write_text(json.dumps(V2_DOC))
         tree = teachers.load_teachers(path).forests[0].trees[0]
-        assert tree.feature.tolist() == [1, -1, 0, -1, -1]
+        assert tree.feature.tolist() == [1, -1, 0, -1, -1] and tree.threshold[0] == 0.5
         assert (tree.left.tolist(), tree.right.tolist()) == ([1, 1, 3, 3, 4], [2, 1, 4, 3, 4])
         assert tree.count.tolist() == [10, 4, 6, 2, 4] and tree.depth == 2
+        assert np.isnan(tree.threshold[[1, 3, 4]]).all() and np.isnan(tree.value[[0, 2]]).all()
         forest = teachers.load_teachers(path).forests[0]
         out = forest.predict_proba(np.array([[0.0, 0.0], [-2.0, 1.0], [0.0, 1.0], [-1.0, 0.5]]))
         assert out.tolist() == [0.25, 0.0, 1.0, 1.0]
 
     def test_resave_reproduces_the_document_bytes(self, tmp_path):
         path = tmp_path / "teachers.json"
-        teachers.save_teachers(teachers.teachers_from_doc(V1_DOC), path)
-        assert path.read_text() == json.dumps(V1_DOC, allow_nan=False)
+        teachers.save_teachers(teachers.teachers_from_doc(V2_DOC), path)
+        assert path.read_text() == json.dumps(V2_DOC, allow_nan=False)
 
-    def test_feature_outside_the_forest_rejected(self, tmp_path):
-        doc = json.loads(json.dumps(V1_DOC))
-        doc["forests"][0]["trees"][0]["feature"] = 2
-        path = tmp_path / "teachers.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="feature 2"):
-            teachers.load_teachers(path)
+    def test_depth_is_the_deepest_leafs(self):  # V2_DOC's tree splits its right child, this one its left
+        assert teachers._read_tree({**TWO_PARENTS, "right": [4, 3, 2, 3, 4]}, 1, "t").depth == 2
+        assert leaf_tree(0.5, 1).depth == 0
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda t: [t], f"expects an object of the node arrays {ARRAYS}"),
+        (lambda t: {k: v for k, v in t.items() if k != "count"}, f"expects an object of the node arrays {ARRAYS}"),
+        (lambda t: {**t, "depth": [0] * 5}, f"expects an object of the node arrays {ARRAYS}"),
+        (lambda t: {k: [] for k in t}, f"{LENGTHS} feature is not"),
+        (lambda t: {**t, "value": t["value"][:-1]}, f"{LENGTHS} value is not"),
+        (lambda t: {**t, "right": 2}, f"{LENGTHS} right is not"),
+        (node_set("left", 0, 1.5), "node 0: left is a float, not an integer"),
+        (node_set("count", 3, True), "node 3: count is a bool, not an integer"),
+        (node_set("threshold", 2, "abc"), "node 2: threshold is a str, not a number or null"),
+        (node_set("value", 1, True), "node 1: value is a bool, not a number or null"),
+        (node_set("count", 0, 2**64), "a node array holds a number out of range"),
+        (node_set("feature", 2, 2), "node 2: feature 2 is outside [-1, 2)"),
+        (node_set("feature", 1, -2), "node 1: feature -2 is outside [-1, 2)"),
+        (node_set("left", 2, 4), "node 2: left 4 is not the next node at a split, the node at a leaf"),
+        (node_set("right", 0, 1), f"node 0: right 1 {SPLIT_RIGHT}"),
+        (node_set("right", 2, 5), f"node 2: right 5 {SPLIT_RIGHT}"),
+        (node_set("threshold", 0, None), "node 0: threshold null is not finite at a split, null at a leaf"),
+        (node_set("threshold", 2, math.inf), "node 2: threshold inf is not finite at a split, null at a leaf"),
+        (node_set("value", 0, 0.5), "node 0: value 0.5 is not null at a split, in [0, 1] at a leaf"),
+        (node_set("left", 3, 4), "node 3: left 4 is not the next node at a split, the node at a leaf"),
+        (node_set("right", 1, 2), f"node 1: right 2 {SPLIT_RIGHT}"),
+        (node_set("threshold", 4, 0.5), "node 4: threshold 0.5 is not finite at a split, null at a leaf"),
+        (node_set("value", 3, 1.5), "node 3: value 1.5 is not null at a split, in [0, 1] at a leaf"),
+        (node_set("value", 1, None), "node 1: value null is not null at a split, in [0, 1] at a leaf"),
+        (node_set("value", 4, math.nan), "node 4: value null is not null at a split, in [0, 1] at a leaf"),
+        (node_set("count", 4, 0), "node 4: count 0 is below 1"),
+        (node_set("right", 0, 3), "node 2: parents 0 is not 1: every node but the root has one parent"),
+        (lambda t: TWO_PARENTS, "node 3: parents 2 is not 1: every node but the root has one parent"),
+    ], ids=["not-an-object", "missing-array", "unknown-array", "empty", "ragged", "not-a-list", "fractional-int",
+            "bool-int", "text-float", "bool-float", "int-overflow", "feature-high", "feature-low", "split-left",
+            "split-right-back", "split-right-past-end", "split-null-threshold", "split-inf-threshold",
+            "split-value", "leaf-left", "leaf-right", "leaf-threshold", "leaf-value-high", "leaf-value-null",
+            "leaf-value-nan", "count", "orphan", "two-parents"])
+    def test_damaged_tree_exits_2_naming_file_forest_tree_and_node(self, tmp_path, capsys, damage, message):
+        doc = json.loads(json.dumps(V2_DOC))
+        forest = json.loads(json.dumps(doc["forests"][0]))
+        forest["params"]["n_trees"], forest["trees"] = 2, forest["trees"] * 2
+        forest["trees"][1] = damage(forest["trees"][1])
+        doc["concept_names"].append("d")
+        doc["forests"].append(forest)
+        code, err, path = label_exit(tmp_path, capsys, doc)
+        assert code == 2 and f"{path}: forests[1].trees[1]: {message}" in err
+
+    def test_a_v1_file_exits_2_naming_its_version(self, tmp_path, capsys):
+        v1 = {**V2_DOC, "format_version": 1}
+        v1["forests"] = [{**V2_DOC["forests"][0], "trees": [{"positive_fraction": 0.5, "sample_count": 1}]}]
+        code, err, path = label_exit(tmp_path, capsys, v1)
+        assert code == 2 and f"{path}: unsupported concept_teachers format_version 1" in err
 
     @pytest.mark.parametrize("n_trees, trees", [(1, []), (2, "one")])
     def test_tree_count_must_match_n_trees(self, tmp_path, n_trees, trees):
-        doc = json.loads(json.dumps(V1_DOC))
+        doc = json.loads(json.dumps(V2_DOC))
         forest = doc["forests"][0]
         forest["params"]["n_trees"] = n_trees
         forest["trees"] = forest["trees"] if trees == "one" else trees
@@ -376,12 +456,12 @@ B = teachers._BLOCK
 @st.composite
 def teacher_sets(draw):
     """TeacherSets on two features whose forests differ in tree count and depth: fitted forests with
-    single-leaf trees mixed in, all-leaf forests and the hand-written v1 forest."""
+    single-leaf trees mixed in, all-leaf forests and the hand-written v2 forest."""
     forests = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["fit", "leaves", "v1"]))
-        if kind == "v1":
-            forests.append(teachers.teachers_from_doc(V1_DOC).forests[0])
+        kind = draw(st.sampled_from(["fit", "leaves", "v2"]))
+        if kind == "v2":
+            forests.append(teachers.teachers_from_doc(V2_DOC).forests[0])
             continue
         n_trees = draw(st.integers(1, 12))
         leaves = [leaf_tree(draw(st.floats(0.0, 1.0)), 1) for _ in range(n_trees)]
