@@ -6,16 +6,22 @@ their CSV columns in file order, their cell types and the rule every value
 must pass. Floats are written with their shortest round-trip
 representation, so save -> load -> save is byte-identical.
 
-Files are written and read in blocks of ``ROW_BLOCK`` rows. The csv
-module handles the header; rows are joined and split on ``,`` as plain
-text, with an id quoted exactly as ``csv.writer`` would quote it. From
-the first block holding a ``"`` on, ``csv.reader`` reads the rows. LF,
-CR and CRLF line endings are all read.
+Files are written and read in blocks of ``ROW_BLOCK`` rows, each one a
+work item of :func:`pool.ordered_results`, so a file of several blocks is
+formatted or parsed on every usable CPU, with the same bytes and arrays at
+any count. The csv module handles the header; rows are joined and split on
+``,`` as plain text, with an id quoted exactly as ``csv.writer`` would
+quote it. From the first block holding a ``"`` on, ``csv.reader`` reads
+the rows. LF, CR and CRLF line endings are all read. On load, the caller
+reads one block's lines at a time, only to find the block's first line and
+byte range; the worker reads that range again and holds the block's
+per-cell objects.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import re
 import typing
@@ -24,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .errors import DataError
 from .nn import derive_seed
 from .schema import Checked, Rule, bounded, each, ge, nonempty, within
@@ -283,7 +290,7 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
 
 # -- CSV ---------------------------------------------------------------------
 
-ROW_BLOCK = 2048  # rows per CSV block; bounds the per-cell Python objects alive at once
+ROW_BLOCK = 2048  # rows per CSV block: a pool work item; bounds the lines the caller and the cells a worker hold
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a field
 _LINE_BREAK = re.compile("\r\n|\r|\n")  # what ends a line when a file is read with newline=""
 
@@ -293,24 +300,32 @@ def _id_cell(i: str) -> str:
     return '"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i
 
 
+def _format_block(shared, rows: slice) -> str:
+    """``rows`` of the dataset as CSV text, formatted a column at a time, each row ended by CRLF."""
+    dataset, blocks, id_only = shared
+    ids = list(map(str, dataset.ids[rows].tolist()))
+    if id_only:  # csv.writer writes a lone empty field as '""'
+        out = io.StringIO()
+        csv.writer(out).writerows(zip(ids))
+        return out.getvalue()
+    columns = [map(_id_cell, ids)]
+    for b in blocks:
+        part = np.asarray(getattr(dataset, b.field)[rows], b.dtype)
+        columns += [map(b.write, col) for col in part.reshape(len(part), -1).T.tolist()]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
 def save_csv(dataset: Dataset, path) -> None:
-    """Floats as ``repr``, 0/1 labels as digits, formatted a column at a time and joined per row block."""
+    """Floats as ``repr``, 0/1 labels as digits. The row blocks are formatted through
+    :func:`pool.ordered_results`, whose workers have all started before the file is opened, and each block is
+    written as it arrives."""
     blocks = [b for b in BLOCKS if getattr(dataset, b.field) is not None]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = ["id", *(column for b in blocks for column in b.columns(dataset))]
-        w.writerow(header)
-        for a in range(0, dataset.n, ROW_BLOCK):
-            rows = slice(a, a + ROW_BLOCK)
-            ids = list(map(str, dataset.ids[rows].tolist()))
-            if len(header) == 1:  # csv.writer writes a lone empty field as '""'
-                w.writerows(zip(ids))
-                continue
-            columns = [map(_id_cell, ids)]
-            for b in blocks:
-                part = np.asarray(getattr(dataset, b.field)[rows], b.dtype)
-                columns += [map(b.write, col) for col in part.reshape(len(part), -1).T.tolist()]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+    header = ["id", *(column for b in blocks for column in b.columns(dataset))]
+    rows = [slice(a, a + ROW_BLOCK) for a in range(0, dataset.n, ROW_BLOCK)]
+    with (pool.ordered_results(_format_block, (dataset, blocks, len(header) == 1), rows) as texts,
+          open(path, "w", newline="", encoding="utf-8") as fh):
+        csv.writer(fh).writerow(header)
+        fh.writelines(texts)
 
 
 def _locate_error(path, header, rows, line_no: int, fields) -> None:
@@ -331,27 +346,85 @@ def _locate_error(path, header, rows, line_no: int, fields) -> None:
         line_no += 1 + sum(len(_LINE_BREAK.findall(cell)) for cell in row)
 
 
-def _read_block(rows, n_fields: int, fields, parts) -> tuple:
-    """Append the block's array of each field to ``parts``; return its ids. Raises on a bad row or cell."""
+def _read_block(rows, n_fields: int, fields) -> tuple:
+    """The block's ids and its array of each field. Raises on a bad row or cell."""
     if any(len(row) != n_fields for row in rows):
         raise ValueError("ragged row")
     columns, m = list(zip(*rows)), len(rows)
-    for (block, idx), part in zip(fields, parts):
+    arrays = []
+    for block, idx in fields:
         a = np.empty((m, len(idx)), block.dtype)
         for c, j in enumerate(idx):
             a[:, c] = block.check(np.fromiter(map(block.parse, columns[j]), block.dtype, m))
-        part.append(a)
-    return columns[0]
+        arrays.append(a)
+    return columns[0], arrays
+
+
+def _parse_block(shared, item) -> tuple:
+    """:func:`_read_block` of one ``(first file line, start byte, end byte, quoted)`` item, read from the file:
+    ``csv.reader`` records where ``quoted``, else lines split on ``,``. A bad row or cell raises the DataError
+    that names its line and column."""
+    path, header, fields = shared
+    line_no, start, end, quoted = item
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        lines = io.StringIO(fh.read(end - start).decode("utf-8"), newline="").readlines()
+    rows = list(csv.reader(lines)) if quoted else [line.rstrip("\r\n").split(",") for line in lines]
+    try:
+        return _read_block(rows, len(header), fields)
+    except (ValueError, KeyError, DataError):
+        _locate_error(path, header, csv.reader(lines), line_no, fields)
+        raise  # the scan found nothing the cast rejected
+
+
+class _CountedLines:
+    """A text file's lines, counting where in the file the last one ends."""
+
+    def __init__(self, lines, end: int = 0):
+        self.lines, self.end = lines, end
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line = next(self.lines)
+        self.end += len(line.encode())
+        return line
+
+
+def _row_blocks(fh, start: int, id_only: bool) -> list[tuple]:
+    """The :func:`_parse_block` item of each block of ``ROW_BLOCK`` rows left in ``fh``, which stands at byte
+    ``start``, the end of the header: plain lines, and from the first block holding a ``"`` on, ``csv.reader``
+    records."""
+    items, line_no = [], 2
+    while lines := list(itertools.islice(fh, ROW_BLOCK)):
+        text = "".join(lines)
+        if id_only or '"' in text:  # in an id-only file, split would read a blank line as an empty id
+            break
+        end = start + len(text.encode())
+        items.append((line_no, start, end, False))
+        line_no, start = line_no + len(lines), end
+    else:
+        return items
+    counted = _CountedLines(itertools.chain(lines, fh), start)
+    reader, reader_start = csv.reader(counted), line_no
+    while any(True for _ in itertools.islice(reader, ROW_BLOCK)):
+        items.append((line_no, start, counted.end, True))
+        line_no, start = reader_start + reader.line_num, counted.end
+    return items
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV a row block at a time; errors name the file, and a bad row or cell its 1-based line."""
+    """Read a dataset CSV; errors name the file, and a bad row or cell its 1-based line. The file is read a row
+    block at a time for each block's first line and byte range, closed, and the blocks parsed through
+    :func:`pool.ordered_map`."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
+        head = _CountedLines(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(head))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if not header or header[0] != "id":
@@ -370,31 +443,13 @@ def load_csv(path) -> Dataset:
             if got and names.setdefault(b.names, got) != got:
                 raise DataError(f"{path}: {b.field} columns {got} do not match {b.names} {names[b.names]}")
         fields = [(b, [j for j, _ in found]) for b, found in columns.items() if found or b.field == "x"]
+        items = _row_blocks(fh, head.end, len(header) == 1)
 
-        ids, parts = [], [[np.empty((0, len(idx)), b.dtype)] for b, idx in fields]
-        line_no, reader = 2, None  # reader: the csv module's, over the rest of the file from the first '"' on
-        while True:
-            if reader is None:
-                lines = list(itertools.islice(fh, ROW_BLOCK))
-                # in an id-only file, split would read a blank line as an empty id
-                if len(header) == 1 or any('"' in line for line in lines):
-                    reader = csv.reader(itertools.chain(lines, fh))
-                    reader_start = line_no  # the file line of the reader's first line
-            if reader is None:
-                rows = [line.rstrip("\r\n").split(",") for line in lines]
-            else:
-                rows = list(itertools.islice(reader, ROW_BLOCK))
-            if not rows:
-                break
-            try:
-                ids += _read_block(rows, len(header), fields, parts)
-            except (ValueError, KeyError, DataError):
-                _locate_error(path, header, csv.reader(lines) if reader is None else rows, line_no, fields)
-                raise  # the scan found nothing the cast rejected
-            line_no = line_no + len(rows) if reader is None else reader_start + reader.line_num
-            del rows  # one block's cells alive at a time, not two
-
-    arrays = {b.field: a if b.names else a[:, 0] for (b, _), a in zip(fields, map(np.concatenate, parts))}
+    parsed = pool.ordered_map(_parse_block, (path, header, fields), items)
+    ids, arrays = [i for block_ids, _ in parsed for i in block_ids], {}
+    for f, (b, idx) in enumerate(fields):
+        a = np.concatenate([np.empty((0, len(idx)), b.dtype), *(parts[f] for _, parts in parsed)])
+        arrays[b.field] = a if b.names else a[:, 0]
     try:
         return Dataset(ids=np.asarray(ids), **({b.names: () for b in BLOCKS if b.names} | names), **arrays)
     except DataError as exc:

@@ -258,12 +258,14 @@ def lambda_sweep(
     arch: model.ArchitectureConfig | None = None,
     base: training.TrainConfig | None = None,
     master_seed: int = 0,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> SweepReport:
     """Grid of blend weights x repeat seeds on one fixed architecture.
 
     Produces exactly len(lambdas) * n_repeats trials, repeat r of every
     lambda sharing the same derived seed so the comparison is paired.
+    Each trial draws only from its own seed, so the report does not depend
+    on ``jobs``, which :func:`pool.ordered_map` chooses when it is None.
     """
     lambdas = [float(v) for v in lambdas]
     if not lambdas:

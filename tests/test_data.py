@@ -1,7 +1,9 @@
 import csv
 import json
+import multiprocessing
 import re
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conceptdistil import data, schema
+from conceptdistil import data, pool, schema
 from conceptdistil.errors import DataError
 
 
@@ -381,6 +383,127 @@ class TestCsvText:
         path.write_text("id\r\na\r\n\r\nb\r\n")
         with pytest.raises(DataError, match=re.escape("line 3: expected 1 fields, got 0")):
             data.load_csv(path)
+
+
+class TestCsvCpuCount:
+    """save_csv and load_csv map their row blocks over as many processes as the CPUs this process may use, and
+    the count changes nothing: not the bytes, not the arrays, not an error's text."""
+
+    BLOCK = 3
+    N = 3 * BLOCK + 1  # four blocks, the last one short
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """A short ROW_BLOCK; returns ``set_cpus(n)``, which forces the usable CPUs to ``n`` and returns the list
+        that the start method of each pool started from then on is appended to."""
+        monkeypatch.setattr(data, "ROW_BLOCK", self.BLOCK)
+        started = []
+        executor = pool.ProcessPoolExecutor
+
+        def recording(*args, mp_context, **kwargs):
+            started.append(mp_context.get_start_method())
+            return executor(*args, mp_context=mp_context, **kwargs)
+
+        def set_cpus(n):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: n)
+            started.clear()
+            return started
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", recording)
+        return set_cpus
+
+    @staticmethod
+    def pools_at(cpus) -> list[str]:
+        """The pools that one save or load of several blocks starts at ``cpus`` CPUs in this process."""
+        return ["fork"] if cpus > 1 and "fork" in multiprocessing.get_all_start_methods() else []
+
+    def dataset(self, ids=None):
+        """Every block; by default, ids of 1 to 4 bytes a character, so that characters and bytes differ."""
+        rng = np.random.default_rng(7)
+        n = self.N
+        return data.Dataset(
+            ids=np.array(ids or [f"r{i}" + "\u00e9\u20ac\U0001f600"[: i % 4] for i in range(n)]),
+            feature_names=("f_0", "f_1"), x=rng.normal(size=(n, 2)),
+            y=rng.integers(0, 2, n), concept_names=("a",), golden=rng.integers(0, 2, (n, 1)),
+            soft=rng.random((n, 1)), bb_scores=rng.random(n), teacher_feature_names=("t_0",),
+            teacher_x=rng.normal(size=(n, 1)),
+        )
+
+    def round_trips(self, pools, ds, tmp_path) -> list[bytes]:
+        """The file bytes that ``ds`` saves to at 1 and at 2 CPUs; each file loads bit-equal to ``ds`` at both."""
+        saved = []
+        for cpus in (1, 2):
+            path = tmp_path / f"saved_{cpus}.csv"
+            started = pools(cpus)
+            data.save_csv(ds, path)
+            assert started == self.pools_at(cpus)
+            saved.append(path.read_bytes())
+            for load_cpus in (1, 2):
+                started = pools(load_cpus)
+                assert_bit_equal(data.load_csv(path), ds)
+                assert started == self.pools_at(load_cpus)
+        return saved
+
+    def test_bytes_and_arrays_are_equal_at_one_and_two_cpus(self, pools, tmp_path):
+        ds = self.dataset()
+        one, two = self.round_trips(pools, ds, tmp_path)
+        ref_save_csv(ds, tmp_path / "ref.csv")
+        assert one == two == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, N - 1])
+    @pytest.mark.parametrize("id_text", ["a\r\nb", 'q"\r\n"', "x\ny,\rz"])
+    def test_a_quoted_id_straddling_a_block_edge(self, pools, tmp_path, row, id_text):
+        ds = self.dataset([id_text if i == row else f"r{i}\u00e9" for i in range(self.N)])
+        one, two = self.round_trips(pools, ds, tmp_path)
+        ref_save_csv(ds, tmp_path / "ref.csv")
+        assert one == two == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+    def test_line_endings(self, pools, tmp_path, ending):
+        ds = self.dataset()
+        path = tmp_path / "eol.csv"
+        data.save_csv(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", ending.encode()))
+        for cpus in (1, 2):
+            started = pools(cpus)
+            assert_bit_equal(data.load_csv(path), ds)
+            assert started == self.pools_at(cpus)
+
+    @pytest.mark.parametrize("quoted", [False, True])  # a quoted id in the first block: csv.reader reads every row
+    @pytest.mark.parametrize("row", [BLOCK + 1, N - 1])  # in the second block, and in the last
+    def test_a_bad_cell_gives_the_same_error_at_one_and_two_cpus(self, pools, tmp_path, quoted, row):
+        ds = self.dataset(['"q"' if quoted and i == 0 else f"r{i}\u00e9" for i in range(self.N)])
+        path = tmp_path / "bad.csv"
+        data.save_csv(ds, path)
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        cells = lines[row + 1].split(",")
+        cells[2] = "abc"  # f_1
+        path.write_bytes(("".join(lines[: row + 1]) + ",".join(cells) + "".join(lines[row + 2:])).encode())
+        errors = []
+        for cpus in (1, 2):
+            pools(cpus)
+            with pytest.raises(DataError) as info:
+                data.load_csv(path)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"{path}: line {row + 2}: column 'f_1': x must be finite, got 'abc'"
+
+    def test_a_process_with_another_thread_saves_and_loads_serially(self, pools, tmp_path, monkeypatch):
+        ds = self.dataset()
+        pools(2)
+        data.save_csv(ds, tmp_path / "unthreaded.csv")
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("a pool started"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            data.save_csv(ds, tmp_path / "threaded.csv")
+            loaded = data.load_csv(tmp_path / "threaded.csv")
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "unthreaded.csv").read_bytes()
+        assert_bit_equal(loaded, ds)
 
 
 class TestSplit:

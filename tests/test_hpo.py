@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -209,3 +210,18 @@ class TestIsolation:
         assert [(t.index, t.seed, t.lam, t.fidelity, t.mean_auc, t.history_digest) for t in seq.trials] == \
             [(t.index, t.seed, t.lam, t.fidelity, t.mean_auc, t.history_digest) for t in par.trials]
         assert seq.on_frontier.tolist() == par.on_frontier.tolist()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_lambda_sweep_runs_on_every_cpu_and_writes_the_same_csv(self, bundle, monkeypatch, tmp_path):
+        executor, started = pool.ProcessPoolExecutor, []
+
+        def recording(workers, **kwargs):
+            started.append(workers)
+            return executor(workers, **kwargs)
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", recording)
+        for cpus in (1, 2):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            hpo.lambda_sweep([0.0, 1.0], 1, bundle, base=quick_base(), master_seed=5).to_csv(tmp_path / f"{cpus}.csv")
+        assert started == [2]
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()

@@ -1,10 +1,12 @@
 """pool.ordered_map: the serial list comprehension, or the same list from a process pool."""
 
+import ctypes
 import multiprocessing
 import os
 import threading
 import time
 
+import numpy  # noqa: F401  (loads the BLAS that blas_threads looks for)
 import pytest
 
 from conceptdistil import pool
@@ -43,6 +45,41 @@ def test_an_error_in_an_item_reaches_the_caller_as_itself(jobs):
 def test_jobs_below_one_fail_before_any_item(jobs):
     with pytest.raises(DataError, match=f"jobs must be >= 1, got {jobs}"):
         pool.ordered_map(pid_and, None, ["fail"], jobs)
+
+
+def cpus_and_nested_pids(shared, item):
+    return pool.usable_cpus(), os.getpid(), {pid for pid, _, _ in pool.ordered_map(pid_and, None, range(3))}
+
+
+def test_a_worker_without_an_affinity_mask_has_one_cpu_and_maps_in_itself(monkeypatch):
+    monkeypatch.setattr(pool, "_affinity", lambda: [])
+    assert pool.usable_cpus() == (os.cpu_count() or 1)
+    out = pool.ordered_map(cpus_and_nested_pids, None, range(2), 2)
+    assert [cpus for cpus, _, _ in out] == [1, 1]
+    assert all(nested == {pid} for _, pid, nested in out)
+    assert os.getpid() not in {pid for _, pid, _ in out}
+
+
+def blas_threads(shared, item) -> list[int]:
+    """The thread count of each OpenBLAS in this process's memory map."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(path) for path in {line.split()[-1] for line in fh if "openblas" in line}]
+    except OSError:
+        return []
+    getters = [name.replace("_set_", "_get_") for name in pool._BLAS_THREADS]
+    return [getattr(lib, name)() for lib in libs for name in getters if hasattr(lib, name)]
+
+
+def blas_and_os_threads(shared, item) -> tuple[list[int], int]:
+    return blas_threads(shared, item), len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not blas_threads(None, None), reason="no OpenBLAS in the memory map")
+def test_a_worker_runs_openblas_on_one_thread_and_starts_none():
+    before = blas_threads(None, None)
+    assert pool.ordered_map(blas_and_os_threads, None, range(2), 2) == [([1] * len(before), 1)] * 2
+    assert blas_threads(None, None) == before
 
 
 affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the platform has no affinity mask")
