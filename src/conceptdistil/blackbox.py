@@ -122,10 +122,8 @@ def load_score_file(path, dataset: Dataset) -> np.ndarray:
     lie in [0, 1].
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     mapping: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with schema.open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "score"]:

@@ -1,5 +1,6 @@
 """Command-line pipeline: generate data, train the built-in black box,
-teach and apply concept labels, distill, evaluate, explain, sweep.
+teach and apply concept labels, distill, evaluate, explain, sweep; and
+the desk experiments: the five-variant table and the lambda sweep.
 
 Every command validates its inputs, writes its outputs only to the
 declared paths and drops a manifest (resolved configuration, input and
@@ -10,6 +11,7 @@ output paths, seed, wall clock) next to them. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, blackbox, data, hpo, metrics, model, schema, teachers, training
+from . import __version__, blackbox, data, hpo, metrics, model, pipeline, schema, teachers, training
 from .errors import ConceptDistilError, DataError, UsageError
 
 SEED_ENV_VAR = "CONCEPTDISTIL_SEED"
@@ -117,9 +119,18 @@ def _naming(flag, path):
         raise DataError(f"{flag} {path}: {exc}") from None
 
 
-def _out_dir(raw) -> Path:
+def _out(raw, file: bool = False) -> Path:
+    """``--out`` ready to write: the directory it names made, or for a ``file`` the directory holding it. A file
+    in the way of either, or a directory where the file goes, is a usage error naming ``--out``."""
     out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
+    if file and out.is_dir():
+        raise UsageError(f"--out {raw} is a directory, not a file")
+    directory = out.parent if file else out
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        blocker = next(p for p in (directory, *directory.parents) if p.exists())
+        raise UsageError(f"--out {raw}: {blocker} is a file, not a directory") from None
     return out
 
 
@@ -133,7 +144,7 @@ def cmd_gen_data(args):
     golden, splits = data.carve(full, args.golden, args.split, mode=args.split_mode, seed=cfg.seed)
     sets = {"full": full, **dict(zip(("golden_train", "golden_valid", "golden_test"), golden or ())),
             **dict(zip(("train", "valid", "test"), splits))}
-    out = _out_dir(args.out)
+    out = _out(args.out)
     outputs = {name: out / f"{name}.csv" for name in sets}
     for name, ds in sets.items():
         data.save_csv(ds, outputs[name])
@@ -144,7 +155,7 @@ def cmd_train_blackbox(args):
     cfg = _config(blackbox.BlackBoxConfig, args)
     train_set, valid_set = _load_disjoint(args, "train", "valid")
     adapter = blackbox.train_ffnn_blackbox(train_set, valid_set, **asdict(cfg))
-    out = _out_dir(args.out)
+    out = _out(args.out)
     outputs = {"model": out / "blackbox.json"}
     blackbox.save_blackbox(adapter, outputs["model"])
     return out, schema.write(cfg), outputs, cfg.seed
@@ -173,7 +184,7 @@ def cmd_teach(args):
         report = {}
         if golden_valid is not None:
             report["valid_mean_auc"] = teachers.evaluate_teachers(teacher_set, golden_valid)[1]
-    out = _out_dir(args.out)
+    out = _out(args.out)
     outputs = {"teachers": out / "teachers.json"}
     teachers.save_teachers(teacher_set, outputs["teachers"])
     if report:
@@ -202,8 +213,7 @@ def cmd_label(args):
         dataset = dataset.with_scores(blackbox.load_score_file(args.score_file, dataset))
     if args.uncertainty_fraction is not None:
         dataset = blackbox.uncertainty_sample(dataset, args.uncertainty_fraction)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out(args.out, file=True)
     data.save_csv(dataset, out_path)
     return out_path.parent, {"uncertainty_fraction": args.uncertainty_fraction}, {"labeled": out_path}, seed
 
@@ -214,7 +224,7 @@ def cmd_distill(args):
     arch = model.build_architecture(train_set.d, train_set.k, **asdict(cfg.architecture))
     params = model.init_model(arch, train_set.concept_names, cfg.seed)
     result = training.train(params, train_set, valid_set, cfg)
-    out = _out_dir(args.out)
+    out = _out(args.out)
     outputs = {"model": out / "model.json", "history": out / "history.csv"}
     model.save_model(result.params, outputs["model"])
     training.history_to_csv(result.history, outputs["history"])
@@ -235,8 +245,7 @@ def cmd_evaluate(args):
     if args.recall_fpr is not None and not args.test:
         raise UsageError("--recall-fpr requires --test")
     report = _prevalence_report(args.data) if args.model is None else _model_report(args)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out(args.out, file=True)
     out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return out_path.parent, {} if args.model is None else {"recall_fpr": args.recall_fpr}, {"report": out_path}, seed
 
@@ -280,13 +289,13 @@ def cmd_explain(args):
     params = model.load_model(args.model)
     dataset = data.load_csv(args.input)
     explanations = model.explain(params, dataset.x, ids=dataset.ids)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out(args.out, file=True)
     model.explanations_to_jsonl(explanations, out_path)
     return out_path.parent, {}, {"explanations": out_path}, seed
 
 
 SWEEP_DEFAULTS = {"epochs": 40, "patience": 6}  # sweep's own, under the config file
+LAMBDA_GRID = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 SWEEP_SETS = {  # training-file keys each mode draws or sets itself
     "search": {k: "is drawn by sweep --mode search" for k in ("lambda", "learning_rate", "optimizer.l2_penalty", "architecture")},
     "lambda": {"lambda": "is set by sweep --lambda-grid"},
@@ -305,12 +314,43 @@ def cmd_sweep(args):
         report = hpo.lambda_sweep(args.lambda_grid, args.repeats, bundle, arch=arch, base=base,
                                   master_seed=base.seed, jobs=args.jobs)
         cfg = {"mode": "lambda", "lambda_grid": args.lambda_grid, "repeats": args.repeats}
-    out = _out_dir(args.out)
+    cfg.update(jobs=args.jobs, **schema.write(base, TRAIN_NAMES, omit=reject))
+    out, outputs = _write_sweep(report, args.out)
+    return out, cfg, outputs, base.seed
+
+
+def _write_sweep(report: hpo.SweepReport, raw_out) -> tuple[Path, dict]:
+    out = _out(raw_out)
     outputs = {"csv": out / "sweep.csv", "summary": out / "sweep_summary.json"}
     report.to_csv(outputs["csv"])
     report.save_summary(outputs["summary"])
-    cfg.update(jobs=args.jobs, **schema.write(base, TRAIN_NAMES, omit=reject))
-    return out, cfg, outputs, base.seed
+    return out, outputs
+
+
+DESK_SEED, DESK_SWEEP_SEED = 101, 7  # the experiments' default seeds, under $CONCEPTDISTIL_SEED
+
+
+def cmd_desk(args):
+    seed = _config(RunSeed, args, {"seed": DESK_SEED}).seed
+    table = pipeline.run_desk(seed, args.n, args.epochs, args.lam)  # before --out: a failed run leaves no table
+    out = _out(args.out)
+    path = out / "variant_table.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["seed", "variant", "fidelity", "mean_golden_auc"],
+                                  *([seed, variant, "" if fid is None else f"{fid:.6f}", f"{auc:.6f}"]
+                                    for variant, (fid, auc) in table.items())])
+    return out, {"n": args.n, "epochs": args.epochs, "lambda": args.lam}, {"table": path}, seed
+
+
+def cmd_desk_sweep(args):
+    seed = _config(RunSeed, args, {"seed": DESK_SWEEP_SEED}).seed
+    bundle, _ = pipeline.desk_data(seed, args.n, (1500, 150, 400), (0.7, 0.1, 0.2))
+    base = training.TrainConfig(epochs=args.epochs, early_stop_patience=6)
+    report = hpo.lambda_sweep(args.lambda_grid, args.repeats, bundle, base=base, master_seed=seed, jobs=args.jobs)
+    cfg = {"n": args.n, "lambda_grid": args.lambda_grid, "repeats": args.repeats, "epochs": args.epochs,
+           "jobs": args.jobs}
+    out, outputs = _write_sweep(report, args.out)
+    return out, cfg, outputs, seed
 
 
 # -- parser -------------------------------------------------------------------
@@ -322,11 +362,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, seed_default="the config file's seed, then 0"):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int,
-                       help=f"run seed (falls back to ${SEED_ENV_VAR}, then the config file's seed, then 0)")
+        p.add_argument("--seed", type=int, help=f"run seed (falls back to ${SEED_ENV_VAR}, then {seed_default})")
         p.add_argument("--out", required=True)
         return p
 
@@ -393,11 +432,26 @@ def build_parser() -> _Parser:
     p.add_argument("--test", type=InputFile, required=True)
     p.add_argument("--golden-test", type=InputFile, required=True)
     p.add_argument("--trials", type=int, default=20)
-    add_list(p, "--lambda-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    add_list(p, "--lambda-grid", default=LAMBDA_GRID)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--epochs", type=int, help="default: the config's epochs, else 40")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", type=InputFile, help="training config JSON; keys the mode draws are rejected")
+
+    p = add("desk", cmd_desk, "the five variants' fidelity and concept AUC on synthetic desk data",
+            seed_default=DESK_SEED)
+    p.add_argument("--n", type=int, default=pipeline.REFERENCE_N,
+                   help=f"total rows incl. {sum(pipeline.REFERENCE_GOLDEN)} golden, scaled down below the default")
+    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+
+    p = add("desk-sweep", cmd_desk_sweep, "lambda sweep with trade-off report on synthetic desk data",
+            seed_default=DESK_SWEEP_SEED)
+    p.add_argument("--n", type=int, default=12_000)
+    add_list(p, "--lambda-grid", default=LAMBDA_GRID)
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--epochs", type=int, default=25)
+    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -423,7 +477,7 @@ def exit_status(body) -> int:
     except ConceptDistilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pool
+from . import pool, schema
 from .errors import DataError
 from .nn import derive_seed
 from .schema import Checked, Rule, bounded, each, ge, nonempty, within
@@ -419,9 +419,7 @@ def load_csv(path) -> Dataset:
     block at a time for each block's first line and byte range, closed, and the blocks parsed through
     :func:`pool.ordered_map`."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with schema.open_input(path) as fh:
         head = _CountedLines(fh)
         try:
             header = next(csv.reader(head))

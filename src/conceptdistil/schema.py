@@ -14,6 +14,7 @@ import json
 import math
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -139,14 +140,29 @@ def names(doc: dict, key: str) -> tuple[str, ...]:
     raise DataError(f"{key}: must be a list of strings")
 
 
-def load_json(path) -> dict:
-    """The JSON object stored at ``path``; a DataError naming the file if it is none, or nested too deeply
-    to parse."""
+@contextmanager
+def open_input(path):
+    """The UTF-8 text file at ``path``, opened for reading with ``newline=""``. A missing file, a directory or
+    bytes that are not UTF-8, met when opening or while reading inside, are DataErrors naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except IsADirectoryError:
+        raise DataError(f"{path}: is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_json(path) -> dict:
+    """The JSON object stored at ``path``; a DataError naming the file if it is none, or nested too deeply
+    to parse."""
+    path = Path(path)
+    try:
+        with open_input(path) as fh:
+            doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:

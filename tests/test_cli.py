@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conceptdistil import blackbox, cli, data, metrics, model, schema, teachers
+from conceptdistil import blackbox, cli, data, hpo, metrics, model, schema, teachers, training
 from conceptdistil.errors import DataError, NumericError, UsageError
 
 
@@ -211,6 +212,21 @@ class TestExitCodes:
         assert run("gen-data", "--out", str(tmp_path / "d"), "--n", "30", "--golden", "10,10,10") == 2
         assert "split produces an empty subset" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("target, command, argv", [
+        ("in_the_way", "gen-data", ("--n", "400", "--golden", "0,0,0")),
+        ("in_the_way/r.json", "evaluate", ("--data", "d.csv")),
+        ("a_directory", "evaluate", ("--data", "d.csv")),
+    ], ids=["directory-output", "file-output", "file-output-is-a-directory"])
+    def test_out_blocked_by_a_file_or_directory_is_a_usage_error_naming_it(self, tmp_path, capsys, target, command,
+                                                                           argv):
+        (tmp_path / "in_the_way").write_text("")
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "d.csv").write_text("id,f_0,c_a\n0,1.0,0\n1,2.0,1\n")
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert run(command, *argv, "--out", str(tmp_path / target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {tmp_path / target}") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, code", [
         (("--golden", "60,30,30", "--split", "0.8,0.2"), 1),
@@ -481,6 +497,8 @@ FLAGS = {
     "explain": ("--seed", "--out", "--model", "--input"),
     "sweep": ("--seed", "--out", "--mode", "--train", "--valid", "--test", "--golden-test", "--trials",
               "--lambda-grid", "--repeats", "--epochs", "--jobs", "--config"),
+    "desk": ("--seed", "--out", "--n", "--epochs", "--lambda"),
+    "desk-sweep": ("--seed", "--out", "--n", "--lambda-grid", "--repeats", "--epochs", "--jobs"),
 }
 
 
@@ -493,7 +511,7 @@ class TestHelp:
         named = re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)
         assert set(named) == {"--help", *FLAGS[command]}
 
-    def test_the_commands_are_the_eight(self, capsys):
+    def test_the_commands_are_the_ten(self, capsys):
         with pytest.raises(SystemExit) as done:
             run("--help")
         assert done.value.code == 0
@@ -789,6 +807,28 @@ class TestTrainBlackbox:
 
 
 class TestLoadErrors:
+    # the command line reading the file ``{path}`` names, through each of the three readers
+    READERS = {
+        "load_csv": (("evaluate", "--data", "{path}"), b"id,f_0\n0,\xff\n"),
+        "load_json": (("teach", "--golden-train", "{csv}", "--config", "{path}"), b'{"n_trees": "\xff"}'),
+        "load_score_file": (("label", "--input", "{csv}", "--score-file", "{path}"), b"id,score\n0,\xff\n"),
+    }
+
+    @pytest.mark.parametrize("form", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("argv, content", READERS.values(), ids=READERS)
+    def test_unreadable_input_exits_2_naming_the_file(self, tmp_path, capsys, argv, content, form):
+        path, csv_path = tmp_path / "input", tmp_path / "x.csv"
+        csv_path.write_text("id,f_0\n0,1.0\n")
+        if form == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = [a.format(path=path, csv=csv_path) for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "out" / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_label_rejects_a_forest_without_trees(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "teachers" / "teachers.json").read_text())
         doc["forests"][0]["trees"] = []
@@ -922,3 +962,68 @@ class TestTeacherInputNamed:
                    *tune, "--out", str(tmp_path / "t")) == 2
         assert f"--golden-valid {path}: AUC undefined for concept {ds.concept_names[0]!r}: " in capsys.readouterr().err
         assert not (tmp_path / "t" / "teachers.json").exists()
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestDesk:
+    """The desk experiments at toy size: the tables of the library pipeline, the seed rule and the exit rule."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_seed(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+    def test_desk_writes_the_run_desk_table(self, tmp_path):
+        assert run("desk", "--out", str(tmp_path), "--n", "3000", "--seed", "1", "--epochs", "1") == 0
+        rows = _read_csv(tmp_path / "variant_table.csv")
+        assert rows[0] == ["seed", "variant", "fidelity", "mean_golden_auc"]
+        expected = [["1", variant, "" if fid is None else f"{fid:.6f}", f"{auc:.6f}"]
+                    for variant, (fid, auc) in cli.pipeline.run_desk(1, 3000, 1, 0.5).items()]
+        assert rows[1:] == expected
+        assert [r[1] for r in rows[1:]] == ["teachers", *training.VARIANTS]
+
+    def test_desk_sweep_writes_the_desk_data_sweep(self, tmp_path):
+        assert run("desk-sweep", "--out", str(tmp_path / "cli"), "--n", "3000", "--lambda-grid", "0,1",
+                   "--repeats", "1", "--epochs", "1") == 0
+        bundle, _ = cli.pipeline.desk_data(7, 3000, (1500, 150, 400), (0.7, 0.1, 0.2))
+        base = training.TrainConfig(epochs=1, early_stop_patience=6)
+        hpo.lambda_sweep([0.0, 1.0], 1, bundle, base=base, master_seed=7).to_csv(tmp_path / "library.csv")
+        rows = _read_csv(tmp_path / "cli" / "sweep.csv")
+        assert rows[0] == ["trial_id", "lambda", "trunk_widths", "head_widths", "attention_widths", "learning_rate",
+                           "dropout", "l2", "batchnorm", "fidelity", "mean_auc", "on_frontier", "status"]
+        assert rows == _read_csv(tmp_path / "library.csv")
+        assert [(r[1], r[-1]) for r in rows[1:]] == [("0.0", "completed"), ("1.0", "completed")]
+        assert (tmp_path / "cli" / "sweep_summary.json").exists()
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("desk", ["--n", "3000", "--seed", "101", "--epochs", "5"],
+         "error: golden-test set of 51 rows: AUC undefined for concept 'high_speed_ordering'"),
+        ("desk-sweep", ["--n", "100"], "error: requested 2050 golden rows but only 100 are available"),
+    ])
+    def test_data_error_exits_2_with_its_message_and_no_output(self, tmp_path, capsys, command, argv, message):
+        out = tmp_path / "out"
+        assert run(command, "--out", str(out), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not out.exists()  # no table, and no directory, of a run that did not finish
+
+    @pytest.mark.parametrize("source", ["flag", "env", "default"])
+    @pytest.mark.parametrize("command, argv, default, config", [
+        ("desk", ("--n", "4000", "--epochs", "1"), 101, {"n": 4000, "epochs": 1, "lambda": 0.5}),
+        ("desk-sweep", ("--n", "3000", "--lambda-grid", "0", "--repeats", "1", "--epochs", "1"), 7,
+         {"n": 3000, "lambda_grid": [0.0], "repeats": 1, "epochs": 1, "jobs": 1}),
+    ])
+    def test_manifest_seed_is_the_flag_then_the_variable_then_the_default(self, tmp_path, monkeypatch, command,
+                                                                          argv, default, config, source):
+        if source != "default":
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+        flag = ["--seed", "4"] if source == "flag" else []
+        assert run(command, "--out", str(tmp_path), *argv, *flag) == 0
+        manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+        assert manifest["seed"] == {"flag": 4, "env": 5, "default": default}[source]
+        assert manifest["config"] == config
+        if command == "desk":  # the table's seed column is the seed the run used
+            assert {r[0] for r in _read_csv(tmp_path / "variant_table.csv")[1:]} == {str(manifest["seed"])}
