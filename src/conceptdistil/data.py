@@ -13,9 +13,9 @@ any count. The csv module handles the header; rows are joined and split on
 ``,`` as plain text, with an id quoted exactly as ``csv.writer`` would
 quote it. From the first block holding a ``"`` on, ``csv.reader`` reads
 the rows. LF, CR and CRLF line endings are all read. On load, the caller
-reads one block's lines at a time, only to find the block's first line and
-byte range; the worker reads that range again and holds the block's
-per-cell objects.
+reads one block's lines or records at a time, only to find the block's
+first line and its position in the text file; the worker seeks there,
+reads the block again and holds its per-cell objects.
 """
 
 from __future__ import annotations
@@ -361,68 +361,49 @@ def _read_block(rows, n_fields: int, fields) -> tuple:
 
 
 def _parse_block(shared, item) -> tuple:
-    """:func:`_read_block` of one ``(first file line, start byte, end byte, quoted)`` item, read from the file:
-    ``csv.reader`` records where ``quoted``, else lines split on ``,``. A bad row or cell raises the DataError
-    that names its line and column."""
+    """:func:`_read_block` of one ``(first file line, start, quoted)`` item: the ``ROW_BLOCK`` rows from file
+    position ``start`` on, ``csv.reader`` records where ``quoted``, else lines split on ``,``. A bad row or cell
+    raises the DataError that names its line and column."""
     path, header, fields = shared
-    line_no, start, end, quoted = item
-    with open(path, "rb") as fh:
+    line_no, start, quoted = item
+    with open(path, newline="", encoding="utf-8") as fh:
         fh.seek(start)
-        lines = io.StringIO(fh.read(end - start).decode("utf-8"), newline="").readlines()
-    rows = list(csv.reader(lines)) if quoted else [line.rstrip("\r\n").split(",") for line in lines]
+        block = list(itertools.islice(csv.reader(fh) if quoted else fh, ROW_BLOCK))  # records, or lines
+    rows = block if quoted else [line.rstrip("\r\n").split(",") for line in block]
     try:
         return _read_block(rows, len(header), fields)
     except (ValueError, KeyError, DataError):
-        _locate_error(path, header, csv.reader(lines), line_no, fields)
+        _locate_error(path, header, rows if quoted else csv.reader(block), line_no, fields)
         raise  # the scan found nothing the cast rejected
 
 
-class _CountedLines:
-    """A text file's lines, counting where in the file the last one ends."""
-
-    def __init__(self, lines, end: int = 0):
-        self.lines, self.end = lines, end
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        line = next(self.lines)
-        self.end += len(line.encode())
-        return line
-
-
-def _row_blocks(fh, start: int, id_only: bool) -> list[tuple]:
-    """The :func:`_parse_block` item of each block of ``ROW_BLOCK`` rows left in ``fh``, which stands at byte
-    ``start``, the end of the header: plain lines, and from the first block holding a ``"`` on, ``csv.reader``
-    records."""
-    items, line_no = [], 2
-    while lines := list(itertools.islice(fh, ROW_BLOCK)):
-        text = "".join(lines)
-        if id_only or '"' in text:  # in an id-only file, split would read a blank line as an empty id
-            break
-        end = start + len(text.encode())
-        items.append((line_no, start, end, False))
-        line_no, start = line_no + len(lines), end
-    else:
-        return items
-    counted = _CountedLines(itertools.chain(lines, fh), start)
-    reader, reader_start = csv.reader(counted), line_no
-    while any(True for _ in itertools.islice(reader, ROW_BLOCK)):
-        items.append((line_no, start, counted.end, True))
-        line_no, start = reader_start + reader.line_num, counted.end
+def _row_blocks(fh, id_only: bool) -> list[tuple]:
+    """The :func:`_parse_block` item of each block of ``ROW_BLOCK`` rows left in ``fh``, which stands at the end
+    of the header: plain lines, and from the first block holding a ``"`` on, ``csv.reader`` records."""
+    items, line_no, start = [], 2, fh.tell()
+    quoted = id_only  # in an id-only file, split would read a blank line as an empty id
+    lines = iter(fh.readline, "")  # not fh's own iterator, which turns tell() off
+    while not quoted and (block := list(itertools.islice(lines, ROW_BLOCK))):
+        if not (quoted := '"' in "".join(block)):
+            items.append((line_no, start, False))
+            line_no, start = line_no + len(block), fh.tell()
+    if quoted:
+        fh.seek(start)
+        reader, first = csv.reader(iter(fh.readline, "")), line_no
+        while sum(1 for _ in itertools.islice(reader, ROW_BLOCK)):
+            items.append((line_no, start, True))
+            line_no, start = first + reader.line_num, fh.tell()
     return items
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset CSV; errors name the file, and a bad row or cell its 1-based line. The file is read a row
-    block at a time for each block's first line and byte range, closed, and the blocks parsed through
+    block at a time for each block's first line and file position, closed, and the blocks parsed through
     :func:`pool.ordered_map`."""
     path = Path(path)
     with schema.open_input(path) as fh:
-        head = _CountedLines(fh)
         try:
-            header = next(csv.reader(head))
+            header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if not header or header[0] != "id":
@@ -441,7 +422,7 @@ def load_csv(path) -> Dataset:
             if got and names.setdefault(b.names, got) != got:
                 raise DataError(f"{path}: {b.field} columns {got} do not match {b.names} {names[b.names]}")
         fields = [(b, [j for j, _ in found]) for b, found in columns.items() if found or b.field == "x"]
-        items = _row_blocks(fh, head.end, len(header) == 1)
+        items = _row_blocks(fh, len(header) == 1)
 
     parsed = pool.ordered_map(_parse_block, (path, header, fields), items)
     ids, arrays = [i for block_ids, _ in parsed for i in block_ids], {}

@@ -189,6 +189,24 @@ class TestExitCodes:
         assert code == 2
         assert f"{broken}: trunk.layers[0].weights holds non-finite values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("broken_item, message", [
+        ("layer", "trunk.layers[0] must be an object, not int"),
+        ("weight", "trunk.layers[0].weights[1] is a str, not a number"),
+    ])
+    def test_malformed_model_layer_is_data_error_naming_it(self, pipeline, tmp_path, capsys, broken_item, message):
+        doc = json.loads((pipeline / "model" / "model.json").read_text())
+        if broken_item == "layer":
+            doc["trunk"]["layers"][0] = 5
+        else:
+            doc["trunk"]["layers"][0]["weights"][1] = "0.5"
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        code = run("explain", "--model", str(broken),
+                   "--input", str(pipeline / "data" / "golden_test.csv"),
+                   "--out", str(tmp_path / "o.jsonl"))
+        assert code == 2
+        assert f"{broken}: {message}" in capsys.readouterr().err
+
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text("{not json")

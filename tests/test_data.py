@@ -378,6 +378,23 @@ class TestCsvText:
         assert new.read_bytes() == ref.read_bytes()
         assert_bit_equal(self.load_both(new), ds)
 
+    @pytest.mark.parametrize("id_only", [False, True])
+    def test_a_quoted_or_id_only_file_maps_one_item_per_block(self, tmp_path, monkeypatch, id_only):
+        ids = ["a,b", *(f"r{i}" for i in range(1, 10))]  # row 0's id needs quotes: csv.reader reads every row
+        ds = (data.Dataset(ids=np.array(ids), feature_names=(), x=np.zeros((10, 0))) if id_only
+              else self.dataset(10, ids))
+        path = tmp_path / "quoted.csv"
+        data.save_csv(ds, path)
+        mapped, ordered_map = [], pool.ordered_map
+
+        def recording(fn, shared, items, jobs=None):
+            mapped.append(items := list(items))
+            return ordered_map(fn, shared, items, jobs)
+
+        monkeypatch.setattr(pool, "ordered_map", recording)
+        assert_bit_equal(self.load_both(path), ds)
+        assert [len(items) for items in mapped] == [4]  # ceil(10 / 3), not one item per record
+
     def test_blank_line_in_an_id_only_file_is_no_empty_id(self, tmp_path):
         path = tmp_path / "ids.csv"
         path.write_text("id\r\na\r\n\r\nb\r\n")
@@ -420,7 +437,7 @@ class TestCsvCpuCount:
     def dataset(self, ids=None):
         """Every block; by default, ids of 1 to 4 bytes a character, so that characters and bytes differ."""
         rng = np.random.default_rng(7)
-        n = self.N
+        n = len(ids) if ids else self.N
         return data.Dataset(
             ids=np.array(ids or [f"r{i}" + "\u00e9\u20ac\U0001f600"[: i % 4] for i in range(n)]),
             feature_names=("f_0", "f_1"), x=rng.normal(size=(n, 2)),
@@ -468,6 +485,36 @@ class TestCsvCpuCount:
             started = pools(cpus)
             assert_bit_equal(data.load_csv(path), ds)
             assert started == self.pools_at(cpus)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("ids", ["plain", "multi-byte", "quoted"])
+    def test_line_endings_across_text_chunks(self, pools, tmp_path, monkeypatch, ending, ids):
+        """A file of many 8 KiB chunks, the unit a text file decodes its bytes in: one line break straddles or ends
+        at the first chunk edge, and one line starts at the second. Each block starts at a position the caller
+        read with ``tell``, which the worker ``seek``s to."""
+        chunk, n = 8192, 3000
+        texts = [f"r{i}" + ("\u00e9\u20ac\U0001f600"[: i % 4] if ids == "multi-byte" else "") for i in range(n)]
+        if ids == "quoted":
+            texts[n // 2] = "x\ny\rz"
+        path, brk = tmp_path / "eol.csv", ending.encode()
+
+        def save():
+            data.save_csv(ds := self.dataset(texts), path)
+            path.write_bytes(raw := path.read_bytes().replace(b"\r\n", brk))
+            return ds, raw
+
+        _, raw = save()
+        for target in (chunk - 1, 2 * chunk - len(brk)):  # where a line break's first byte is to go
+            breaks = enumerate(m.start() for m in re.finditer(re.escape(brk), raw))
+            line, at = max((j, at) for j, at in breaks if at <= target)
+            texts[line - 1] += "_" * (target - at)  # line 0 is the header
+            ds, raw = save()
+        assert raw[chunk - 1: chunk - 1 + len(brk)] == raw[2 * chunk - len(brk): 2 * chunk] == brk
+        for block in (1, 7, 64, 2048):
+            monkeypatch.setattr(data, "ROW_BLOCK", block)
+            started = pools(2)
+            assert_bit_equal(data.load_csv(path), ds)
+            assert started == self.pools_at(2)
 
     @pytest.mark.parametrize("quoted", [False, True])  # a quoted id in the first block: csv.reader reads every row
     @pytest.mark.parametrize("row", [BLOCK + 1, N - 1])  # in the second block, and in the last

@@ -588,6 +588,41 @@ class TestMalformedDocs:
         with pytest.raises(DataError, match=re.escape("net.layers[0].bias has shape (1, 4), not (4,)")):
             nn.mlp_from_doc(doc, "net")
 
+    @pytest.mark.parametrize("layer, message", [
+        (5, "net.layers[0] must be an object, not int"),
+        ([], "net.layers[0] must be an object, not list"),
+        ("batchnorm", "net.layers[0] must be an object, not str"),
+    ])
+    def test_layer_that_is_not_an_object_fails_naming_it(self, layer, message):
+        doc = batchnorm_doc()
+        doc["layers"][0] = layer
+        with pytest.raises(DataError, match=re.escape(message)):
+            nn.mlp_from_doc(doc, "net")
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("batchnorm, kind", [(5, "int"), ([], "list"), (False, "bool"), ("", "str")])
+    def test_batchnorm_neither_object_nor_null_fails_naming_the_layer(self, layer, batchnorm, kind):
+        doc = batchnorm_doc()
+        doc["layers"][layer]["batchnorm"] = batchnorm
+        with pytest.raises(DataError, match=re.escape(f"net.layers[{layer}].batchnorm must be an object or null, "
+                                                      f"not {kind}")):
+            nn.mlp_from_doc(doc, "net")
+
+    @pytest.mark.parametrize("name", nn.ARRAYS)
+    @pytest.mark.parametrize("item, kind", [("0.5", "str"), (True, "bool"), (None, "NoneType"), ([1.0], "list"),
+                                            ({}, "dict")])
+    def test_item_that_is_not_a_number_fails_naming_layer_array_and_item(self, name, item, kind):
+        doc = batchnorm_doc()
+        blob = doc["layers"][0]["batchnorm"] if name in nn.BATCHNORM else doc["layers"][0]
+        blob[name][2] = item
+        with pytest.raises(DataError, match=re.escape(f"net.layers[0].{name}[2] is a {kind}, not a number")):
+            nn.mlp_from_doc(doc, "net")
+
+    def test_integers_read_as_floats(self):
+        doc = batchnorm_doc()
+        doc["layers"][0]["bias"] = [0, 1, -2, 3]
+        assert nn.mlp_from_doc(doc, "net").layers[0].bias.tolist() == [0.0, 1.0, -2.0, 3.0]
+
 
 class TestParamsValidation:
     def params_and_layers(self, stacked=False):
