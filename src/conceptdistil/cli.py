@@ -344,8 +344,8 @@ def cmd_desk(args):
 
 def cmd_desk_sweep(args):
     seed = _config(RunSeed, args, {"seed": DESK_SWEEP_SEED}).seed
+    base = training.TrainConfig(epochs=args.epochs, early_stop_patience=6)  # checked before any fit
     bundle, _ = pipeline.desk_data(seed, args.n, (1500, 150, 400), (0.7, 0.1, 0.2))
-    base = training.TrainConfig(epochs=args.epochs, early_stop_patience=6)
     report = hpo.lambda_sweep(args.lambda_grid, args.repeats, bundle, base=base, master_seed=seed, jobs=args.jobs)
     cfg = {"n": args.n, "lambda_grid": args.lambda_grid, "repeats": args.repeats, "epochs": args.epochs,
            "jobs": args.jobs}

@@ -46,16 +46,12 @@ class SearchSpace(Checked):
                 raise DataError(f"{name} bounds out of order: {lo} > {hi}")
 
 
-def _log_uniform_int(rng, lo, hi):
-    if lo == hi:
-        return lo
-    return int(np.clip(round(np.exp(rng.uniform(np.log(lo), np.log(hi)))), lo, hi))
-
-
 def _log_uniform(rng, lo, hi):
-    if lo == hi:
-        return lo
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    return lo if lo == hi else float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _log_uniform_int(rng, lo, hi):
+    return int(np.clip(round(_log_uniform(rng, lo, hi)), lo, hi))
 
 
 def sample_config(
@@ -72,33 +68,17 @@ def sample_config(
     size, patience, seed and variant are carried over from ``base``.
     """
     base = base or training.TrainConfig()
-    trunk_depth = int(rng.integers(space.trunk_depth[0], space.trunk_depth[1] + 1))
-    head_depth = int(rng.integers(space.head_depth[0], space.head_depth[1] + 1))
-    attention_depth = int(rng.integers(space.attention_depth[0], space.attention_depth[1] + 1))
-    trunk_widths = [_log_uniform_int(rng, *space.width) for _ in range(trunk_depth)]
-    head_widths = [_log_uniform_int(rng, *space.width) for _ in range(head_depth - 1)]
-    attention_widths = [_log_uniform_int(rng, *space.width) for _ in range(attention_depth - 1)]
+    depths = [int(rng.integers(lo, hi + 1)) for lo, hi in (space.trunk_depth, space.head_depth, space.attention_depth)]
+    trunk, head, attention = ([_log_uniform_int(rng, *space.width) for _ in range(n)]
+                              for n in (depths[0], depths[1] - 1, depths[2] - 1))  # drawn in this order
     lam = float(rng.uniform(*space.lam))
     lr = _log_uniform(rng, *space.learning_rate)
     dropout = float(rng.uniform(*space.dropout))
     l2 = float(rng.uniform(*space.l2))
     batchnorm = bool(space.batchnorm[int(rng.integers(0, len(space.batchnorm)))])
-    arch = model.build_architecture(
-        n_features,
-        k_concepts,
-        trunk_widths=trunk_widths,
-        head_widths=head_widths,
-        attention_widths=attention_widths,
-        dropout_p=dropout,
-        use_batchnorm=batchnorm,
-    )
-    cfg = replace(
-        base,
-        lam=lam,
-        learning_rate=lr,
-        optimizer=replace(base.optimizer, l2_penalty=l2),
-    )
-    return arch, cfg
+    arch = model.build_architecture(n_features, k_concepts, trunk_widths=trunk, head_widths=head,
+                                    attention_widths=attention, dropout_p=dropout, use_batchnorm=batchnorm)
+    return arch, replace(base, lam=lam, learning_rate=lr, optimizer=replace(base.optimizer, l2_penalty=l2))
 
 
 @dataclass
@@ -128,14 +108,6 @@ class SweepReport:
     def completed(self) -> list[Trial]:
         return [t for t in self.trials if t.status == "completed"]
 
-    def best_by_fidelity(self) -> Trial | None:
-        done = self.completed()
-        return max(done, key=lambda t: t.fidelity) if done else None
-
-    def best_by_auc(self) -> Trial | None:
-        done = self.completed()
-        return max(done, key=lambda t: t.mean_auc) if done else None
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -155,14 +127,15 @@ class SweepReport:
                 )
 
     def summary(self) -> dict:
-        best_f, best_a = self.best_by_fidelity(), self.best_by_auc()
-        return {
-            "n_trials": len(self.trials),
-            "n_completed": len(self.completed()),
-            "n_on_frontier": int(self.on_frontier.sum()),
-            "best_fidelity": None if best_f is None else {"trial_id": best_f.index, "fidelity": best_f.fidelity},
-            "best_mean_auc": None if best_a is None else {"trial_id": best_a.index, "mean_auc": best_a.mean_auc},
-        }
+        """Trial counts, and the first completed trial of the highest fidelity and of the highest mean AUC."""
+        done = self.completed()
+
+        def best(metric):
+            t = max(done, key=lambda t: getattr(t, metric), default=None)
+            return None if t is None else {"trial_id": t.index, metric: getattr(t, metric)}
+
+        return {"n_trials": len(self.trials), "n_completed": len(done), "n_on_frontier": int(self.on_frontier.sum()),
+                "best_fidelity": best("fidelity"), "best_mean_auc": best("mean_auc")}
 
     def save_summary(self, path) -> None:
         Path(path).write_text(json.dumps(self.summary(), indent=2) + "\n", encoding="utf-8")

@@ -312,9 +312,9 @@ def predict_scores(params: ConceptDistilParams, x) -> np.ndarray:
 
 def model_from_doc(doc: dict) -> ConceptDistilParams:
     theta_c = nn.mlp_from_doc(doc["trunk"], "trunk")
-    heads = nn.stack([nn.mlp_from_doc(h, f"heads[{i}]") for i, h in enumerate(doc["heads"])])
+    heads = nn.stack([nn.mlp_from_doc(h, f"heads[{i}]") for i, h in enumerate(schema.array(doc, "heads", dict, None))])
     return ConceptDistilParams(theta_c, heads, nn.mlp_from_doc(doc["attention"], "attention"),
-                               schema.names(doc, "concept_names"))
+                               schema.array(doc, "concept_names", str, None))
 
 
 def save_model(params: ConceptDistilParams, path) -> None:

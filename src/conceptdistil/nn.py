@@ -455,43 +455,33 @@ def update_running_stats(params: MLPParams, trace: ForwardTrace) -> None:
 def mlp_to_doc(params: MLPParams) -> dict:
     """Each layer's arrays as flat lists: weights and bias, then the batchnorm ones (or null) under ``batchnorm``."""
     def lists(layer, names):
-        return {name: getattr(layer, name).ravel().tolist() for name in names}
+        return {name: schema.as_list(getattr(layer, name)) for name in names}
 
     layers = [{**lists(layer, ARRAYS[:2]), "batchnorm": lists(layer, BATCHNORM) if spec.use_batchnorm else None}
               for spec, layer in zip(params.specs, params.layers)]
     return {"specs": [schema.write(s) for s in params.specs], "layers": layers}
 
 
-def mlp_from_doc(doc: dict, where: str) -> MLPParams:
+def mlp_from_doc(doc, where: str) -> MLPParams:
     """The MLPParams :func:`mlp_to_doc` wrote; every error names ``where`` (the network in its file), and a
     missing, misshapen or non-finite array, or an item of one that is not a JSON number, its layer and name, as
     in ``heads[2].layers[0].weights``."""
-    specs = [schema.read(LayerSpec, s, f"{where}.specs[{i}]") for i, s in enumerate(doc["specs"])]
-    if len(doc["layers"]) != len(specs):
-        raise DataError(f"{where}: {len(doc['layers'])} layers for {len(specs)} specs")
+    if not isinstance(doc, dict):
+        raise DataError(f"{where} is {schema.a_type(doc)}, not an object")
+    specs = [schema.read(LayerSpec, s, f"{where}.specs[{i}]")
+             for i, s in enumerate(schema.array(doc, "specs", dict, None, where))]
     layers = []
-    for i, (spec, blob) in enumerate(zip(specs, doc["layers"])):
-        if not isinstance(blob, dict):
-            raise DataError(f"{where}.layers[{i}] must be an object, not {type(blob).__name__}")
+    for i, (spec, blob) in enumerate(zip(specs, schema.array(doc, "layers", dict, len(specs), where))):
         if not isinstance(bn := blob.get("batchnorm"), dict | None):
-            raise DataError(f"{where}.layers[{i}].batchnorm must be an object or null, not {type(bn).__name__}")
+            raise DataError(f"{where}.layers[{i}].batchnorm is {schema.a_type(bn)}, not an object or null")
         arrays = {}
         for name in ARRAYS:
-            at, values = f"{where}.layers[{i}].{name}", ((bn or {}) if name in BATCHNORM else blob).get(name)
-            if (values is None) == (name in spec.arrays()):
-                raise DataError(f"{at} is {'missing' if values is None else 'set without use_batchnorm'}")
-            if values is not None:
-                a = np.asarray(values, dtype=object)  # no conversion: "0.5" and true stay what they are
-                flat = (math.prod(spec.shape(name)),)  # checked flat, before weights take their matrix shape
-                if a.shape != flat:
-                    raise DataError(f"{at} has shape {a.shape}, not {flat}")
-                if not set(map(type, items := a.tolist())).issubset({int, float}):  # bool is not int here
-                    k = next(k for k, v in enumerate(items) if type(v) not in (int, float))
-                    raise DataError(f"{at}[{k}] is a {type(items[k]).__name__}, not a number")
-                a = a.astype(np.float64)  # an int too large for a float: OverflowError, which schema.load_file reports
-                if not np.isfinite(a).all():
-                    raise DataError(f"{at} holds non-finite values")
-                arrays[name] = a.reshape(spec.shape(name))
+            at, owner = f"{where}.layers[{i}]", (bn or {}) if name in BATCHNORM else blob
+            if (held := owner.get(name) is not None) != (name in spec.arrays()):
+                raise DataError(f"{at}.{name} is {'set without use_batchnorm' if held else 'missing'}")
+            if held:  # checked flat, then given its matrix shape
+                shape = spec.shape(name)
+                arrays[name] = schema.array(owner, name, float, math.prod(shape), at).reshape(shape)
         layers.append(LayerParams(**arrays))
     try:
         params = MLPParams(layers, specs)

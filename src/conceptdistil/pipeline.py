@@ -38,11 +38,11 @@ def run_desk(seed: int, n: int, epochs: int, lam: float) -> dict[str, tuple[floa
 
     Returns ``{"teachers": (None, auc), <variant>: (fidelity, mean concept AUC)}``.
     """
+    base = training.TrainConfig(lam=lam, epochs=epochs, early_stop_patience=8, seed=seed)  # checked before any fit
     scale = min(1.0, n / REFERENCE_N)
     bundle, teachers_auc = desk_data(seed, n, [max(50, round(s * scale)) for s in REFERENCE_GOLDEN], DESK_FRACTIONS)
     tr = bundle.train
     init = model.init_model(model.build_architecture(tr.d, tr.k), tr.concept_names, seed=seed)
-    base = training.TrainConfig(lam=lam, epochs=epochs, early_stop_patience=8, seed=seed)
     fits = training.fit_variants(init, tr, bundle.valid, base)
     return {"teachers": (None, teachers_auc),
             **{v: hpo.evaluate_params(fit.params, bundle.test, bundle.golden_test) for v, fit in fits.items()}}

@@ -6,6 +6,8 @@ error is a :class:`DataError` naming the document and the key path.
 A field's single-value rules live in its metadata (:func:`bounded`), and
 :func:`check` applies them, so a config built in Python, from a flag or
 from a file fails alike, naming the field.
+
+An artifact's JSON lists are read by :func:`array` alone.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import MISSING, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -117,7 +121,10 @@ def _cast(tp, value, where, names, reject, path):
             raise DataError(f"{where}: {path!r} expects a list, got {value!r}")
         return tuple(_cast(args[0], v, where, names, reject, f"{path}[{i}]") for i, v in enumerate(value))
     if tp is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DataError(f"{where}: {path!r} is out of range for a float") from None
     if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
         raise DataError(f"{where}: {path!r} expects {tp.__name__}, got {value!r}")
     return value
@@ -133,11 +140,46 @@ def write(obj, names: dict | None = None, omit=(), prefix: str = ""):
     return {k: write(getattr(obj, n), names, omit, f"{prefix}{k}.") for n, k in keys.items() if prefix + k not in omit}
 
 
-def names(doc: dict, key: str) -> tuple[str, ...]:
-    """``doc[key]``, a JSON list of strings, as a tuple; anything else is a DataError naming ``key``."""
-    if isinstance(value := doc[key], list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    raise DataError(f"{key}: must be a list of strings")
+# an array item's kind: the JSON types it admits (a bool is not an int here) and their name in a refusal
+_ITEMS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+          float | None: ((int, float, type(None)), "a number or null"), dict: ((dict,), "an object")}
+
+
+def a_type(value) -> str:
+    """The type of ``value`` as a refusal names it: ``a str``, ``an int``."""
+    return ("an " if type(value).__name__[0] in "aeiou" else "a ") + type(value).__name__
+
+
+def array(doc: dict, key: str, kind, length: int | None, where: str = ""):
+    """``doc[key]``, a JSON list of ``length`` items (None: any number) of ``kind``, a key of ``_ITEMS``: an int64
+    or float64 array (finite for ``float``; ``float | None`` reads null as NaN), a tuple of distinct strings or
+    the list of objects. Every error is a DataError naming ``<where>.<key>``, and an item's its index."""
+    at, values = f"{where}.{key}" if where else key, doc[key]
+    if type(values) is not list:
+        raise DataError(f"{at} is {a_type(values)}, not a list")
+    if length is not None and len(values) != length:
+        raise DataError(f"{at} has length {len(values)}, not {length}")
+    admits, text = _ITEMS[kind]
+    if not set(map(type, values)).issubset(admits):
+        k = next(k for k, v in enumerate(values) if type(v) not in admits)
+        raise DataError(f"{at}[{k}] is {a_type(values[k])}, not {text}")
+    if kind is str and len(set(values)) != len(values):
+        k = next(k for k, v in enumerate(values) if v in values[:k])
+        raise DataError(f"{at}[{k}] repeats {values[k]!r}")
+    if kind in (str, dict):
+        return tuple(values) if kind is str else values
+    try:
+        a = np.array(values, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:
+        raise DataError(f"{at} holds a number out of range") from None
+    if kind is float and not np.isfinite(a).all():
+        raise DataError(f"{at} holds non-finite values")
+    return a
+
+
+def as_list(a) -> list:
+    """Array ``a`` flattened into the JSON list :func:`array` reads back, NaN written as null."""
+    return [None if v != v else v for v in np.ravel(a).tolist()]
 
 
 @contextmanager
@@ -157,14 +199,16 @@ def open_input(path):
 
 
 def load_json(path) -> dict:
-    """The JSON object stored at ``path``; a DataError naming the file if it is none, or nested too deeply
-    to parse."""
+    """The JSON object stored at ``path``; a DataError naming the file if it is none, nested too deeply to
+    parse, or holding an integer longer than Python converts (``sys.get_int_max_str_digits``)."""
     path = Path(path)
     try:
         with open_input(path) as fh:
             doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError:  # json's limit on an integer's digits
+        raise DataError(f"{path}: holds an integer too long to read") from None
     except RecursionError:
         raise DataError(f"{path}: nested too deeply to read") from None
     if not isinstance(doc, dict):
@@ -179,9 +223,9 @@ def save_file(path, kind: str, body: dict) -> None:
 
 
 def load_file(path, kind: str, from_doc):
-    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its errors, a
-    ValueError, TypeError or OverflowError from a value of the wrong kind and a RecursionError from a document
-    nested too deeply become DataErrors naming the file; a KeyError names the key."""
+    """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its DataErrors and a
+    RecursionError from a document nested too deeply become DataErrors naming the file; a KeyError names the
+    missing key. Any other exception is a bug in ``from_doc`` and propagates."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
@@ -191,7 +235,7 @@ def load_file(path, kind: str, from_doc):
         return from_doc(doc)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from None
-    except (DataError, ValueError, TypeError, OverflowError) as exc:
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except RecursionError:  # json's nesting limit is not Python's from 3.12 on, so a document may pass the decoder
         raise DataError(f"{path}: nested too deeply to read") from None

@@ -298,29 +298,22 @@ def tune_teachers(
 # -- serialization ------------------------------------------------------------
 
 # a tree's node arrays as teachers.json stores them, one list each, with null for NaN
-_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "value": float, "count": int}
+_ARRAYS = {"feature": int, "threshold": float | None, "left": int, "right": int, "value": float | None, "count": int}
 
 
-def _read_tree(doc, n_features: int, where: str) -> Tree:
-    """The tree :func:`save_teachers` wrote as its node arrays, checked array-wide: a split's children are the
-    next node and a later one, a leaf is its own children, and every node but the root has one parent, so every
-    walk ends at a leaf. Every error names ``where``, as in ``forests[0].trees[3]``, and the node."""
-    if not isinstance(doc, dict) or sorted(doc) != sorted(_ARRAYS):
+def _read_tree(doc: dict, n_features: int, where: str) -> Tree:
+    """The tree :func:`save_teachers` wrote as its node arrays, read by :func:`schema.array` and checked
+    array-wide: a split's children are the next node and a later one, a leaf is its own children, and every
+    node but the root has one parent, so every walk ends at a leaf. Every error names ``where``, as in
+    ``forests[0].trees[3]``, and the node."""
+    if sorted(doc) != sorted(_ARRAYS):
         raise DataError(f"{where}: expects an object of the node arrays {list(_ARRAYS)}")
-    for key, dtype in _ARRAYS.items():  # feature first: the others must have its length
-        values, kinds = doc[key], (int, float, type(None)) if dtype is float else (int,)
-        if not isinstance(values, list) or not values or len(values) != len(doc["feature"]):
-            raise DataError(f"{where}: the node arrays must be lists of one length >= 1, and {key} is not")
-        if not set(map(type, values)).issubset(kinds):  # bool is not int here
-            k = next(k for k, v in enumerate(values) if type(v) not in kinds)
-            raise DataError(f"{where}: node {k}: {key} is a {type(values[k]).__name__}, not "
-                            f"{'a number or null' if dtype is float else 'an integer'}")
-    try:  # null -> NaN
-        arrays = {key: np.array(doc[key], dtype=dtype) for key, dtype in _ARRAYS.items()}
-    except OverflowError:
-        raise DataError(f"{where}: a node array holds a number out of range") from None
+    arrays = {"feature": schema.array(doc, "feature", int, None, where)}  # the others must have its length
+    if not (n := arrays["feature"].size):
+        raise DataError(f"{where}.feature has length 0: a tree has at least one node")
+    arrays.update((key, schema.array(doc, key, kind, n, where)) for key, kind in _ARRAYS.items() if key != "feature")
     feature, threshold, left, right, value, count = arrays.values()
-    node, split = np.arange(n := feature.size), feature >= 0
+    node, split = np.arange(n), feature >= 0
     children = np.concatenate([left[split], right[split]])
     arrays["parents"] = parents = np.bincount(children[(children >= 0) & (children < n)], minlength=n)
     for key, bad, text in (
@@ -345,19 +338,16 @@ def _read_tree(doc, n_features: int, where: str) -> Tree:
 
 
 def teachers_from_doc(doc: dict) -> TeacherSet:
-    concept_names, feature_names = schema.names(doc, "concept_names"), schema.names(doc, "feature_names")
-    if len(doc["forests"]) != len(concept_names):
-        raise DataError(f"forests: holds {len(doc['forests'])} forests, concept_names has {len(concept_names)}")
+    concept_names, feature_names = (schema.array(doc, key, str, None) for key in ("concept_names", "feature_names"))
     forests = []
-    for i, blob in enumerate(doc["forests"]):
+    for i, blob in enumerate(schema.array(doc, "forests", dict, len(concept_names))):
         params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
         n_features = blob["n_features"]
         if type(n_features) is not int or n_features != len(feature_names):  # 22.0 and true are not 22 or 1
             raise DataError(f"forests[{i}].n_features: is {n_features!r}, feature_names has {len(feature_names)}")
-        if len(blob["trees"]) != params.n_trees:
-            raise DataError(f"forests[{i}].trees: holds {len(blob['trees'])} trees, params.n_trees is {params.n_trees}")
-        trees = [_read_tree(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(blob["trees"])]
-        forests.append(Forest(trees, params, n_features))
+        trees = schema.array(blob, "trees", dict, params.n_trees, f"forests[{i}]")
+        forests.append(Forest([_read_tree(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(trees)],
+                              params, n_features))
     return TeacherSet(forests, concept_names, feature_names)
 
 
@@ -367,7 +357,7 @@ def save_teachers(teachers: TeacherSet, path) -> None:
         "feature_names": list(teachers.feature_names),
         "forests": [
             {"params": schema.write(f.params), "n_features": f.n_features,
-             "trees": [{k: [None if v != v else v for v in getattr(t, k).tolist()] for k in _ARRAYS} for t in f.trees]}
+             "trees": [{k: schema.as_list(getattr(t, k)) for k in _ARRAYS} for t in f.trees]}
             for f in teachers.forests
         ],
     })

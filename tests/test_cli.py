@@ -190,7 +190,7 @@ class TestExitCodes:
         assert f"{broken}: trunk.layers[0].weights holds non-finite values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("broken_item, message", [
-        ("layer", "trunk.layers[0] must be an object, not int"),
+        ("layer", "trunk.layers[0] is an int, not an object"),
         ("weight", "trunk.layers[0].weights[1] is a str, not a number"),
     ])
     def test_malformed_model_layer_is_data_error_naming_it(self, pipeline, tmp_path, capsys, broken_item, message):
@@ -847,6 +847,15 @@ class TestLoadErrors:
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_config_integer_over_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        path, csv_path = tmp_path / "big.json", tmp_path / "x.csv"
+        csv_path.write_text("id,f_0\n0,1.0\n")
+        path.write_text('{"n_trees": ' + "9" * 5000 + "}")
+        assert run("teach", "--golden-train", str(csv_path), "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: holds an integer too long to read") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_label_rejects_a_forest_without_trees(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "teachers" / "teachers.json").read_text())
         doc["forests"][0]["trees"] = []
@@ -1027,6 +1036,21 @@ class TestDesk:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()  # no table, and no directory, of a run that did not finish
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("desk", ["--epochs", "0"], "error: epochs must be >= 1, got 0"),
+        ("desk", ["--lambda", "2"], "error: lam must be in [0, 1], got 2.0"),
+        ("desk-sweep", ["--epochs", "0"], "error: epochs must be >= 1, got 0"),
+    ], ids=["desk-epochs", "desk-lambda", "desk-sweep-epochs"])
+    def test_bad_training_value_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, command, argv, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("desk_data called")
+
+        monkeypatch.setattr(cli.pipeline, "desk_data", no_fit)
+        out = tmp_path / "out"
+        assert run(command, "--out", str(out), *argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "env", "default"])
     @pytest.mark.parametrize("command, argv, default, config", [

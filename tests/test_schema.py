@@ -86,6 +86,7 @@ class TestRejections:
         (data.GeneratorConfig, {"fraud_weights": [1.0, "2"]}, "'fraud_weights[1]'"),
         (nn.LayerSpec, {"in_dim": 2}, "'out_dim'"),
         (nn.LayerSpec, [2, 3], "document must be a JSON object"),
+        (nn.LayerSpec, {"in_dim": 2, "out_dim": 2, "dropout_p": 10**399}, "'dropout_p' is out of range for a float"),
     ])
     def test_bad_document_names_the_key_path(self, cls, doc, path):
         with pytest.raises(DataError, match="^where: .*" + re.escape(path)):
@@ -269,8 +270,8 @@ VERSIONS = {"concept_distil": 1, "concept_teachers": 2, "ffnn_blackbox": 1}
 KINDS = tuple(VERSIONS)
 
 
-# per kind, two values of the wrong kind: for a model and a black box one that reading the document meets as a
-# ValueError and one it meets as a TypeError; the teachers' tree reader checks its values' types itself
+# per kind, two values of the wrong kind: one that a reader without type checks would meet as a ValueError and
+# one it would meet as a TypeError; schema.array refuses both
 SPOILERS = {
     "concept_distil": (lambda doc: doc["trunk"]["layers"][0].update(weights="abc"), lambda doc: doc.update(heads=7)),
     "concept_teachers": (lambda doc: doc["forests"][0]["trees"][0]["threshold"].__setitem__(0, "abc"),
@@ -333,6 +334,14 @@ class TestArtifactEnvelope:
         with pytest.raises(DataError, match=re.escape(f"{path}: ")):
             load(path)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_integer_over_the_digit_limit_is_a_data_error_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / "artifact.json"
+        load = _saved_artifact(kind, path)
+        path.write_text(path.read_text()[:-1] + ', "extra": ' + "9" * 5000 + "}")
+        with pytest.raises(DataError, match=re.escape(f"{path}: holds an integer too long to read")):
+            load(path)
+
     @pytest.mark.parametrize("name", nn.BATCHNORM)
     def test_wrong_length_batchnorm_array_exits_2_naming_file_layer_and_array(self, tmp_path, capsys, name):
         path = tmp_path / "model.json"
@@ -345,7 +354,7 @@ class TestArtifactEnvelope:
         rows = tmp_path / "rows.csv"
         rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
         assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
-        assert f"{path}: trunk.layers[0].{name} has shape (3,), not (4,)" in capsys.readouterr().err
+        assert f"{path}: trunk.layers[0].{name} has length 3, not 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage, message", [
         (lambda doc: doc["trunk"]["layers"][0]["bias"].__setitem__(0, math.nan),
@@ -353,8 +362,17 @@ class TestArtifactEnvelope:
         (lambda doc: doc["trunk"]["layers"][0]["bias"].__setitem__(0, 1e300 * 1e300),
          "trunk.layers[0].bias holds non-finite values"),
         (lambda doc: doc["heads"][2]["layers"][0].pop("weights"), "heads[2].layers[0].weights is missing"),
-        (lambda doc: doc["attention"]["layers"][0]["bias"].pop(), "attention.layers[0].bias has shape (3,), not (4,)"),
-    ], ids=["nan", "inf", "missing-weights", "short-bias"])
+        (lambda doc: doc["attention"]["layers"][0]["bias"].pop(), "attention.layers[0].bias has length 3, not 4"),
+        (lambda doc: doc["trunk"]["layers"][0]["bias"].__setitem__(0, 10**400),
+         "trunk.layers[0].bias holds a number out of range"),
+        (lambda doc: doc.update(heads="abc"), "heads is a str, not a list"),
+        (lambda doc: doc.update(heads=7), "heads is an int, not a list"),
+        (lambda doc: doc["trunk"].update(specs={}), "trunk.specs is a dict, not a list"),
+        (lambda doc: doc["attention"].update(layers=3), "attention.layers is an int, not a list"),
+        (lambda doc: doc.update(trunk=[doc["trunk"]]), "trunk is a list, not an object"),
+        (lambda doc: doc["heads"].__setitem__(1, [doc["heads"][1]]), "heads[1] is a list, not an object"),
+    ], ids=["nan", "inf", "missing-weights", "short-bias", "int-overflow", "text-heads", "number-heads", "object-specs",
+            "number-layers", "list-trunk", "list-head"])
     def test_damaged_model_exits_2_naming_file_network_layer_and_array(self, tmp_path, capsys, damage, message):
         path = tmp_path / "model.json"
         arch = model.build_architecture(3, 3, trunk_widths=(4,), head_widths=(4,), attention_widths=(4,))
@@ -394,11 +412,18 @@ class TestArtifactEnvelope:
         (lambda doc: doc["forests"][4]["trees"][1]["feature"].__setitem__(0, 22),
          "forests[4].trees[1]: node 0: feature 22 is outside [-1, 22)"),
         (lambda doc: doc["forests"][4]["trees"][1]["threshold"].__setitem__(0, "abc"),
-         "forests[4].trees[1]: node 0: threshold is a str, not a number or null"),
+         "forests[4].trees[1].threshold[0] is a str, not a number or null"),
         (lambda doc: doc["forests"][4]["trees"][1].pop("left"), "forests[4].trees[1]: expects an object of the node arrays"),
-        (lambda doc: doc["forests"].pop(), "forests: holds 5 forests, concept_names has 6"),
+        (lambda doc: doc["forests"].pop(), "forests has length 5, not 6"),
         (lambda doc: doc["forests"][4].update(n_features=21), "forests[4].n_features: is 21, feature_names has 22"),
-    ], ids=["inf", "feature", "text", "missing-left", "forest-count", "n-features"])
+        (lambda doc: doc["forests"][4]["trees"][1]["count"].__setitem__(0, 10**400),
+         "forests[4].trees[1].count holds a number out of range"),
+        (lambda doc: doc.update(forests="abc"), "forests is a str, not a list"),
+        (lambda doc: doc["forests"][4].update(trees=7), "forests[4].trees is an int, not a list"),
+        (lambda doc: doc["forests"].__setitem__(4, [doc["forests"][4]]), "forests[4] is a list, not an object"),
+        (lambda doc: doc["forests"][4]["trees"].__setitem__(1, []), "forests[4].trees[1] is a list, not an object"),
+    ], ids=["inf", "feature", "text", "missing-left", "forest-count", "n-features", "int-overflow", "text-forests",
+            "number-trees", "list-forest", "list-tree"])
     def test_damaged_tree_names_its_forest_and_tree(self, tmp_path, damage, message):
         path = tmp_path / "teachers.json"
         _saved_artifact("concept_teachers", path)
@@ -410,10 +435,12 @@ class TestArtifactEnvelope:
             teachers.load_teachers(path)
 
     @pytest.mark.parametrize("kind, key, value, message", [
-        ("concept_distil", "concept_names", [1, 2, 3], "concept_names: must be a list of strings"),
-        ("concept_distil", "concept_names", "xyz", "concept_names: must be a list of strings"),
-        ("concept_teachers", "concept_names", "abcdef", "concept_names: must be a list of strings"),
-        ("concept_teachers", "feature_names", None, "feature_names: must be a list of strings"),
+        ("concept_distil", "concept_names", [1, 2, 3], "concept_names[0] is an int, not a string"),
+        ("concept_distil", "concept_names", "xyz", "concept_names is a str, not a list"),
+        ("concept_distil", "concept_names", ["a", "a"], "concept_names[1] repeats 'a'"),
+        ("concept_teachers", "concept_names", "abcdef", "concept_names is a str, not a list"),
+        ("concept_teachers", "concept_names", list("abcaef"), "concept_names[3] repeats 'a'"),
+        ("concept_teachers", "feature_names", None, "feature_names is a NoneType, not a list"),
         ("concept_teachers", "n_features", 22.9, "forests[0].n_features: is 22.9, feature_names has 22"),
         ("concept_teachers", "n_features", 22.0, "forests[0].n_features: is 22.0, feature_names has 22"),
     ])
@@ -437,6 +464,67 @@ class TestArtifactEnvelope:
             schema.save_file(tmp_path / "x.json", "concept_distil", {"value": math.nan})
 
 
+# any JSON value, a 400-digit integer among them
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-3, 3) | st.sampled_from([10**399, -(10**399)])
+    | st.floats(-2.0, 2.0),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(value, path=()):
+    """Every key path into the JSON ``value``, the root's ``()`` first."""
+    yield path
+    if isinstance(value, dict | list):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, (*path, key))
+
+
+class TestCorruption:
+    """One value of a saved artifact, at any depth, replaced by another JSON value: the file loads, or its
+    reader raises a DataError that starts with the file's path, and never anything else."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """Per kind, a saved document's text, its key paths by depth, and its reader."""
+        out = {}
+        for kind in KINDS:
+            path = tmp_path_factory.mktemp("saved") / "artifact.json"
+            load = _saved_artifact(kind, path)
+            if kind == "concept_distil":  # with batchnorm layers, whose arrays sit one object deeper
+                arch = model.build_architecture(3, 2, trunk_widths=(4, 3), head_widths=(2,), use_batchnorm=True)
+                model.save_model(model.init_model(arch, ("a", "b"), seed=0), path)
+            by_depth = {}
+            for at in _paths(json.loads(path.read_text())):
+                by_depth.setdefault(len(at), []).append(at)
+            out[kind] = path.read_text(), by_depth, load
+        return out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=150)
+    @given(draw=st.data())
+    def test_one_replaced_value_loads_or_is_a_data_error_naming_the_file(self, saved, tmp_path_factory, kind,
+                                                                          draw):
+        text, by_depth, load = saved[kind]
+        at = draw.draw(st.sampled_from(by_depth[draw.draw(st.sampled_from(sorted(by_depth)))]), "path")
+        new = draw.draw(ANY_JSON, "value")
+        doc = json.loads(text)
+        if at:
+            parent = doc
+            for key in at[:-1]:
+                parent = parent[key]
+            parent[at[-1]] = new
+        else:
+            doc = new
+        path = tmp_path_factory.getbasetemp() / f"corrupt_{kind}.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+
 class TestDeeplyNested:
     """A document nested deeper than Python recurses is a DataError naming the file (exit 2). Up to 3.11 the
     json decoder meets the recursion limit; from 3.12 on its nesting limit is its own, so a 3,000-deep
@@ -455,7 +543,7 @@ class TestDeeplyNested:
         rows.write_text("id,f_0\nr0,0.1\n")
         assert cli.main(["label", "--input", str(rows), "--teachers", str(path), "--out", str(tmp_path / "l.csv")]) == 2
         expected = ("nested too deeply to read" if sys.version_info < (3, 12)
-                    else "forests[0].trees[0]: node 0: feature is a list, not an integer")
+                    else "forests[0].trees[0].feature[0] is a list, not an integer")
         assert f"{path}: {expected}" in capsys.readouterr().err
 
     def test_a_3000_deep_config_exits_2_naming_it(self, tmp_path, capsys):

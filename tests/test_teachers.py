@@ -360,7 +360,6 @@ def label_exit(tmp_path, capsys, doc):
 
 
 ARRAYS = "['feature', 'threshold', 'left', 'right', 'value', 'count']"
-LENGTHS = "the node arrays must be lists of one length >= 1, and"
 SPLIT_RIGHT = "is not past the left child and below 5 at a split, the node at a leaf"
 TWO_PARENTS = {"feature": [0, 0, -1, -1, -1], "threshold": [0.5, 0.2, None, None, None], "left": [1, 2, 2, 3, 4],
                "right": [3, 3, 2, 3, 4], "value": [None, None, 0.1, 0.2, 0.3], "count": [1, 1, 1, 1, 1]}
@@ -389,34 +388,34 @@ class TestV2Document:
         assert leaf_tree(0.5, 1).depth == 0
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda t: [t], f"expects an object of the node arrays {ARRAYS}"),
-        (lambda t: {k: v for k, v in t.items() if k != "count"}, f"expects an object of the node arrays {ARRAYS}"),
-        (lambda t: {**t, "depth": [0] * 5}, f"expects an object of the node arrays {ARRAYS}"),
-        (lambda t: {k: [] for k in t}, f"{LENGTHS} feature is not"),
-        (lambda t: {**t, "value": t["value"][:-1]}, f"{LENGTHS} value is not"),
-        (lambda t: {**t, "right": 2}, f"{LENGTHS} right is not"),
-        (node_set("left", 0, 1.5), "node 0: left is a float, not an integer"),
-        (node_set("count", 3, True), "node 3: count is a bool, not an integer"),
-        (node_set("threshold", 2, "abc"), "node 2: threshold is a str, not a number or null"),
-        (node_set("value", 1, True), "node 1: value is a bool, not a number or null"),
-        (node_set("count", 0, 2**64), "a node array holds a number out of range"),
-        (node_set("feature", 2, 2), "node 2: feature 2 is outside [-1, 2)"),
-        (node_set("feature", 1, -2), "node 1: feature -2 is outside [-1, 2)"),
-        (node_set("left", 2, 4), "node 2: left 4 is not the next node at a split, the node at a leaf"),
-        (node_set("right", 0, 1), f"node 0: right 1 {SPLIT_RIGHT}"),
-        (node_set("right", 2, 5), f"node 2: right 5 {SPLIT_RIGHT}"),
-        (node_set("threshold", 0, None), "node 0: threshold null is not finite at a split, null at a leaf"),
-        (node_set("threshold", 2, math.inf), "node 2: threshold inf is not finite at a split, null at a leaf"),
-        (node_set("value", 0, 0.5), "node 0: value 0.5 is not null at a split, in [0, 1] at a leaf"),
-        (node_set("left", 3, 4), "node 3: left 4 is not the next node at a split, the node at a leaf"),
-        (node_set("right", 1, 2), f"node 1: right 2 {SPLIT_RIGHT}"),
-        (node_set("threshold", 4, 0.5), "node 4: threshold 0.5 is not finite at a split, null at a leaf"),
-        (node_set("value", 3, 1.5), "node 3: value 1.5 is not null at a split, in [0, 1] at a leaf"),
-        (node_set("value", 1, None), "node 1: value null is not null at a split, in [0, 1] at a leaf"),
-        (node_set("value", 4, math.nan), "node 4: value null is not null at a split, in [0, 1] at a leaf"),
-        (node_set("count", 4, 0), "node 4: count 0 is below 1"),
-        (node_set("right", 0, 3), "node 2: parents 0 is not 1: every node but the root has one parent"),
-        (lambda t: TWO_PARENTS, "node 3: parents 2 is not 1: every node but the root has one parent"),
+        (lambda t: [t], " is a list, not an object"),
+        (lambda t: {k: v for k, v in t.items() if k != "count"}, f": expects an object of the node arrays {ARRAYS}"),
+        (lambda t: {**t, "depth": [0] * 5}, f": expects an object of the node arrays {ARRAYS}"),
+        (lambda t: {k: [] for k in t}, ".feature has length 0: a tree has at least one node"),
+        (lambda t: {**t, "value": t["value"][:-1]}, ".value has length 4, not 5"),
+        (lambda t: {**t, "right": 2}, ".right is an int, not a list"),
+        (node_set("left", 0, 1.5), ".left[0] is a float, not an integer"),
+        (node_set("count", 3, True), ".count[3] is a bool, not an integer"),
+        (node_set("threshold", 2, "abc"), ".threshold[2] is a str, not a number or null"),
+        (node_set("value", 1, True), ".value[1] is a bool, not a number or null"),
+        (node_set("count", 0, 2**64), ".count holds a number out of range"),
+        (node_set("feature", 2, 2), ": node 2: feature 2 is outside [-1, 2)"),
+        (node_set("feature", 1, -2), ": node 1: feature -2 is outside [-1, 2)"),
+        (node_set("left", 2, 4), ": node 2: left 4 is not the next node at a split, the node at a leaf"),
+        (node_set("right", 0, 1), f": node 0: right 1 {SPLIT_RIGHT}"),
+        (node_set("right", 2, 5), f": node 2: right 5 {SPLIT_RIGHT}"),
+        (node_set("threshold", 0, None), ": node 0: threshold null is not finite at a split, null at a leaf"),
+        (node_set("threshold", 2, math.inf), ": node 2: threshold inf is not finite at a split, null at a leaf"),
+        (node_set("value", 0, 0.5), ": node 0: value 0.5 is not null at a split, in [0, 1] at a leaf"),
+        (node_set("left", 3, 4), ": node 3: left 4 is not the next node at a split, the node at a leaf"),
+        (node_set("right", 1, 2), f": node 1: right 2 {SPLIT_RIGHT}"),
+        (node_set("threshold", 4, 0.5), ": node 4: threshold 0.5 is not finite at a split, null at a leaf"),
+        (node_set("value", 3, 1.5), ": node 3: value 1.5 is not null at a split, in [0, 1] at a leaf"),
+        (node_set("value", 1, None), ": node 1: value null is not null at a split, in [0, 1] at a leaf"),
+        (node_set("value", 4, math.nan), ": node 4: value null is not null at a split, in [0, 1] at a leaf"),
+        (node_set("count", 4, 0), ": node 4: count 0 is below 1"),
+        (node_set("right", 0, 3), ": node 2: parents 0 is not 1: every node but the root has one parent"),
+        (lambda t: TWO_PARENTS, ": node 3: parents 2 is not 1: every node but the root has one parent"),
     ], ids=["not-an-object", "missing-array", "unknown-array", "empty", "ragged", "not-a-list", "fractional-int",
             "bool-int", "text-float", "bool-float", "int-overflow", "feature-high", "feature-low", "split-left",
             "split-right-back", "split-right-past-end", "split-null-threshold", "split-inf-threshold",
@@ -430,7 +429,7 @@ class TestV2Document:
         doc["concept_names"].append("d")
         doc["forests"].append(forest)
         code, err, path = label_exit(tmp_path, capsys, doc)
-        assert code == 2 and f"{path}: forests[1].trees[1]: {message}" in err
+        assert code == 2 and f"{path}: forests[1].trees[1]{message}" in err
 
     def test_a_v1_file_exits_2_naming_its_version(self, tmp_path, capsys):
         v1 = {**V2_DOC, "format_version": 1}
