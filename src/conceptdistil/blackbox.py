@@ -100,8 +100,11 @@ def save_blackbox(adapter: FFNNBlackBox, path) -> None:
 
 
 def load_blackbox(path) -> FFNNBlackBox:
-    return schema.load_file(path, "ffnn_blackbox", lambda doc: FFNNBlackBox(
-        nn.mlp_from_doc(doc["network"], "network"), descriptor=str(doc.get("descriptor", "ffnn"))))
+    def from_doc(doc):
+        schema.keys(doc, (*schema.ENVELOPE, "descriptor", "network"))
+        return FFNNBlackBox(nn.mlp_from_doc(schema.value(doc, "network", dict), "network"),
+                            descriptor=schema.value(doc, "descriptor", str))
+    return schema.load_file(path, "ffnn_blackbox", from_doc)
 
 
 # -- score files ---------------------------------------------------------------

@@ -35,10 +35,6 @@ class TrainingFile(training.TrainConfig):
     architecture: model.ArchitectureOptions = field(default_factory=model.ArchitectureOptions)
 
 
-# training-file keys that differ from the field names
-TRAIN_NAMES = {"lam": "lambda", "early_stop_patience": "patience", "dropout_p": "dropout", "use_batchnorm": "batchnorm"}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -70,12 +66,12 @@ def _comma_list(flag: str, cast=float, three: str = ""):
     return parse
 
 
-def _config(cls, args, defaults=None, names=None, reject=None):
+def _config(cls, args, defaults=None, reject=None):
     """``--config`` laid over ``defaults`` (file keys) and read as ``cls``, then every given flag whose dest
     is a field of ``cls`` laid over that."""
     path = getattr(args, "config", None)
     doc = {**(defaults or {}), **(schema.load_json(path) if path else {})}
-    cfg = schema.read(cls, doc, path or "defaults", names, reject)
+    cfg = schema.read(cls, doc, path or "defaults", reject)
     return replace(cfg, **{f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None})
 
 
@@ -208,7 +204,9 @@ def cmd_label(args):
             soft = teachers.teach_labels(teacher_set, dataset)
         dataset = dataset.with_soft(soft, teacher_set.concept_names)
     if args.blackbox:
-        dataset = dataset.with_scores(blackbox.load_blackbox(args.blackbox).score_batch(dataset.x))
+        adapter = blackbox.load_blackbox(args.blackbox)
+        with _naming("--input", args.input):
+            dataset = dataset.with_scores(adapter.score_batch(dataset.x))
     elif args.score_file:
         dataset = dataset.with_scores(blackbox.load_score_file(args.score_file, dataset))
     if args.uncertainty_fraction is not None:
@@ -219,7 +217,7 @@ def cmd_label(args):
 
 
 def cmd_distill(args):
-    cfg = _config(TrainingFile, args, names=TRAIN_NAMES)
+    cfg = _config(TrainingFile, args)
     train_set, valid_set = _load_disjoint(args, "train", "valid")
     arch = model.build_architecture(train_set.d, train_set.k, **asdict(cfg.architecture))
     params = model.init_model(arch, train_set.concept_names, cfg.seed)
@@ -228,7 +226,7 @@ def cmd_distill(args):
     outputs = {"model": out / "model.json", "history": out / "history.csv"}
     model.save_model(result.params, outputs["model"])
     training.history_to_csv(result.history, outputs["history"])
-    return (out, schema.write(cfg, TRAIN_NAMES), outputs, cfg.seed,
+    return (out, schema.write(cfg), outputs, cfg.seed,
             {"best_epoch": result.best_epoch, "stopped_early": result.stopped_early})
 
 
@@ -266,7 +264,8 @@ def _model_report(args) -> dict:
     recall = None
     if args.test:
         test_set = data.load_csv(args.test)
-        pred = model.predict_scores(params, test_set.x)
+        with _naming("--test", args.test):
+            pred = model.predict_scores(params, test_set.x)
         report["fidelity"] = metrics.score_fidelity(pred, test_set, "--test file")
         report["n_eval"] = test_set.n
         if args.recall_fpr is not None:
@@ -275,7 +274,8 @@ def _model_report(args) -> dict:
             recall = {"fpr_level": args.recall_fpr, "recall": metrics.recall_at_fpr(pred, test_set.y, args.recall_fpr)}
     if args.golden:
         golden_set = data.load_csv(args.golden)
-        probs = model.predict_concepts(params, golden_set.x)
+        with _naming("--golden", args.golden):
+            probs = model.predict_concepts(params, golden_set.x)
         per, report["mean_auc"] = metrics.golden_auc(probs, golden_set, params.concept_names, "--golden file")
         report["n_eval"] = max(report["n_eval"], golden_set.n)
         report["per_concept_auc"] = dict(zip(params.concept_names, per.tolist()))
@@ -288,7 +288,8 @@ def cmd_explain(args):
     seed = _config(RunSeed, args).seed
     params = model.load_model(args.model)
     dataset = data.load_csv(args.input)
-    explanations = model.explain(params, dataset.x, ids=dataset.ids)
+    with _naming("--input", args.input):
+        explanations = model.explain(params, dataset.x, ids=dataset.ids)
     out_path = _out(args.out, file=True)
     model.explanations_to_jsonl(explanations, out_path)
     return out_path.parent, {}, {"explanations": out_path}, seed
@@ -304,7 +305,7 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 
 def cmd_sweep(args):
     reject = SWEEP_SETS[args.mode]
-    base = _config(TrainingFile, args, SWEEP_DEFAULTS, TRAIN_NAMES, reject)
+    base = _config(TrainingFile, args, SWEEP_DEFAULTS, reject)
     bundle = hpo.SweepData(*_load_disjoint(args, "train", "valid", "test", "golden_test"))
     if args.mode == "search":
         report = hpo.run_search(hpo.SearchSpace(), args.trials, bundle, base=base, master_seed=base.seed, jobs=args.jobs)
@@ -314,7 +315,7 @@ def cmd_sweep(args):
         report = hpo.lambda_sweep(args.lambda_grid, args.repeats, bundle, arch=arch, base=base,
                                   master_seed=base.seed, jobs=args.jobs)
         cfg = {"mode": "lambda", "lambda_grid": args.lambda_grid, "repeats": args.repeats}
-    cfg.update(jobs=args.jobs, **schema.write(base, TRAIN_NAMES, omit=reject))
+    cfg.update(jobs=args.jobs, **schema.write(base, omit=reject))
     out, outputs = _write_sweep(report, args.out)
     return out, cfg, outputs, base.seed
 

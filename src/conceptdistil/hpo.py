@@ -41,7 +41,9 @@ class SearchSpace(Checked):
     def __post_init__(self):
         super().__post_init__()
         for name in ("trunk_depth", "head_depth", "attention_depth", "width", "lam", "learning_rate", "dropout", "l2"):
-            lo, hi = getattr(self, name)
+            if len(pair := getattr(self, name)) != 2:
+                raise DataError(f"{name} has length {len(pair)}, not 2")
+            lo, hi = pair
             if lo > hi:
                 raise DataError(f"{name} bounds out of order: {lo} > {hi}")
 

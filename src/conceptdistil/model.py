@@ -74,8 +74,8 @@ class ArchitectureOptions(Checked):
     trunk_widths: tuple[int, ...] = bounded((64, 48, 32), nonempty, each(ge(1)))
     head_widths: tuple[int, ...] = bounded((16, 8), each(ge(1)))
     attention_widths: tuple[int, ...] = bounded((16,), each(ge(1)))
-    dropout_p: float = bounded(0.0, within(0, 1, hi_open=True))
-    use_batchnorm: bool = False
+    dropout_p: float = bounded(0.0, within(0, 1, hi_open=True), key="dropout")
+    use_batchnorm: bool = bounded(False, key="batchnorm")
 
 
 def build_architecture(n_features: int, k_concepts: int, **options) -> ArchitectureConfig:
@@ -311,9 +311,10 @@ def predict_scores(params: ConceptDistilParams, x) -> np.ndarray:
 # -- serialization ----------------------------------------------------------
 
 def model_from_doc(doc: dict) -> ConceptDistilParams:
-    theta_c = nn.mlp_from_doc(doc["trunk"], "trunk")
+    schema.keys(doc, (*schema.ENVELOPE, "concept_names", "trunk", "heads", "attention"))
+    theta_c = nn.mlp_from_doc(schema.value(doc, "trunk", dict), "trunk")
     heads = nn.stack([nn.mlp_from_doc(h, f"heads[{i}]") for i, h in enumerate(schema.array(doc, "heads", dict, None))])
-    return ConceptDistilParams(theta_c, heads, nn.mlp_from_doc(doc["attention"], "attention"),
+    return ConceptDistilParams(theta_c, heads, nn.mlp_from_doc(schema.value(doc, "attention", dict), "attention"),
                                schema.array(doc, "concept_names", str, None))
 
 

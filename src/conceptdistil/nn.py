@@ -462,26 +462,26 @@ def mlp_to_doc(params: MLPParams) -> dict:
     return {"specs": [schema.write(s) for s in params.specs], "layers": layers}
 
 
-def mlp_from_doc(doc, where: str) -> MLPParams:
+def mlp_from_doc(doc: dict, where: str) -> MLPParams:
     """The MLPParams :func:`mlp_to_doc` wrote; every error names ``where`` (the network in its file), and a
     missing, misshapen or non-finite array, or an item of one that is not a JSON number, its layer and name, as
-    in ``heads[2].layers[0].weights``."""
-    if not isinstance(doc, dict):
-        raise DataError(f"{where} is {schema.a_type(doc)}, not an object")
+    in ``heads[2].layers[0].weights``. An object holding a key its writer does not write is refused."""
+    schema.keys(doc, ("specs", "layers"), where)
     specs = [schema.read(LayerSpec, s, f"{where}.specs[{i}]")
              for i, s in enumerate(schema.array(doc, "specs", dict, None, where))]
     layers = []
     for i, (spec, blob) in enumerate(zip(specs, schema.array(doc, "layers", dict, len(specs), where))):
-        if not isinstance(bn := blob.get("batchnorm"), dict | None):
-            raise DataError(f"{where}.layers[{i}].batchnorm is {schema.a_type(bn)}, not an object or null")
+        at = f"{where}.layers[{i}]"
+        schema.keys(blob, (*ARRAYS[:2], "batchnorm"), at)
+        if (bn := schema.value(blob, "batchnorm", dict | None, at)) is not None:
+            if not spec.use_batchnorm:
+                raise DataError(f"{at}.batchnorm is set without use_batchnorm")
+            schema.keys(bn, BATCHNORM, f"{at}.batchnorm")
         arrays = {}
-        for name in ARRAYS:
-            at, owner = f"{where}.layers[{i}]", (bn or {}) if name in BATCHNORM else blob
-            if (held := owner.get(name) is not None) != (name in spec.arrays()):
-                raise DataError(f"{at}.{name} is {'set without use_batchnorm' if held else 'missing'}")
-            if held:  # checked flat, then given its matrix shape
-                shape = spec.shape(name)
-                arrays[name] = schema.array(owner, name, float, math.prod(shape), at).reshape(shape)
+        for name in spec.arrays():  # checked flat, then given its matrix shape
+            shape = spec.shape(name)
+            owner = (bn or {}) if name in BATCHNORM else blob
+            arrays[name] = schema.array(owner, name, float, math.prod(shape), at).reshape(shape)
         layers.append(LayerParams(**arrays))
     try:
         params = MLPParams(layers, specs)

@@ -1,20 +1,20 @@
-"""JSON objects <-> config dataclasses, driven by the dataclass fields.
+"""The JSON form of configs and artifacts: JSON objects <-> config dataclasses, driven by the dataclass fields.
 
-Keys are the field names, or the file names given in ``names``. Every
+Keys are the field names, or the ``key`` a field declares (:func:`bounded`). Every
 error is a :class:`DataError` naming the document and the key path.
 
 A field's single-value rules live in its metadata (:func:`bounded`), and
 :func:`check` applies them, so a config built in Python, from a flag or
 from a file fails alike, naming the field.
 
-An artifact's JSON lists are read by :func:`array` alone.
+Every JSON value, of a config or an artifact, is read by :func:`value` or :func:`array` by its kind in ``_ITEMS``,
+and every object's unknown keys are refused by :func:`keys`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import types
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, field, fields, is_dataclass
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DataError
 
-RULES = "rules"  # the metadata key of a field's rules
+RULES, KEY = "rules", "key"  # the metadata keys of a field's rules and of its file key
+ENVELOPE = ("format_version", "kind")  # the keys every artifact leads with
 FORMAT_VERSIONS = {"concept_distil": 1, "concept_teachers": 2, "ffnn_blackbox": 1}  # of each artifact kind
 
 
@@ -59,9 +60,10 @@ def each(rule: Rule) -> Rule:
     return Rule(f"all {rule.text}", lambda v: all(map(rule.test, v)))
 
 
-def bounded(default, *rules):
-    """A dataclass field with ``default`` (``MISSING``: required) whose value must pass ``rules``."""
-    return field(default=default, metadata={RULES: rules})
+def bounded(default, *rules, key: str | None = None):
+    """A dataclass field with ``default`` (``MISSING``: required) whose value must pass ``rules``, stored in a file
+    under ``key`` (None: the field's name)."""
+    return field(default=default, metadata={RULES: rules, KEY: key})
 
 
 def check(obj) -> None:
@@ -84,90 +86,103 @@ def _violation(value, rules) -> str | None:
     return broken and f"must be {broken.text}, got {value!r}"
 
 
-def read(cls, doc, where: str, names: dict | None = None, reject: dict | None = None, prefix: str = ""):
-    """Dataclass ``cls`` from the JSON object ``doc``, each value cast by its field's type. A missing
-    key keeps the default; an unknown key, a key path in ``reject`` (to the reason) or a bad value fails."""
-    names, reject = names or {}, reject or {}
-    if not isinstance(doc, dict):
-        raise DataError(f"{where}: {prefix.rstrip('.') or 'document'} must be a JSON object, got {doc!r}")
-    by_key = {names.get(f.name, f.name): f for f in fields(cls)}
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in doc.items():
-        path = prefix + key
-        if path in reject or key not in by_key:
-            raise DataError(f"{where}: key {path!r} {reject.get(path, 'is unknown')}")
-        f = by_key[key]
-        kwargs[f.name] = _cast(hints[f.name], value, where, names, reject, path)
-        if bad := _violation(kwargs[f.name], f.metadata.get(RULES, ())):
-            raise DataError(f"{where}: {path!r} {bad}")
-    for key, f in by_key.items():
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise DataError(f"{where}: key {prefix + key!r} is missing")
-    try:
-        return cls(**kwargs)
-    except DataError as exc:  # the dataclass's cross-field checks
+def read(cls, doc, where: str, reject: dict | None = None):
+    """Dataclass ``cls`` from the JSON object ``doc``, each value read by :func:`value` or :func:`array` as its
+    field's type says. A missing key keeps the default; an unknown key, a key path in ``reject`` (to the reason)
+    or a bad value is a DataError naming ``where`` and the key path."""
+    try:  # the document is read as a value, so one that is not an object is "document is a list, not an object"
+        return _read(cls, value({"document": doc}, "document", dict), reject or {}, "")
+    except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
 
 
-def _cast(tp, value, where, names, reject, path):
+def _read(cls, doc: dict, reject: dict, where: str):  # read's errors, naming the key path from ``where`` on
+    by_key = {f.metadata.get(KEY) or f.name: f for f in fields(cls)}
+    keys(doc, by_key, where)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in doc:
+            if (path := _at(where, key)) in reject:
+                raise DataError(f"key {path} {reject[path]}")
+            kwargs[f.name] = _cast(hints[f.name], doc, key, reject, where)
+            if bad := _violation(kwargs[f.name], f.metadata.get(RULES, ())):
+                raise DataError(f"{path} {bad}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise DataError(f"key {_at(where, key)} is missing")
+    return cls(**kwargs)  # a DataError here is one of the dataclass's cross-field checks
+
+
+def _cast(tp, doc, key, reject, where):
+    """``doc[key]`` as ``tp``: a dataclass, a ``tuple[T, ...]`` or ``tuple[T, T]`` or a kind of ``_ITEMS``."""
     if is_dataclass(tp):
-        return read(tp, value, where, names, reject, path + ".")
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # T | None
-        return None if value is None else _cast(args[0], value, where, names, reject, path)
-    if typing.get_origin(tp) is tuple:  # tuple[T, ...]
-        if not isinstance(value, list):
-            raise DataError(f"{where}: {path!r} expects a list, got {value!r}")
-        return tuple(_cast(args[0], v, where, names, reject, f"{path}[{i}]") for i, v in enumerate(value))
-    if tp is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise DataError(f"{where}: {path!r} is out of range for a float") from None
-    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
-        raise DataError(f"{where}: {path!r} expects {tp.__name__}, got {value!r}")
-    return value
+        return _read(tp, value(doc, key, dict, where), reject, _at(where, key))
+    if typing.get_origin(tp) is not tuple:
+        return value(doc, key, tp, where)
+    item, *more = typing.get_args(tp)
+    items = array(doc, key, dict if is_dataclass(item) else item, None if more == [...] else 1 + len(more), where)
+    if is_dataclass(item):
+        return tuple(_read(item, d, reject, f"{_at(where, key)}[{i}]") for i, d in enumerate(items))
+    return tuple(np.asarray(items).tolist())
 
 
-def write(obj, names: dict | None = None, omit=(), prefix: str = ""):
+def write(obj, omit=(), prefix: str = ""):
     """The JSON value :func:`read` turns back into ``obj``, less the key paths in ``omit``."""
     if isinstance(obj, tuple):
-        return [write(v, names, omit, prefix) for v in obj]
+        return [write(v, omit, prefix) for v in obj]
     if not is_dataclass(obj):
         return obj
-    keys = {f.name: (names or {}).get(f.name, f.name) for f in fields(obj)}
-    return {k: write(getattr(obj, n), names, omit, f"{prefix}{k}.") for n, k in keys.items() if prefix + k not in omit}
+    names = {f.name: f.metadata.get(KEY) or f.name for f in fields(obj)}
+    return {k: write(getattr(obj, n), omit, f"{prefix}{k}.") for n, k in names.items() if prefix + k not in omit}
 
 
-# an array item's kind: the JSON types it admits (a bool is not an int here) and their name in a refusal
+# a JSON value's kind: the JSON types it admits (a bool is not an int here) and their name in a refusal
 _ITEMS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
-          float | None: ((int, float, type(None)), "a number or null"), dict: ((dict,), "an object")}
+          bool: ((bool,), "a boolean"), int | None: ((int, type(None)), "an integer or null"),
+          float | None: ((int, float, type(None)), "a number or null"), list: ((list,), "a list"),
+          dict: ((dict,), "an object"), dict | None: ((dict, type(None)), "an object or null")}
 
 
-def a_type(value) -> str:
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _a_type(value) -> str:
     """The type of ``value`` as a refusal names it: ``a str``, ``an int``."""
     return ("an " if type(value).__name__[0] in "aeiou" else "a ") + type(value).__name__
 
 
+def value(doc: dict, key: str, kind, where: str = ""):
+    """``doc[key]``, one JSON value of ``kind``, a key of ``_ITEMS``: an integer read as a float for ``float``. The
+    scalar twin of :func:`array`: every error is a DataError naming ``<where>.<key>``."""
+    at = _at(where, key)
+    if key not in doc:
+        raise DataError(f"{at} is missing")
+    admits, text = _ITEMS[kind]
+    if type(v := doc[key]) not in admits:
+        raise DataError(f"{at} is {_a_type(v)}, not {text}")
+    try:
+        return float(v) if kind is float else v
+    except OverflowError:
+        raise DataError(f"{at} is out of range for a float") from None
+
+
 def array(doc: dict, key: str, kind, length: int | None, where: str = ""):
     """``doc[key]``, a JSON list of ``length`` items (None: any number) of ``kind``, a key of ``_ITEMS``: an int64
-    or float64 array (finite for ``float``; ``float | None`` reads null as NaN), a tuple of distinct strings or
-    the list of objects. Every error is a DataError naming ``<where>.<key>``, and an item's its index."""
-    at, values = f"{where}.{key}" if where else key, doc[key]
-    if type(values) is not list:
-        raise DataError(f"{at} is {a_type(values)}, not a list")
+    or float64 array (finite for ``float``; ``float | None`` reads null as NaN), a tuple of booleans or of distinct
+    strings, or the list of objects. Every error is a DataError naming ``<where>.<key>``, and an item's its index."""
+    at, values = _at(where, key), value(doc, key, list, where)
     if length is not None and len(values) != length:
         raise DataError(f"{at} has length {len(values)}, not {length}")
     admits, text = _ITEMS[kind]
     if not set(map(type, values)).issubset(admits):
         k = next(k for k, v in enumerate(values) if type(v) not in admits)
-        raise DataError(f"{at}[{k}] is {a_type(values[k])}, not {text}")
+        raise DataError(f"{at}[{k}] is {_a_type(values[k])}, not {text}")
     if kind is str and len(set(values)) != len(values):
         k = next(k for k, v in enumerate(values) if v in values[:k])
         raise DataError(f"{at}[{k}] repeats {values[k]!r}")
-    if kind in (str, dict):
-        return tuple(values) if kind is str else values
+    if kind in (str, bool, dict):
+        return values if kind is dict else tuple(values)
     try:
         a = np.array(values, dtype=np.int64 if kind is int else np.float64)
     except OverflowError:
@@ -175,6 +190,12 @@ def array(doc: dict, key: str, kind, length: int | None, where: str = ""):
     if kind is float and not np.isfinite(a).all():
         raise DataError(f"{at} holds non-finite values")
     return a
+
+
+def keys(doc: dict, known, where: str = "") -> None:
+    """Refuse the JSON object ``doc`` if it holds a key outside ``known``, naming the key path of the first."""
+    if (extra := next((k for k in doc if k not in known), None)) is not None:
+        raise DataError(f"key {_at(where, extra)} is unknown")
 
 
 def as_list(a) -> list:
@@ -224,8 +245,8 @@ def save_file(path, kind: str, body: dict) -> None:
 
 def load_file(path, kind: str, from_doc):
     """``from_doc`` of the ``kind`` document at ``path``, which :func:`save_file` wrote. Its DataErrors and a
-    RecursionError from a document nested too deeply become DataErrors naming the file; a KeyError names the
-    missing key. Any other exception is a bug in ``from_doc`` and propagates."""
+    RecursionError from a document nested too deeply become DataErrors naming the file. Any other exception is a
+    bug in ``from_doc`` and propagates."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
@@ -233,8 +254,6 @@ def load_file(path, kind: str, from_doc):
         raise DataError(f"{path}: unsupported {kind} format_version {version!r}")
     try:
         return from_doc(doc)
-    except KeyError as exc:
-        raise DataError(f"{path}: missing key {exc}") from None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except RecursionError:  # json's nesting limit is not Python's from 3.12 on, so a document may pass the decoder

@@ -306,8 +306,7 @@ def _read_tree(doc: dict, n_features: int, where: str) -> Tree:
     array-wide: a split's children are the next node and a later one, a leaf is its own children, and every
     node but the root has one parent, so every walk ends at a leaf. Every error names ``where``, as in
     ``forests[0].trees[3]``, and the node."""
-    if sorted(doc) != sorted(_ARRAYS):
-        raise DataError(f"{where}: expects an object of the node arrays {list(_ARRAYS)}")
+    schema.keys(doc, _ARRAYS, where)
     arrays = {"feature": schema.array(doc, "feature", int, None, where)}  # the others must have its length
     if not (n := arrays["feature"].size):
         raise DataError(f"{where}.feature has length 0: a tree has at least one node")
@@ -338,15 +337,17 @@ def _read_tree(doc: dict, n_features: int, where: str) -> Tree:
 
 
 def teachers_from_doc(doc: dict) -> TeacherSet:
+    schema.keys(doc, (*schema.ENVELOPE, "concept_names", "feature_names", "forests"))
     concept_names, feature_names = (schema.array(doc, key, str, None) for key in ("concept_names", "feature_names"))
     forests = []
     for i, blob in enumerate(schema.array(doc, "forests", dict, len(concept_names))):
-        params = schema.read(ForestParams, blob["params"], f"forests[{i}].params")
-        n_features = blob["n_features"]
-        if type(n_features) is not int or n_features != len(feature_names):  # 22.0 and true are not 22 or 1
-            raise DataError(f"forests[{i}].n_features: is {n_features!r}, feature_names has {len(feature_names)}")
-        trees = schema.array(blob, "trees", dict, params.n_trees, f"forests[{i}]")
-        forests.append(Forest([_read_tree(t, n_features, f"forests[{i}].trees[{j}]") for j, t in enumerate(trees)],
+        at = f"forests[{i}]"
+        schema.keys(blob, ("params", "n_features", "trees"), at)
+        params = schema.read(ForestParams, schema.value(blob, "params", dict, at), f"{at}.params")
+        if (n_features := schema.value(blob, "n_features", int, at)) != len(feature_names):
+            raise DataError(f"{at}.n_features: is {n_features!r}, feature_names has {len(feature_names)}")
+        trees = schema.array(blob, "trees", dict, params.n_trees, at)
+        forests.append(Forest([_read_tree(t, n_features, f"{at}.trees[{j}]") for j, t in enumerate(trees)],
                               params, n_features))
     return TeacherSet(forests, concept_names, feature_names)
 

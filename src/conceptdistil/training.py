@@ -59,11 +59,11 @@ _BATCH = 102
 
 @dataclass(frozen=True)
 class TrainConfig(Checked):
-    lam: float = bounded(0.5, within(0, 1))
+    lam: float = bounded(0.5, within(0, 1), key="lambda")
     learning_rate: float = bounded(1e-3, gt(0))
     epochs: int = bounded(100, ge(1))
     batch_size: int = bounded(256, ge(1))
-    early_stop_patience: int = bounded(10, ge(1))
+    early_stop_patience: int = bounded(10, ge(1), key="patience")
     seed: int = bounded(0, ge(0))
     variant: str = bounded(DEFAULT, one_of(VARIANTS))
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)

@@ -702,35 +702,35 @@ class TestConfigFiles:
         assert seed_of("flag", "--seed", "13") == 13
 
     @pytest.mark.parametrize("command, doc, needle", [
-        ("distill", {"lamda": 0.5}, "'lamda'"),
-        ("distill", {"architecture": {"dropuot": 0.1}}, "'architecture.dropuot'"),
-        ("distill", {"optimizer": {"lr": 0.1}}, "'optimizer.lr'"),
+        ("distill", {"lamda": 0.5}, "key lamda is unknown"),
+        ("distill", {"architecture": {"dropuot": 0.1}}, "key architecture.dropuot is unknown"),
+        ("distill", {"optimizer": {"lr": 0.1}}, "key optimizer.lr is unknown"),
         ("distill", [0.5], "expected a JSON object"),
-        ("teach", {"bootstrap": "false"}, "'bootstrap'"),
+        ("teach", {"bootstrap": "false"}, "bootstrap is a str, not a boolean"),
         ("teach", "n_trees", "expected a JSON object"),
-        ("gen-data", {"n_instance": 10}, "'n_instance'"),
-        ("sweep", {"lambda": 0.5}, "'lambda'"),
-        ("sweep", {"learning_rate": 0.01}, "'learning_rate'"),
-        ("sweep", {"optimizer": {"l2_penalty": 0.01}}, "'optimizer.l2_penalty'"),
-        ("sweep", {"architecture": TINY_ARCH}, "'architecture'"),
-        ("sweep --mode lambda", {"lambda": 0.5}, "'lambda'"),
+        ("gen-data", {"n_instance": 10}, "key n_instance is unknown"),
+        ("sweep", {"lambda": 0.5}, "key lambda is drawn by sweep --mode search"),
+        ("sweep", {"learning_rate": 0.01}, "key learning_rate is drawn"),
+        ("sweep", {"optimizer": {"l2_penalty": 0.01}}, "key optimizer.l2_penalty is drawn"),
+        ("sweep", {"architecture": TINY_ARCH}, "key architecture is drawn"),
+        ("sweep --mode lambda", {"lambda": 0.5}, "key lambda is set by sweep --lambda-grid"),
         ("teach", {"feature_subsample": 0}, "feature_subsample"),
-        ("gen-data", {"noise_level": float("nan")}, "'noise_level' must be finite"),
-        ("distill", {"learning_rate": float("inf")}, "'learning_rate' must be finite"),
+        ("gen-data", {"noise_level": float("nan")}, "noise_level must be finite"),
+        ("distill", {"learning_rate": float("inf")}, "learning_rate must be finite"),
         ("gen-data", {"concepts": [{"name": "empty", "feature_indices": [], "weights": [], "prevalence": 0.2}],
-                      "fraud_weights": [1.0]}, "'concepts[0].feature_indices' must be non-empty"),
+                      "fraud_weights": [1.0]}, "concepts[0].feature_indices must be non-empty"),
         ("gen-data", {"concepts": [{"name": "neg", "feature_indices": [-1], "weights": [1.0], "prevalence": 0.2}],
-                      "fraud_weights": [1.0]}, "'concepts[0].feature_indices' must be all >= 0"),
-        ("gen-data", {"noise_level": -1.0}, "'noise_level' must be >= 0"),
-        ("distill", {"optimizer": {"adam_beta1": 1.0}}, "'optimizer.adam_beta1' must be in [0, 1)"),
-        ("distill", {"lambda": 2}, "'lambda' must be in [0, 1]"),
-        ("distill", {"patience": 0}, "'patience' must be >= 1"),
-        ("teach", {"seed": -1}, "'seed' must be >= 0"),
-        ("distill", {"architecture": {"dropout": 1.0}}, "'architecture.dropout' must be in [0, 1)"),
-        ("distill", {"architecture": {"trunk_widths": [0]}}, "'architecture.trunk_widths' must be all >= 1"),
+                      "fraud_weights": [1.0]}, "concepts[0].feature_indices must be all >= 0"),
+        ("gen-data", {"noise_level": -1.0}, "noise_level must be >= 0"),
+        ("distill", {"optimizer": {"adam_beta1": 1.0}}, "optimizer.adam_beta1 must be in [0, 1)"),
+        ("distill", {"lambda": 2}, "lambda must be in [0, 1]"),
+        ("distill", {"patience": 0}, "patience must be >= 1"),
+        ("teach", {"seed": -1}, "seed must be >= 0"),
+        ("distill", {"architecture": {"dropout": 1.0}}, "architecture.dropout must be in [0, 1)"),
+        ("distill", {"architecture": {"trunk_widths": [0]}}, "architecture.trunk_widths must be all >= 1"),
         ("gen-data", {"concepts": [{"name": "p", "feature_indices": [0], "weights": [1.0], "prevalence": 1.5}],
-                      "fraud_weights": [1.0]}, "'concepts[0].prevalence' must be in (0, 1)"),
-        ("gen-data", {"concepts": [], "fraud_weights": []}, "'concepts' must be non-empty"),
+                      "fraud_weights": [1.0]}, "concepts[0].prevalence must be in (0, 1)"),
+        ("gen-data", {"concepts": [], "fraud_weights": []}, "concepts must be non-empty"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, command, doc, needle):
         cfg = _write_json(tmp_path / "cfg.json", doc)
@@ -742,7 +742,7 @@ class TestConfigFiles:
         words = command.split()
         assert run(*words, *data_flags[words[0]], "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert needle in err and str(cfg) in err
+        assert f"{cfg}: {needle}" in err
 
     def test_nan_learning_rate_flag_exits_2_naming_it(self, tmp_path, capsys):
         none = str(tmp_path / "none.csv")  # the flags are checked before any data is read
@@ -871,7 +871,22 @@ class TestLoadErrors:
         broken = _write_json(tmp_path / "model.json", doc)
         assert run("explain", "--model", str(broken), "--input", str(pipeline / "data" / "golden_test.csv"),
                    "--out", str(tmp_path / "o.jsonl")) == 2
-        assert "'attention'" in capsys.readouterr().err
+        assert f"{broken}: attention is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("explain", "--model", "{model}"), "--input"),
+        (("label", "--blackbox", "{blackbox}"), "--input"),
+        (("evaluate", "--model", "{model}"), "--test"),
+        (("evaluate", "--model", "{model}"), "--golden"),
+    ], ids=["explain", "label", "evaluate-test", "evaluate-golden"])
+    def test_csv_of_the_wrong_width_exits_2_naming_its_flag_and_file(self, pipeline, tmp_path, capsys, argv, flag):
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("id,f_0,f_1\nr0,0.1,0.2\n")
+        paths = {"model": pipeline / "model" / "model.json", "blackbox": pipeline / "bb" / "blackbox.json"}
+        out = tmp_path / "out" / "o.txt"
+        assert run(*(a.format(**paths) for a in argv), flag, str(narrow), "--out", str(out)) == 2
+        assert f"error: {flag} {narrow}: input has 2 columns, network expects 16" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_key_error_inside_a_command_propagates(self, monkeypatch):
         def broken(args):

@@ -1,10 +1,11 @@
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conceptdistil import data, hpo, model, pool, training
+from conceptdistil import data, hpo, model, pool, schema, training
 from conceptdistil.errors import DataError
 
 from oracles import dominance_flags
@@ -43,6 +44,15 @@ def tiny_space():
 
 def quick_base():
     return training.TrainConfig(epochs=2, batch_size=64, early_stop_patience=5)
+
+
+class TestSearchSpace:
+    @pytest.mark.parametrize("bound", [(2,), (2, 3, 4)])
+    def test_a_bound_that_is_not_a_pair_is_a_data_error_naming_the_field(self, bound):
+        with pytest.raises(DataError, match="^" + re.escape(f"width has length {len(bound)}, not 2")):
+            hpo.SearchSpace(width=bound)
+        with pytest.raises(DataError, match="^" + re.escape(f"where: width has length {len(bound)}, not 2")):
+            schema.read(hpo.SearchSpace, {"width": list(bound)}, "where")
 
 
 class TestSampleConfig:

@@ -572,7 +572,15 @@ class TestMalformedDocs:
     def test_batchnorm_block_on_a_plain_layer_fails_naming_it(self):
         doc = batchnorm_doc()
         doc["layers"][1]["batchnorm"] = {name: [1.0] for name in nn.BATCHNORM}
-        with pytest.raises(DataError, match=re.escape("net.layers[1].gamma is set without use_batchnorm")):
+        with pytest.raises(DataError, match=re.escape("net.layers[1].batchnorm is set without use_batchnorm")):
+            nn.mlp_from_doc(doc, "net")
+
+    @pytest.mark.parametrize("at", ["network", "layer", "batchnorm"])
+    def test_unknown_key_fails_naming_its_path(self, at):
+        doc = batchnorm_doc()
+        {"network": doc, "layer": doc["layers"][0], "batchnorm": doc["layers"][0]["batchnorm"]}[at]["x"] = [1.0]
+        path = {"network": "net.x", "layer": "net.layers[0].x", "batchnorm": "net.layers[0].batchnorm.x"}[at]
+        with pytest.raises(DataError, match=re.escape(f"key {path} is unknown")):
             nn.mlp_from_doc(doc, "net")
 
     @pytest.mark.parametrize("count", [1, 3])

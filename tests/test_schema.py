@@ -69,59 +69,57 @@ class TestRoundTrip:
         assert schema.read(teachers.ForestParams, {}, "doc") == teachers.ForestParams()
 
     def test_integers_widen_to_float_fields(self):
-        assert schema.read(training.TrainConfig, {"lam": 1}, "doc").lam == 1.0
+        assert schema.read(training.TrainConfig, {"lambda": 1}, "doc").lam == 1.0
 
 
 class TestRejections:
-    @pytest.mark.parametrize("cls, doc, path", [
-        (teachers.ForestParams, {"n_tree": 8}, "'n_tree'"),
-        (teachers.ForestParams, {"bootstrap": "false"}, "'bootstrap'"),
-        (teachers.ForestParams, {"bootstrap": 0}, "'bootstrap'"),
-        (teachers.ForestParams, {"n_trees": True}, "'n_trees'"),
-        (teachers.ForestParams, {"n_trees": 8.5}, "'n_trees'"),
-        (teachers.ForestParams, {"feature_subsample": "3"}, "'feature_subsample'"),
-        (training.TrainConfig, {"optimizer": {"adam_beta": 0.9}}, "'optimizer.adam_beta'"),
-        (training.TrainConfig, {"optimizer": []}, "optimizer must be a JSON object"),
-        (data.GeneratorConfig, {"concepts": [{"name": "x"}]}, "'concepts[0].feature_indices'"),
-        (data.GeneratorConfig, {"fraud_weights": [1.0, "2"]}, "'fraud_weights[1]'"),
-        (nn.LayerSpec, {"in_dim": 2}, "'out_dim'"),
-        (nn.LayerSpec, [2, 3], "document must be a JSON object"),
-        (nn.LayerSpec, {"in_dim": 2, "out_dim": 2, "dropout_p": 10**399}, "'dropout_p' is out of range for a float"),
+    @pytest.mark.parametrize("cls, doc, message", [
+        (teachers.ForestParams, {"n_tree": 8}, "key n_tree is unknown"),
+        (teachers.ForestParams, {"bootstrap": "false"}, "bootstrap is a str, not a boolean"),
+        (teachers.ForestParams, {"bootstrap": 0}, "bootstrap is an int, not a boolean"),
+        (teachers.ForestParams, {"n_trees": True}, "n_trees is a bool, not an integer"),
+        (teachers.ForestParams, {"n_trees": 8.5}, "n_trees is a float, not an integer"),
+        (teachers.ForestParams, {"feature_subsample": "3"}, "feature_subsample is a str, not an integer or null"),
+        (training.TrainConfig, {"optimizer": {"adam_beta": 0.9}}, "key optimizer.adam_beta is unknown"),
+        (training.TrainConfig, {"optimizer": []}, "optimizer is a list, not an object"),
+        (data.GeneratorConfig, {"concepts": [{"name": "x"}]}, "key concepts[0].feature_indices is missing"),
+        (data.GeneratorConfig, {"fraud_weights": [1.0, "2"]}, "fraud_weights[1] is a str, not a number"),
+        (nn.LayerSpec, {"in_dim": 2}, "key out_dim is missing"),
+        (nn.LayerSpec, [2, 3], "document is a list, not an object"),
+        (nn.LayerSpec, {"in_dim": 2, "out_dim": 2, "dropout_p": 10**399}, "dropout_p is out of range for a float"),
+        (hpo.SearchSpace, {"batchnorm": [True, 1]}, "batchnorm[1] is an int, not a boolean"),
     ])
-    def test_bad_document_names_the_key_path(self, cls, doc, path):
-        with pytest.raises(DataError, match="^where: .*" + re.escape(path)):
+    def test_bad_document_names_the_key_path(self, cls, doc, message):
+        with pytest.raises(DataError, match="^" + re.escape(f"where: {message}")):
             schema.read(cls, doc, "where")
 
     def test_range_checks_name_the_document(self):
-        with pytest.raises(DataError, match="^where: 'lam' must be in"):
-            schema.read(training.TrainConfig, {"lam": 2.0}, "where")
+        with pytest.raises(DataError, match="^where: lambda must be in"):
+            schema.read(training.TrainConfig, {"lambda": 2.0}, "where")
 
     def test_rejected_path_gives_the_reason(self):
-        with pytest.raises(DataError, match="'optimizer.l2_penalty' is set elsewhere"):
+        with pytest.raises(DataError, match="^where: key optimizer.l2_penalty is set elsewhere"):
             schema.read(training.TrainConfig, {"optimizer": {"l2_penalty": 0.1}}, "where",
                         reject={"optimizer.l2_penalty": "is set elsewhere"})
 
 
 class TestConfigFiles:
-    READERS = {
-        "generator_default.json": (data.GeneratorConfig, None),
-        "distill_default.json": (cli.TrainingFile, cli.TRAIN_NAMES),
-    }
+    READERS = {"generator_default.json": data.GeneratorConfig, "distill_default.json": cli.TrainingFile}
 
     def test_every_config_file_has_a_reader(self):
         assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(self.READERS)
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_config_file_loads_unchanged(self, name):
-        cls, names = self.READERS[name]
+        cls = self.READERS[name]
         doc = schema.load_json(CONFIGS / name)
-        cfg = schema.read(cls, doc, name, names)
+        cfg = schema.read(cls, doc, name)
         assert cfg == cls()  # the shipped files spell out the defaults
-        written = schema.write(cfg, names)
+        written = schema.write(cfg)
         assert _restrict(written, doc) == doc
 
     def test_training_file_keys(self):
-        written = schema.write(cli.TrainingFile(), cli.TRAIN_NAMES)
+        written = schema.write(cli.TrainingFile())
         assert {"lambda", "patience", "architecture"} <= set(written)
         assert {"dropout", "batchnorm"} <= set(written["architecture"])
         assert "lr" not in written["optimizer"]
@@ -199,12 +197,14 @@ def _outside(rule, tp):
     return edges + ([math.nan] if tp is float else []), st.one_of(wider)
 
 
-def _rejects(cls, valid, name, bad):
-    """Both ways in, built in Python and read from a document, ``bad`` is a DataError naming ``name``."""
-    with pytest.raises(DataError, match="^" + re.escape(f"{name} must be ")):
-        replace(valid, **{name: bad})
-    doc = {**schema.write(valid), name: schema.write(bad)}
-    with pytest.raises(DataError, match="^" + re.escape(f"where: '{name}' must be ")):
+def _rejects(cls, valid, f, bad):
+    """Both ways in, built in Python and read from a document, ``bad`` is a DataError naming field ``f``, by its
+    name or its key in the document. A list's item that is out of range or not finite is refused as it is read."""
+    with pytest.raises(DataError, match="^" + re.escape(f"{f.name} must be ")):
+        replace(valid, **{f.name: bad})
+    key = f.metadata.get(schema.KEY) or f.name
+    doc = {**schema.write(valid), key: schema.write(bad)}
+    with pytest.raises(DataError, match="^" + re.escape(f"where: {key} ") + "(must be |holds )"):
         schema.read(cls, doc, "where")
 
 
@@ -225,7 +225,7 @@ class TestFieldRules:
             edges, wider = _outside(rule, tp)
             put = lambda v: v
         for bad in [*edges, draw.draw(wider)]:
-            _rejects(cls, valid, f.name, put(bad))
+            _rejects(cls, valid, f, put(bad))
 
     def test_every_numeric_field_is_bounded_or_named_unbounded(self):
         unbounded = {key for key, (_, f, tp) in FIELDS.items() if tp in (int, float) and not f.metadata.get(schema.RULES)}
@@ -237,7 +237,7 @@ class TestFieldRules:
         valid = _valid(cls)
         value = getattr(valid, f.name)
         for bad in (math.nan, math.inf, -math.inf):
-            _rejects(cls, valid, f.name, (*value[:-1], bad) if isinstance(value, tuple) else bad)
+            _rejects(cls, valid, f, (*value[:-1], bad) if isinstance(value, tuple) else bad)
 
     @pytest.mark.parametrize("rule, text", [
         (schema.ge(1), ">= 1"), (schema.gt(0), "> 0"), (schema.within(0, 1), "in [0, 1]"),
@@ -371,8 +371,17 @@ class TestArtifactEnvelope:
         (lambda doc: doc["attention"].update(layers=3), "attention.layers is an int, not a list"),
         (lambda doc: doc.update(trunk=[doc["trunk"]]), "trunk is a list, not an object"),
         (lambda doc: doc["heads"].__setitem__(1, [doc["heads"][1]]), "heads[1] is a list, not an object"),
+        (lambda doc: doc["trunk"]["layers"][0].update(batchnorm={"x": 1}),
+         "trunk.layers[0].batchnorm is set without use_batchnorm"),
+        (lambda doc: doc["attention"]["layers"][1].update(batchnorm={}),
+         "attention.layers[1].batchnorm is set without use_batchnorm"),
+        (lambda doc: doc["trunk"]["layers"][0].update(x=1), "key trunk.layers[0].x is unknown"),
+        (lambda doc: doc["heads"][1].update(x=1), "key heads[1].x is unknown"),
+        (lambda doc: doc.update(x=1), "key x is unknown"),
+        (lambda doc: doc.pop("attention"), "attention is missing"),
     ], ids=["nan", "inf", "missing-weights", "short-bias", "int-overflow", "text-heads", "number-heads", "object-specs",
-            "number-layers", "list-trunk", "list-head"])
+            "number-layers", "list-trunk", "list-head", "plain-layer-batchnorm", "plain-layer-empty-batchnorm",
+            "layer-key", "network-key", "document-key", "missing-network"])
     def test_damaged_model_exits_2_naming_file_network_layer_and_array(self, tmp_path, capsys, damage, message):
         path = tmp_path / "model.json"
         arch = model.build_architecture(3, 3, trunk_widths=(4,), head_widths=(4,), attention_widths=(4,))
@@ -385,13 +394,19 @@ class TestArtifactEnvelope:
         assert cli.main(["explain", "--model", str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
-    def test_damaged_black_box_names_its_network(self, tmp_path):
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc["network"]["layers"][0].pop("weights"), "network.layers[0].weights is missing"),
+        (lambda doc: doc["network"].update(x=1), "key network.x is unknown"),
+        (lambda doc: doc.update(x=1), "key x is unknown"),
+        (lambda doc: doc.pop("descriptor"), "descriptor is missing"),
+    ])
+    def test_damaged_black_box_names_its_network(self, tmp_path, damage, message):
         path = tmp_path / "blackbox.json"
         load = _saved_artifact("ffnn_blackbox", path)
         doc = json.loads(path.read_text())
-        doc["network"]["layers"][0].pop("weights")
+        damage(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=re.escape(f"{path}: network.layers[0].weights is missing")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load(path)
 
     @pytest.mark.parametrize("key", ["threshold", "value"])
@@ -413,7 +428,7 @@ class TestArtifactEnvelope:
          "forests[4].trees[1]: node 0: feature 22 is outside [-1, 22)"),
         (lambda doc: doc["forests"][4]["trees"][1]["threshold"].__setitem__(0, "abc"),
          "forests[4].trees[1].threshold[0] is a str, not a number or null"),
-        (lambda doc: doc["forests"][4]["trees"][1].pop("left"), "forests[4].trees[1]: expects an object of the node arrays"),
+        (lambda doc: doc["forests"][4]["trees"][1].pop("left"), "forests[4].trees[1].left is missing"),
         (lambda doc: doc["forests"].pop(), "forests has length 5, not 6"),
         (lambda doc: doc["forests"][4].update(n_features=21), "forests[4].n_features: is 21, feature_names has 22"),
         (lambda doc: doc["forests"][4]["trees"][1]["count"].__setitem__(0, 10**400),
@@ -422,8 +437,11 @@ class TestArtifactEnvelope:
         (lambda doc: doc["forests"][4].update(trees=7), "forests[4].trees is an int, not a list"),
         (lambda doc: doc["forests"].__setitem__(4, [doc["forests"][4]]), "forests[4] is a list, not an object"),
         (lambda doc: doc["forests"][4]["trees"].__setitem__(1, []), "forests[4].trees[1] is a list, not an object"),
+        (lambda doc: doc["forests"][4].update(x=1), "key forests[4].x is unknown"),
+        (lambda doc: doc.update(x=1), "key x is unknown"),
+        (lambda doc: doc["forests"][4].pop("params"), "forests[4].params is missing"),
     ], ids=["inf", "feature", "text", "missing-left", "forest-count", "n-features", "int-overflow", "text-forests",
-            "number-trees", "list-forest", "list-tree"])
+            "number-trees", "list-forest", "list-tree", "forest-key", "document-key", "missing-params"])
     def test_damaged_tree_names_its_forest_and_tree(self, tmp_path, damage, message):
         path = tmp_path / "teachers.json"
         _saved_artifact("concept_teachers", path)
@@ -441,8 +459,11 @@ class TestArtifactEnvelope:
         ("concept_teachers", "concept_names", "abcdef", "concept_names is a str, not a list"),
         ("concept_teachers", "concept_names", list("abcaef"), "concept_names[3] repeats 'a'"),
         ("concept_teachers", "feature_names", None, "feature_names is a NoneType, not a list"),
-        ("concept_teachers", "n_features", 22.9, "forests[0].n_features: is 22.9, feature_names has 22"),
-        ("concept_teachers", "n_features", 22.0, "forests[0].n_features: is 22.0, feature_names has 22"),
+        ("concept_teachers", "n_features", 22.9, "forests[0].n_features is a float, not an integer"),
+        ("concept_teachers", "n_features", 22.0, "forests[0].n_features is a float, not an integer"),
+        ("concept_teachers", "n_features", True, "forests[0].n_features is a bool, not an integer"),
+        ("ffnn_blackbox", "descriptor", None, "descriptor is a NoneType, not a string"),
+        ("ffnn_blackbox", "descriptor", [1, {"a": None}], "descriptor is a list, not a string"),
     ])
     def test_header_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, kind, key, value, message):
         path = tmp_path / "artifact.json"
@@ -454,8 +475,8 @@ class TestArtifactEnvelope:
             load(path)
         rows = tmp_path / "rows.csv"
         rows.write_text("id,f_0,f_1,f_2\nr0,0.1,0.2,0.3\n")
-        flag = "--model" if kind == "concept_distil" else "--teachers"
-        command = "explain" if kind == "concept_distil" else "label"
+        command, flag = {"concept_distil": ("explain", "--model"), "concept_teachers": ("label", "--teachers"),
+                         "ffnn_blackbox": ("label", "--blackbox")}[kind]
         assert cli.main([command, flag, str(path), "--input", str(rows), "--out", str(tmp_path / "x")]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
@@ -481,9 +502,14 @@ def _paths(value, path=()):
             yield from _paths(item, (*path, key))
 
 
+SAVERS = {"concept_distil": model.save_model, "concept_teachers": teachers.save_teachers,
+          "ffnn_blackbox": blackbox.save_blackbox}
+
+
 class TestCorruption:
-    """One value of a saved artifact, at any depth, replaced by another JSON value: the file loads, or its
-    reader raises a DataError that starts with the file's path, and never anything else."""
+    """One value of a saved artifact, at any depth, replaced by another JSON value: its reader raises a DataError
+    that starts with the file's path, and never anything else, or the file loads and saving what it loaded writes
+    the corrupted document back."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -504,8 +530,8 @@ class TestCorruption:
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=150)
     @given(draw=st.data())
-    def test_one_replaced_value_loads_or_is_a_data_error_naming_the_file(self, saved, tmp_path_factory, kind,
-                                                                          draw):
+    def test_one_replaced_value_is_a_data_error_naming_the_file_or_saves_back_unchanged(self, saved, tmp_path_factory,
+                                                                                         kind, draw):
         text, by_depth, load = saved[kind]
         at = draw.draw(st.sampled_from(by_depth[draw.draw(st.sampled_from(sorted(by_depth)))]), "path")
         new = draw.draw(ANY_JSON, "value")
@@ -520,9 +546,12 @@ class TestCorruption:
         path = tmp_path_factory.getbasetemp() / f"corrupt_{kind}.json"
         path.write_text(json.dumps(doc))
         try:
-            load(path)
+            loaded = load(path)
         except DataError as exc:
             assert str(exc).startswith(f"{path}: ")
+        else:
+            SAVERS[kind](loaded, path)
+            assert json.loads(path.read_text()) == doc
 
 
 class TestDeeplyNested:
