@@ -2,21 +2,19 @@
 
 Anything that turns a feature matrix into scores in [0, 1] can be
 distilled: a black box is one score per row. This module provides a
-built-in feedforward classifier trained on the task labels, a reader for
-the score files of models trained elsewhere (export their scores to CSV,
-join on instance id), and uncertainty sampling over attached scores.
+built-in feedforward classifier trained on the task labels, the id join
+of a score file (a dataset CSV holding a model's scores as ``bb_score``),
+and uncertainty sampling over attached scores.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import nn, schema, training
+from . import data, nn, schema, training
 from .data import Dataset
 from .errors import DataError
 from .nn import EVAL, TRAIN, LayerSpec, MLPParams, OptimizerConfig, derive_seed
@@ -109,45 +107,17 @@ def load_blackbox(path) -> FFNNBlackBox:
 
 # -- score files ---------------------------------------------------------------
 
-def save_score_file(path, ids, scores) -> None:
-    scores = np.asarray(scores, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "score"])
-        for i, s in zip(ids, scores):
-            w.writerow([str(i), repr(float(s))])
-
-
 def load_score_file(path, dataset: Dataset) -> np.ndarray:
-    """The scores of ``path`` in ``dataset`` row order.
-
-    Every dataset id must be covered exactly once and every score must
-    lie in [0, 1].
-    """
-    path = Path(path)
-    mapping: dict[str, float] = {}
-    with schema.open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "score"]:
-            raise DataError(f"{path}: expected header 'id,score', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
-            key, raw = row
-            if key in mapping:
-                raise DataError(f"{path}: duplicate id {key!r}")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: non-numeric score {raw!r}") from None
-            if not 0.0 <= value <= 1.0:
-                raise DataError(f"{path}: line {line_no}: score {value} outside [0, 1]")
-            mapping[key] = value
-    missing = [str(i) for i in dataset.ids if str(i) not in mapping]
+    """The ``bb_score`` column of the dataset CSV at ``path`` in ``dataset`` row order. Every dataset id must be in
+    the file; its other ids and columns are ignored."""
+    scored = data.load_csv(path)
+    if scored.bb_scores is None:
+        raise DataError(f"{path}: no bb_score column")
+    by_id = dict(zip(scored.ids.tolist(), scored.bb_scores.tolist()))
+    missing = [i for i in dataset.ids.tolist() if i not in by_id]
     if missing:
         raise DataError(f"{path}: missing scores for ids {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    return np.array([mapping[str(i)] for i in dataset.ids])
+    return np.array([by_id[i] for i in dataset.ids.tolist()])
 
 
 def uncertainty_sample(dataset: Dataset, fraction: float) -> Dataset:

@@ -306,6 +306,8 @@ SWEEP_SETS = {  # training-file keys each mode draws or sets itself
 def cmd_sweep(args):
     reject = SWEEP_SETS[args.mode]
     base = _config(TrainingFile, args, SWEEP_DEFAULTS, reject)
+    if args.mode == "lambda":  # grid and repeats checked before any data
+        hpo.sweep_configs(args.lambda_grid, args.repeats, base, base.seed)
     bundle = hpo.SweepData(*_load_disjoint(args, "train", "valid", "test", "golden_test"))
     if args.mode == "search":
         report = hpo.run_search(hpo.SearchSpace(), args.trials, bundle, base=base, master_seed=base.seed, jobs=args.jobs)
@@ -345,7 +347,8 @@ def cmd_desk(args):
 
 def cmd_desk_sweep(args):
     seed = _config(RunSeed, args, {"seed": DESK_SWEEP_SEED}).seed
-    base = training.TrainConfig(epochs=args.epochs, early_stop_patience=6)  # checked before any fit
+    base = training.TrainConfig(epochs=args.epochs, early_stop_patience=6)
+    hpo.sweep_configs(args.lambda_grid, args.repeats, base, seed)  # grid and repeats checked before any data
     bundle, _ = pipeline.desk_data(seed, args.n, (1500, 150, 400), (0.7, 0.1, 0.2))
     report = hpo.lambda_sweep(args.lambda_grid, args.repeats, bundle, base=base, master_seed=seed, jobs=args.jobs)
     cfg = {"n": args.n, "lambda_grid": args.lambda_grid, "repeats": args.repeats, "epochs": args.epochs,

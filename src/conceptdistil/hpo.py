@@ -225,6 +225,19 @@ def run_search(
     return _assemble(pool.ordered_map(_run_trial, data, items, jobs))
 
 
+def sweep_configs(lambdas, n_repeats: int, base: training.TrainConfig | None = None, master_seed: int = 0) -> list:
+    """The len(lambdas) * n_repeats trial configs of :func:`lambda_sweep`, lambda-major: ``base`` under each lambda
+    and repeat r's derived seed, the same for every lambda so the comparison is paired. Needs no data, so a bad
+    grid or repeat count is refused before any is made."""
+    lambdas = [float(v) for v in lambdas]
+    if not lambdas:
+        raise DataError("the lambda grid is empty")
+    if n_repeats < 1:
+        raise DataError("n_repeats must be >= 1")
+    base = base or training.TrainConfig()
+    return [replace(base, lam=v, seed=derive_seed(master_seed, _REPEAT, r)) for v in lambdas for r in range(n_repeats)]
+
+
 def lambda_sweep(
     lambdas,
     n_repeats: int,
@@ -235,20 +248,11 @@ def lambda_sweep(
     master_seed: int = 0,
     jobs: int | None = None,
 ) -> SweepReport:
-    """Grid of blend weights x repeat seeds on one fixed architecture.
+    """Grid of blend weights x repeat seeds (:func:`sweep_configs`) on one fixed architecture.
 
-    Produces exactly len(lambdas) * n_repeats trials, repeat r of every
-    lambda sharing the same derived seed so the comparison is paired.
     Each trial draws only from its own seed, so the report does not depend
     on ``jobs``, which :func:`pool.ordered_map` chooses when it is None.
     """
-    lambdas = [float(v) for v in lambdas]
-    if not lambdas:
-        raise DataError("the lambda grid is empty")
-    if n_repeats < 1:
-        raise DataError("n_repeats must be >= 1")
-    base = base or training.TrainConfig()
+    configs = sweep_configs(lambdas, n_repeats, base, master_seed)
     arch = arch or model.build_architecture(len(data.train.feature_names), data.train.k)
-    configs = [replace(base, lam=v, seed=derive_seed(master_seed, _REPEAT, r))
-               for v in lambdas for r in range(n_repeats)]
     return _assemble(pool.ordered_map(_run_trial, data, [(i, arch, cfg) for i, cfg in enumerate(configs)], jobs))

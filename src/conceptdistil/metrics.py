@@ -103,12 +103,8 @@ def golden_auc(pred, golden_set: Dataset, names: tuple[str, ...], what: str) -> 
 
 
 def recall_at_fpr(scores, labels, fpr_level: float) -> float:
-    """Recall at the lowest score threshold whose FPR stays within the level.
-
-    Instances sharing a score cross the threshold together; if even the
-    highest score group violates the budget the recall is 0 (threshold
-    above all scores).
-    """
+    """Recall at the lowest score threshold whose FPR stays within the level. Instances sharing a score cross the
+    threshold together; if even the highest score's FPR is over the level, the recall is 0."""
     if not 0.0 < fpr_level < 1.0:
         raise DataError(f"fpr_level must be in (0, 1), got {fpr_level}")
     s = _as_vector(scores, "scores")
@@ -117,21 +113,10 @@ def recall_at_fpr(scores, labels, fpr_level: float) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("recall_at_fpr needs both classes")
-    thresholds = np.unique(s)[::-1]  # descending; predicted positive = score >= t
-    order = np.argsort(s)[::-1]
-    s_desc, y_desc = s[order], y[order]
-    cum_pos = np.cumsum(y_desc == 1)
-    cum_neg = np.cumsum(y_desc == 0)
-    # index of the last instance belonging to each threshold group
-    group_end = np.searchsorted(-s_desc, -thresholds, side="right") - 1
-    fpr = cum_neg[group_end] / n_neg
-    tpr = cum_pos[group_end] / n_pos
-    feasible = fpr <= fpr_level
-    if not feasible.any():
-        return 0.0
-    # fpr is non-decreasing down the list, so the feasible set is a prefix
-    last = np.flatnonzero(feasible).max()
-    return float(tpr[last])
+    thresholds = np.unique(s)  # predicted positive = score >= t
+    fpr = (n_neg - np.searchsorted(np.sort(s[y == 0]), thresholds)) / n_neg  # the share of each class at or above t
+    tpr = (n_pos - np.searchsorted(np.sort(s[y == 1]), thresholds)) / n_pos
+    return float(tpr[fpr <= fpr_level].max(initial=0.0))
 
 
 def pareto_frontier(points) -> np.ndarray:

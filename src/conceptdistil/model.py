@@ -62,10 +62,6 @@ class ArchitectureConfig(Checked):
         if self.attention[-1].activation != "identity":
             raise DataError("attention output layer must be identity (logits)")
 
-    @property
-    def n_features(self) -> int:
-        return self.trunk[0].in_dim
-
 
 @dataclass(frozen=True)
 class ArchitectureOptions(Checked):

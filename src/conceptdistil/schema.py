@@ -5,7 +5,7 @@ error is a :class:`DataError` naming the document and the key path.
 
 A field's single-value rules live in its metadata (:func:`bounded`), and
 :func:`check` applies them, so a config built in Python, from a flag or
-from a file fails alike, naming the field.
+from a file fails alike, naming the field's key.
 
 Every JSON value, of a config or an artifact, is read by :func:`value` or :func:`array` by its kind in ``_ITEMS``,
 and every object's unknown keys are refused by :func:`keys`.
@@ -67,10 +67,10 @@ def bounded(default, *rules, key: str | None = None):
 
 
 def check(obj) -> None:
-    """Raise a DataError naming the first field of dataclass ``obj`` that breaks its rules."""
+    """Raise a DataError naming, by its file key, the first field of dataclass ``obj`` that breaks its rules."""
     for f in fields(obj):
         if bad := _violation(getattr(obj, f.name), f.metadata.get(RULES, ())):
-            raise DataError(f"{f.name} {bad}")
+            raise DataError(f"{f.metadata.get(KEY) or f.name} {bad}")
 
 
 class Checked:

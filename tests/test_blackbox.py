@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -173,49 +174,57 @@ class TestBlackBoxConfig:
 
 
 class TestScoreFile:
+    """A score file is a dataset CSV whose ``bb_score`` column holds the scores, joined on id."""
+
     def dataset(self, ids):
         n = len(ids)
         return data.Dataset(
             ids=np.asarray(ids), feature_names=("f_0",), x=np.zeros((n, 1))
         )
 
-    def test_scores_replayed_in_dataset_order(self, tmp_path):
+    def load(self, tmp_path, text, ids):
         path = tmp_path / "scores.csv"
-        path.write_text("id,score\nb,0.9\na,0.1\n")
-        ds = self.dataset(["a", "b"])
-        np.testing.assert_array_equal(blackbox.load_score_file(path, ds), [0.1, 0.9])
+        path.write_text(text, newline="")
+        return blackbox.load_score_file(path, self.dataset(ids))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_scores_returned_in_dataset_order(self, tmp_path, eol):
+        text = eol.join(["id,bb_score", "b,0.9", "a,0.1", ""])
+        np.testing.assert_array_equal(self.load(tmp_path, text, ["a", "b"]), [0.1, 0.9])
 
     def test_missing_id_named_in_error(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("id,score\na,0.1\nb,0.9\n")
-        with pytest.raises(DataError, match="'c'"):
-            blackbox.load_score_file(path, self.dataset(["a", "b", "c"]))
+        with pytest.raises(DataError, match=r"scores\.csv: missing scores for ids \['c'\]$"):
+            self.load(tmp_path, "id,bb_score\na,0.1\nb,0.9\n", ["a", "b", "c"])
 
     def test_duplicate_id_rejected(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("id,score\na,0.1\na,0.2\n")
-        with pytest.raises(DataError, match="duplicate"):
-            blackbox.load_score_file(path, self.dataset(["a"]))
+        with pytest.raises(DataError, match="scores.csv: instance ids must be unique: duplicate id 'a'"):
+            self.load(tmp_path, "id,bb_score\na,0.1\na,0.2\n", ["a"])
 
-    def test_out_of_range_score_rejected(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("id,score\na,1.5\n")
-        with pytest.raises(DataError, match="outside"):
-            blackbox.load_score_file(path, self.dataset(["a"]))
+    @pytest.mark.parametrize("cell", ["1.5", "-0.1", "nan", "high"])
+    def test_bad_score_rejected_naming_its_line_and_column(self, tmp_path, cell):
+        with pytest.raises(DataError, match=re.escape(f"scores.csv: line 3: column 'bb_score': bb_scores must be "
+                                                      f"finite in [0, 1], got {cell!r}")):
+            self.load(tmp_path, f"id,bb_score\na,0.5\nb,{cell}\n", ["a", "b"])
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("identifier,value\na,0.5\n")
-        with pytest.raises(DataError, match="header"):
-            blackbox.load_score_file(path, self.dataset(["a"]))
+    def test_file_without_a_bb_score_column_rejected_naming_it(self, tmp_path):
+        with pytest.raises(DataError, match="scores.csv: no bb_score column"):
+            self.load(tmp_path, "id,f_0\na,0.5\n", ["a"])
 
-    def test_export_reload_round_trip_is_exact(self, tmp_path):
+    def test_an_id_score_file_is_refused_naming_the_file_and_the_column(self, tmp_path):
+        with pytest.raises(DataError, match="scores.csv: unrecognized column 'score'"):
+            self.load(tmp_path, "id,score\na,0.5\n", ["a"])
+
+    def test_quoted_and_extra_ids_and_other_columns(self, tmp_path):
+        text = 'id,f_0,y,bb_score\r\n"a,1",7.0,1,0.25\r\nz,0.0,0,0.5\r\n"q""",1.0,0,1.0\r\nb,2.0,1,0.0\r\n'
+        np.testing.assert_array_equal(self.load(tmp_path, text, ["b", 'q"', "a,1"]), [0.0, 1.0, 0.25])
+
+    def test_save_csv_round_trip_is_exact(self, tmp_path):
         full = linearly_separable(n=150, seed=5)
         train, valid, _ = data.split(full, 0.6, 0.2, 0.2)
         adapter = blackbox.train_ffnn_blackbox(train, valid, epochs=5, seed=3)
         scores = adapter.score_batch(full.x)
         path = tmp_path / "scores.csv"
-        blackbox.save_score_file(path, full.ids, scores)
+        data.save_csv(full.with_scores(scores), path)
         np.testing.assert_array_equal(blackbox.load_score_file(path, full), scores)
 
 

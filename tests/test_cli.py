@@ -343,11 +343,16 @@ class TestExitCodes:
         assert f"{name} set has no rows" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_empty_lambda_grid_exits_2_naming_it(self, pipeline, tmp_path, capsys):
-        d = pipeline / "data"
-        argv = [str(d / a) if a.endswith(".csv") else a for a in SWEEP_INPUTS]
-        assert run("sweep", "--mode", "lambda", "--lambda-grid", "", *argv, "--out", str(tmp_path / "s")) == 2
-        assert "the lambda grid is empty" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambda-grid", ""], "error: the lambda grid is empty"),
+        (["--repeats", "0"], "error: n_repeats must be >= 1"),
+        (["--lambda-grid", "0.5,1.5"], "error: lambda must be in [0, 1], got 1.5"),
+    ], ids=["empty-grid", "repeats", "lambda-grid"])
+    def test_sweep_lambda_grid_and_repeats_are_checked_before_any_data(self, tmp_path, capsys, argv, message):
+        none = str(tmp_path / "none.csv")  # never read
+        assert run("sweep", "--mode", "lambda", *argv, "--train", none, "--valid", none, "--test", none,
+                   "--golden-test", none, "--out", str(tmp_path / "s")) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_sweep_with_every_trial_failing_names_the_first_cause(self, pipeline, tmp_path, capsys):
         d = pipeline / "data"
@@ -601,13 +606,11 @@ class TestOptionalFlags:
         assert json.loads((out / "manifest_teach.json").read_text())["config"]["feature_subsample"] == 1
 
     def test_label_with_score_file(self, pipeline, tmp_path):
-        from conceptdistil import blackbox
-
         d = pipeline / "data"
         ds = data.load_csv(d / "test.csv")
         score_path = tmp_path / "scores.csv"
         scores = np.linspace(0.0, 1.0, ds.n)
-        blackbox.save_score_file(score_path, ds.ids, scores)
+        data.save_csv(ds.with_scores(scores), score_path)
         out = tmp_path / "scored.csv"
         assert run("label", "--input", str(d / "test.csv"), "--out", str(out),
                    "--score-file", str(score_path)) == 0
@@ -618,7 +621,7 @@ class TestOptionalFlags:
         ds = data.load_csv(d / "test.csv")
         score_path = tmp_path / "scores.csv"
         scores = np.linspace(0.0, 1.0, ds.n)
-        blackbox.save_score_file(score_path, ds.ids, scores)
+        data.save_csv(ds.with_scores(scores), score_path)
         out = tmp_path / "uncertain.csv"
         assert run("label", "--input", str(d / "test.csv"), "--out", str(out),
                    "--score-file", str(score_path), "--uncertainty-fraction", "0.2") == 0
@@ -627,6 +630,21 @@ class TestOptionalFlags:
         subset = data.load_csv(out)
         assert subset.ids.tolist() == ds.ids[keep].tolist()
         np.testing.assert_array_equal(subset.bb_scores, scores[keep])
+
+    def test_an_id_score_file_exits_2_naming_the_file_and_the_column(self, pipeline, tmp_path, capsys):
+        score_path = tmp_path / "scores.csv"
+        score_path.write_text("id,score\n000000,0.5\n")
+        assert run("label", "--input", str(pipeline / "data" / "test.csv"), "--out", str(tmp_path / "o.csv"),
+                   "--score-file", str(score_path)) == 2
+        assert capsys.readouterr().err == f"error: {score_path}: unrecognized column 'score'\n"
+
+    def test_a_blackbox_labelled_csv_is_a_score_file(self, pipeline, tmp_path):
+        d = pipeline / "data"
+        scored, replayed = tmp_path / "scored.csv", tmp_path / "replayed.csv"
+        assert run("label", "--input", str(d / "test.csv"), "--out", str(scored),
+                   "--blackbox", str(pipeline / "bb" / "blackbox.json")) == 0
+        assert run("label", "--input", str(d / "test.csv"), "--out", str(replayed), "--score-file", str(scored)) == 0
+        assert replayed.read_bytes() == scored.read_bytes()  # the same scores, bit for bit
 
     def test_uncertainty_fraction_without_a_score_source_is_usage_error(self, pipeline, tmp_path, capsys):
         d = pipeline / "data"
@@ -744,11 +762,14 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert f"{cfg}: {needle}" in err
 
-    def test_nan_learning_rate_flag_exits_2_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--learning-rate", "nan", "error: learning_rate must be finite, got nan"),
+        ("--lambda", "2", "error: lambda must be in [0, 1], got 2.0"),  # the file key, not the field lam
+    ], ids=["learning-rate-nan", "lambda-2"])
+    def test_bad_training_flag_exits_2_naming_the_key(self, tmp_path, capsys, flag, value, message):
         none = str(tmp_path / "none.csv")  # the flags are checked before any data is read
-        assert run("distill", "--train", none, "--valid", none, "--learning-rate", "nan",
-                   "--out", str(tmp_path / "o")) == 2
-        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert run("distill", "--train", none, "--valid", none, flag, value, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_sweep_lambda_mode_honours_learning_rate_l2_and_architecture(self, pipeline, tmp_path):
         d = pipeline / "data"
@@ -829,7 +850,7 @@ class TestLoadErrors:
     READERS = {
         "load_csv": (("evaluate", "--data", "{path}"), b"id,f_0\n0,\xff\n"),
         "load_json": (("teach", "--golden-train", "{csv}", "--config", "{path}"), b'{"n_trees": "\xff"}'),
-        "load_score_file": (("label", "--input", "{csv}", "--score-file", "{path}"), b"id,score\n0,\xff\n"),
+        "load_score_file": (("label", "--input", "{csv}", "--score-file", "{path}"), b"id,bb_score\n0,\xff\n"),
     }
 
     @pytest.mark.parametrize("form", ["not-utf8", "directory"])
@@ -1054,9 +1075,13 @@ class TestDesk:
 
     @pytest.mark.parametrize("command, argv, message", [
         ("desk", ["--epochs", "0"], "error: epochs must be >= 1, got 0"),
-        ("desk", ["--lambda", "2"], "error: lam must be in [0, 1], got 2.0"),
+        ("desk", ["--lambda", "2"], "error: lambda must be in [0, 1], got 2.0"),
         ("desk-sweep", ["--epochs", "0"], "error: epochs must be >= 1, got 0"),
-    ], ids=["desk-epochs", "desk-lambda", "desk-sweep-epochs"])
+        ("desk-sweep", ["--repeats", "0"], "error: n_repeats must be >= 1"),
+        ("desk-sweep", ["--lambda-grid", "0.5,1.5"], "error: lambda must be in [0, 1], got 1.5"),
+        ("desk-sweep", ["--lambda-grid", ""], "error: the lambda grid is empty"),
+    ], ids=["desk-epochs", "desk-lambda", "desk-sweep-epochs", "desk-sweep-repeats", "desk-sweep-lambda-grid",
+            "desk-sweep-empty-grid"])
     def test_bad_training_value_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, command, argv, message):
         def no_fit(*args, **kwargs):
             raise AssertionError("desk_data called")

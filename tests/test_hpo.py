@@ -192,7 +192,7 @@ class TestLambdaSweep:
 
     def test_out_of_range_lambda_fails_before_any_trial(self, bundle, monkeypatch):
         monkeypatch.setattr(pool, "ordered_map", lambda *args: pytest.fail("a trial ran"))
-        with pytest.raises(DataError, match=r"lam must be in \[0, 1\], got 1.5"):
+        with pytest.raises(DataError, match=r"lambda must be in \[0, 1\], got 1.5"):
             hpo.lambda_sweep([0.5, 1.5], 1, bundle)
 
 

@@ -198,11 +198,11 @@ def _outside(rule, tp):
 
 
 def _rejects(cls, valid, f, bad):
-    """Both ways in, built in Python and read from a document, ``bad`` is a DataError naming field ``f``, by its
-    name or its key in the document. A list's item that is out of range or not finite is refused as it is read."""
-    with pytest.raises(DataError, match="^" + re.escape(f"{f.name} must be ")):
-        replace(valid, **{f.name: bad})
+    """Both ways in, built in Python and read from a document, ``bad`` is a DataError naming field ``f`` by its
+    key. A list's item that is out of range or not finite is refused as it is read."""
     key = f.metadata.get(schema.KEY) or f.name
+    with pytest.raises(DataError, match="^" + re.escape(f"{key} must be ")):
+        replace(valid, **{f.name: bad})
     doc = {**schema.write(valid), key: schema.write(bad)}
     with pytest.raises(DataError, match="^" + re.escape(f"where: {key} ") + "(must be |holds )"):
         schema.read(cls, doc, "where")
